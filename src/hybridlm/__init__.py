@@ -1,10 +1,8 @@
 """Desk-scale hybrid Mamba/MoE/attention LM laboratory.
 
-Subpackages cover the dense tensor/autodiff substrate (`tensor`), bit-exact
-low-precision formats and simulated quantized GEMMs (`quant`), sequence
-mixing layers (`layers`), expert routing (`moe`), model assembly and
-training (`model`), generation and evaluation probes (`inference`), and the
-experiment harness (`harness`).
+Modules: the dense tensor/autodiff substrate with its exact-order GEMM
+(`tensor`), bit-exact low-precision formats, simulated quantized GEMMs and
+the per-layer precision policy (`quant`), and the typed errors (`errors`).
 """
 
 __version__ = "0.1.0"

@@ -18,8 +18,13 @@ Independent tapes may run concurrently; there is no shared mutable state.
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import subprocess
+import tempfile
 import threading
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,46 +36,158 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # ---------------------------------------------------------------------------
 #
 # BLAS reorders float32 sums (blocking, SIMD), which breaks bit-exact oracle
-# comparisons. The numba kernel below keeps per-element accumulation in
-# increasing-k order while letting LLVM vectorize across independent output
-# columns. The numpy fallback performs the same per-element rounding sequence.
+# comparisons. Both kernels below give every output element the oracle's
+# rounding sequence: start from +0, then for k = 0, 1, ... add a[i,k]*b[k,j],
+# rounding the product and then the sum to float32.
+#
+# The fast kernel is the C source in _MM_SOURCE. On first import the local
+# `cc` compiles it into a shared library, which ctypes loads. It keeps a
+# 4-row by 32-column block of sums in a local accumulator per pass over k
+# and vectorizes across those independent columns. Two flag rules protect
+# the bits: -ffp-contract=off stops the compiler fusing a multiply and an
+# add into one FMA (one rounding instead of two), and -ffast-math/-Ofast are
+# never used, since they reassociate sums and flush subnormals to zero. On
+# x86-64, target_clones builds avx512f, avx2 and baseline variants and picks
+# one when the library loads, so a cached build stays portable where
+# -march=native would not. The kernel is single-threaded.
+#
+# The library is cached in $XDG_CACHE_HOME/hybridlm (default
+# ~/.cache/hybridlm), or in <tempdir>/hybridlm-<uid> when that directory is
+# not writable. Its file name hashes the source, the flags and
+# `cc --version`, so a changed kernel or compiler builds afresh. Each build
+# goes to a temporary file that os.replace moves into place, so processes
+# importing concurrently are safe. A directory that another user owns or
+# can write to is skipped, since a library planted there would be loaded.
+# With no compiler or no usable cache directory, _mm_kernel is the numpy
+# k-loop instead: slower, same bits.
 
-_USE_NUMBA = os.environ.get("HYBRIDLM_NO_NUMBA", "") == ""
+_MM_SOURCE = r"""
+#include <stddef.h>
 
-if _USE_NUMBA:
+#if defined(__x86_64__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
+                  ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n)
+{
+    enum { JB = 32 };
+    ptrdiff_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+        const float *a0 = a + i * kk;
+        for (ptrdiff_t j0 = 0; j0 < n; j0 += JB) {
+            const ptrdiff_t w = n - j0 < JB ? n - j0 : JB;
+            float acc[4][JB] = {{0}};
+            for (ptrdiff_t k = 0; k < kk; k++) {
+                const float x0 = a0[k], x1 = a0[kk + k], x2 = a0[2 * kk + k], x3 = a0[3 * kk + k];
+                const float *bk = b + k * n + j0;
+                for (ptrdiff_t j = 0; j < w; j++) {
+                    const float y = bk[j];
+                    acc[0][j] += x0 * y;
+                    acc[1][j] += x1 * y;
+                    acc[2][j] += x2 * y;
+                    acc[3][j] += x3 * y;
+                }
+            }
+            for (int r = 0; r < 4; r++)
+                for (ptrdiff_t j = 0; j < w; j++)
+                    out[(i + r) * n + j0 + j] += acc[r][j];
+        }
+    }
+    for (; i < m; i++) {
+        float *o = out + i * n;
+        for (ptrdiff_t k = 0; k < kk; k++) {
+            const float x = a[i * kk + k];
+            const float *bk = b + k * n;
+            for (ptrdiff_t j = 0; j < n; j++)
+                o[j] += x * bk[j];
+        }
+    }
+}
+"""
+_MM_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+
+def _cache_dirs() -> list[Path]:
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return [Path(base) / "hybridlm", Path(tempfile.gettempdir()) / f"hybridlm-{os.getuid()}"]
+
+
+def _compile(cc: str, lib: Path) -> None:
+    fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
+    os.close(fd)
     try:
-        from numba import njit
+        subprocess.run([cc, *_MM_FLAGS, "-x", "c", "-", "-o", tmp], input=_MM_SOURCE, text=True,
+                       capture_output=True, check=True)
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
-        @njit(cache=True)
-        def _mm_kernel(a, b, out):
-            m, kk = a.shape
-            n = b.shape[1]
-            for i in range(m):
-                for k in range(kk):
-                    aik = a[i, k]
-                    for j in range(n):
-                        out[i, j] += aik * b[k, j]
-            return out
 
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
+def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc"):
+    """Return the compiled kernel's ctypes entry point, or None.
 
-if not _USE_NUMBA:
+    Reuses a build cached in the first usable directory of ``cache_dirs``,
+    or compiles one into it. None means ``cc`` is missing or fails, or no
+    directory is usable.
+    """
+    try:
+        version = subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    key = hashlib.sha256("\0".join((_MM_SOURCE, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
+    for d in map(Path, cache_dirs):
+        lib = d / f"mm_exact-{key}.so"
+        try:
+            d.mkdir(mode=0o700, parents=True, exist_ok=True)
+            st = d.stat()
+            if st.st_uid != os.getuid() or st.st_mode & 0o022:
+                continue
+            if not lib.exists():
+                _compile(cc, lib)
+            fn = ctypes.CDLL(str(lib)).mm_exact_f32
+        except subprocess.CalledProcessError:
+            return None
+        except OSError:
+            continue  # directory not writable, or the library cannot be loaded from it
+        fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
+        fn.restype = None
+        return fn
+    return None
 
-    def _mm_kernel(a, b, out):
-        for k in range(a.shape[1]):
-            out += a[:, k : k + 1] * b[k : k + 1, :]
-        return out
+
+_C_KERNEL = _load_c_kernel(_cache_dirs())
+
+
+# Kernel contract: ``a`` (m, k), ``b`` (k, n) and ``out`` (m, n) are
+# C-contiguous float32 and ``out`` is zero-filled; the kernel adds a @ b into
+# it in the oracle's order and returns it.
+
+
+def _mm_kernel_c(a, b, out):
+    _C_KERNEL(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
+    return out
+
+
+def _mm_kernel_numpy(a, b, out):
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
+    return out
+
+
+_mm_kernel = _mm_kernel_numpy if _C_KERNEL is None else _mm_kernel_c
 
 
 def matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Raw float matmul with fixed k-increasing accumulation order."""
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     if a.dtype == np.float64 or b.dtype == np.float64:
         # float64 path only serves verification oracles; order is irrelevant
         # there because the extra precision swamps reassociation effects.
         return np.asarray(a, np.float64) @ np.asarray(b, np.float64)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-    return _mm_kernel(np.ascontiguousarray(a), np.ascontiguousarray(b), out)
+    return _mm_kernel(np.ascontiguousarray(a, np.float32), np.ascontiguousarray(b, np.float32), out)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -270,8 +387,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     Backward: dA = dC @ B^T, dB = A^T @ dC.
     """
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.shape} x {b.shape}")
     out = matmul_exact(a.data, b.data)
 
     def bwd(dout):

@@ -1,9 +1,14 @@
 """Tensor and autodiff checks against independent oracles."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hybridlm.tensor as T
 from hybridlm.errors import ContractError, NumericInputError, ShapeError, TokenIndexError
@@ -50,6 +55,118 @@ def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as ei:
         T.matmul(T.Tensor(np.zeros((2, 3), np.float32)), T.Tensor(np.zeros((4, 2), np.float32)))
     assert "(2, 3)" in str(ei.value) and "(4, 2)" in str(ei.value)
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [((3, 4), (5, 6)), ((4,), (4, 2)), ((2, 4), (4,)), ((1, 2, 4), (4, 2))])
+def test_matmul_exact_rejects_bad_shapes(a_shape, b_shape):
+    with pytest.raises(ShapeError) as ei:
+        T.matmul_exact(np.ones(a_shape, np.float32), np.ones(b_shape, np.float32))
+    assert str(a_shape) in str(ei.value) and str(b_shape) in str(ei.value)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int8, np.float16])
+def test_matmul_exact_casts_other_dtypes_to_float32(dtype):
+    a = (_rand((5, 7), 11) * 4).astype(dtype)
+    b = (_rand((7, 3), 12) * 4).astype(dtype)
+    out = T.matmul_exact(a, b)
+    assert out.dtype == np.float32
+    assert np.array_equal(out, T.matmul_oracle(a.astype(np.float32), b.astype(np.float32)))
+
+
+# Every exactness check below runs on both kernels through matmul_exact. The
+# C kernel is skipped only where it was not built; test_mm_kernel_build.py
+# fails when a compiler is present and the C kernel was not selected.
+KERNELS = [
+    pytest.param("_mm_kernel_c", marks=pytest.mark.skipif(T._C_KERNEL is None, reason="C kernel not built")),
+    "_mm_kernel_numpy",
+]
+
+
+def _mm(kernel, a, b):
+    with mock.patch.object(T, "_mm_kernel", getattr(T, kernel)):
+        return T.matmul_exact(a, b)
+
+
+def _assert_same_bits(x, y):
+    """Equal bit for bit, except that any NaN matches any NaN."""
+    assert x.shape == y.shape and x.dtype == y.dtype == np.float32
+    assert np.array_equal(np.isnan(x), np.isnan(y))
+    keep = ~np.isnan(x)
+    assert np.array_equal(x[keep].view(np.uint32), y[keep].view(np.uint32))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_matches_oracle_on_edge_shapes(kernel):
+    # m covers the 4-row blocks and their leftovers; n covers SIMD tails and
+    # the 32-column tiles; any of m, k, n may be 0.
+    for m, k, n in itertools.product((0, 1, 3, 4, 5, 9), (0, 1, 2, 17), (0, 1, 15, 16, 17, 33, 65)):
+        a, b = _rand((m, k), m * 100 + k), _rand((k, n), k * 100 + n)
+        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(a, b))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_matches_oracle_on_views(kernel):
+    big, big2 = _rand((12, 40), 21), _rand((20, 40), 22)
+    views = [
+        (big[1:8, 3:20], big2[2:19, 5:38]),  # offset slices
+        (big[:9, :17].T, big2[:9, 4:25]),  # transposed
+        (big[::-2, ::3], big2[13::-1, ::-2]),  # negative and non-unit strides
+    ]
+    for a, b in views:
+        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(np.ascontiguousarray(a), np.ascontiguousarray(b)))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_keeps_subnormals(kernel):
+    tiny = np.finfo(np.float32).tiny
+    a = _rand((6, 9), 31) * np.float32(1e-20)  # products of normals land below tiny
+    b = _rand((9, 35), 32) * np.float32(1e-20)
+    a[0] = _rand(9, 33) * np.float32(tiny / 8)  # subnormal operands
+    out = _mm(kernel, a, b)
+    _assert_same_bits(out, T.matmul_oracle(a, b))
+    assert np.any((out != 0) & (np.abs(out) < tiny))  # flush-to-zero would fail here
+    _assert_same_bits(_mm(kernel, np.full((5, 1), tiny / 4, np.float32), np.full((1, 17), 2.0, np.float32)),
+                      np.full((5, 17), tiny / 2, np.float32))
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_signed_zeros(kernel):
+    a = np.array([[-0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 0.0], [0.0, 0.0]], np.float32)
+    b = np.array([[1.0, -1.0, 0.0, -0.0, 2.0], [1.0, 1.0, -0.0, -0.0, -2.0]], np.float32)
+    out = _mm(kernel, a, b)
+    _assert_same_bits(out, T.matmul_oracle(a, b))
+    assert not np.any(np.signbit(out[out == 0]))  # accumulation starts from +0
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_kernel_propagates_inf_and_nan(kernel):
+    big = np.finfo(np.float32).max
+    a = _rand((7, 5), 41)
+    b = _rand((5, 19), 42)
+    a[0, 1], a[1, 2], a[2, 3], a[3, 0] = np.inf, -np.inf, np.nan, big
+    b[1, 4], b[2, 5], b[0, 6] = 0.0, np.inf, big  # inf*0, inf-inf, overflow
+    with np.errstate(all="ignore"):
+        out, want = _mm(kernel, a, b), T.matmul_oracle(a, b)
+    _assert_same_bits(out, want)
+    assert np.isnan(out).any() and np.isinf(out).any()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_oracle_property(kernel, data):
+    m, k, n = (data.draw(st.integers(0, 9)) for _ in range(3))
+    elems = st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    a = data.draw(hnp.arrays(np.float32, (m, k), elements=elems))
+    b = data.draw(hnp.arrays(np.float32, (k, n), elements=elems))
+    with np.errstate(all="ignore"):
+        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(a, b))
+
+
+@pytest.mark.skipif(T._C_KERNEL is None, reason="C kernel not built")
+def test_kernels_agree_at_256x512x512():
+    a, b = _rand((256, 512), 51), _rand((512, 512), 52)
+    _assert_same_bits(_mm("_mm_kernel_c", a, b), _mm("_mm_kernel_numpy", a, b))
 
 
 # ---------------------------------------------------------------------------
