@@ -22,13 +22,15 @@ a model for mixed-precision training.
 
 from __future__ import annotations
 
+import math
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NumericInputError, ShapeError, UndefinedRateError
+from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError, UndefinedRateError
 from .tensor import Tensor, _make, matmul_exact
 
 # ---------------------------------------------------------------------------
@@ -64,62 +66,71 @@ def stochastic(seed: int) -> RoundingMode:
 # Grids and scalar codecs
 # ---------------------------------------------------------------------------
 
-# E2M1: 1 sign, 2 exponent, 1 mantissa. Magnitudes by code index (exp<<1|man).
-E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0], np.float32)
-E2M1_MAX = 6.0
+# E2M1 and E4M3 are minifloats with mb mantissa bits and smallest normal
+# 2^emin. A code's magnitude bits, (biased exponent << mb) | mantissa, are
+# the index of its value in the sorted grid, and exponent 0 holds the
+# subnormals mantissa * 2^(emin - mb). So rounding is integer arithmetic on
+# float32 bits: bits >> (23 - mb) keeps the exponent and the top mb mantissa
+# bits, and a bias added first makes that truncation a floor (0), a ceiling
+# (2^(23-mb) - 1) or round-half-to-even (2^(22-mb) - 1 plus the lowest kept
+# bit). A mantissa carry lands in the exponent, which is the next code, and
+# subtracting (126 + emin) << mb rebases float32's exponent onto the grid's.
+# Below 2^emin the grid is uniform, so the index there is rint/floor/ceil of
+# min(mag, 2^emin) * 2^(mb - emin), exact in float32. Each candidate is the
+# smaller outside its own range, so the index is their maximum, clamped to
+# the top code: that saturates at +-6 and +-448 and never makes E4M3's NaN
+# code. Ties go to even integers, that is to even codes.
 
-
-def _build_e4m3() -> tuple[np.ndarray, np.ndarray]:
-    """Decode table for all 256 E4M3 codes and the sorted magnitude grid."""
-    vals = np.zeros(256, np.float64)
-    for code in range(256):
-        sign = -1.0 if code & 0x80 else 1.0
-        e = (code >> 3) & 0xF
-        m = code & 0x7
-        if e == 0:
-            mag = m * 2.0 ** -9  # subnormals
-        elif e == 15 and m == 7:
-            mag = np.nan  # the only non-finite code pair
-        else:
-            mag = (1.0 + m / 8.0) * 2.0 ** (e - 7)
-        vals[code] = sign * mag
-    table = vals.astype(np.float32)
-    return table, table[:127].copy()  # codes 0..126 are the sorted magnitudes
-
-
-E4M3_TABLE, E4M3_GRID = _build_e4m3()
-E4M3_MAX = 448.0
+# mantissa bits, exponent of the smallest normal, code and value of the
+# largest finite magnitude, bit position of the sign in a code
+_Grid = namedtuple("_Grid", "mb emin top max sign_bit")
+_E2M1 = _Grid(1, 0, 7, 6.0, 3)
+_E4M3 = _Grid(3, -6, 126, 448.0, 7)
+E2M1_MAX, E4M3_MAX = _E2M1.max, _E4M3.max
 E8M0_MIN_EXP, E8M0_MAX_EXP = -127, 127
-
-# Mantissa parity equals sorted-grid-index parity for both grids (each binade
-# contributes a full even-sized run of mantissa values), so nearest-even ties
-# resolve to the even index.
+_SUBNORMAL_ROUND = {"nearest": np.rint, "floor": np.floor, "ceil": np.ceil}
 
 
-def _round_index_nearest_even(mag: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Index of the nearest grid value; ties go to the even-mantissa code."""
-    pos = np.searchsorted(grid, mag)
-    lo = np.clip(pos - 1, 0, len(grid) - 1)
-    hi = np.clip(pos, 0, len(grid) - 1)
-    d_lo = mag - grid[lo]
-    d_hi = grid[hi] - mag
-    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 0))
-    return np.where(take_hi, hi, lo)
+def _round_index(mag: np.ndarray, grid: _Grid, how: str) -> np.ndarray:
+    """int32 grid index of float32 magnitudes ``mag``, which it overwrites.
+
+    ``how`` is "nearest" (ties to the even code), "floor" or "ceil".
+    """
+    shift = 23 - grid.mb
+    bits = mag.view(np.int32)
+    if how == "nearest":  # the lowest kept bit joins the bias, so ties go to the even code
+        idx = bits >> shift
+        idx &= 1
+        idx += bits
+    else:
+        idx = bits.copy()
+    idx += {"floor": 0, "ceil": (1 << shift) - 1, "nearest": (1 << (shift - 1)) - 1}[how]
+    idx >>= shift
+    idx -= (126 + grid.emin) << grid.mb
+    np.minimum(mag, np.float32(2.0 ** grid.emin), out=mag)
+    mag *= np.float32(2.0 ** (grid.mb - grid.emin))
+    np.maximum(idx, _SUBNORMAL_ROUND[how](mag, out=bits, casting="unsafe"), out=idx)
+    return np.minimum(idx, grid.top, out=idx)
 
 
-def _round_index_stochastic(mag: np.ndarray, grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Lower or upper bracketing index with P(upper) = (x-lo)/(hi-lo)."""
-    lo = np.clip(np.searchsorted(grid, mag, side="right") - 1, 0, len(grid) - 1)
-    hi = np.minimum(lo + 1, len(grid) - 1)
-    gap = grid[hi] - grid[lo]
-    p = np.where(gap > 0, (mag - grid[lo]) / np.where(gap > 0, gap, 1.0), 0.0)
-    p = np.clip(p, 0.0, 1.0)
-    return np.where(u < p, hi, lo)
+def _round_index_stochastic(mag: np.ndarray, grid: _Grid, u: np.ndarray) -> np.ndarray:
+    """Floor index, plus one where ``u`` < (mag - floor value) / step, for mag <= grid.max.
 
-
-def _round_index_up(mag: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Smallest grid index whose value is >= mag, clamped to the top."""
-    return np.clip(np.searchsorted(grid, mag, side="left"), 0, len(grid) - 1)
+    That fraction is exact in float32: the dropped mantissa bits above 2^emin,
+    the fractional part of mag / step below it. Overwrites ``mag``."""
+    shift = 23 - grid.mb
+    tiny = np.float32(2.0 ** grid.emin)
+    low = np.maximum(mag, tiny).view(np.int32)
+    low &= (1 << shift) - 1
+    frac = low.astype(np.float32)
+    frac *= np.float32(2.0 ** -shift)
+    sub = np.minimum(mag, tiny)
+    sub *= np.float32(2.0 ** (grid.mb - grid.emin))
+    sub -= np.floor(sub)
+    frac += sub
+    idx = _round_index(mag, grid, "floor")
+    idx += u < frac
+    return idx
 
 
 def _check_finite(x: np.ndarray, what: str) -> None:
@@ -127,45 +138,58 @@ def _check_finite(x: np.ndarray, what: str) -> None:
         raise NumericInputError(f"{what} requires finite inputs")
 
 
+def _encode(x: np.ndarray, grid: _Grid, mode: RoundingMode, round_up: bool = False) -> np.ndarray:
+    """uint8 sign-magnitude codes of the finite float32 array ``x`` (at least 1-D), which it overwrites."""
+    sign = x.view(np.int32) >> (31 - grid.sign_bit)
+    sign &= 1 << grid.sign_bit
+    mag = np.abs(x, out=x)
+    if round_up:
+        idx = _round_index(mag, grid, "ceil")
+    elif mode.kind == "stochastic":
+        np.minimum(mag, np.float32(grid.max), out=mag)
+        idx = _round_index_stochastic(mag, grid, mode.uniforms(x.shape))
+    else:
+        idx = _round_index(mag, grid, "nearest")
+    idx |= sign
+    return idx.astype(np.uint8)
+
+
 def encode_e2m1(x, mode: RoundingMode = NEAREST_EVEN) -> np.ndarray:
     """4-bit codes (sign<<3 | grid index) for values clamped to +-6."""
-    arr = np.asarray(x, np.float32)
+    arr = np.array(x, np.float32)  # a copy, which the encoder overwrites
     _check_finite(arr, "encode_e2m1")
-    mag = np.abs(arr)
-    if mode.kind == "stochastic":
-        idx = _round_index_stochastic(np.minimum(mag, E2M1_MAX), E2M1_GRID, mode.uniforms(arr.shape))
-    else:
-        idx = _round_index_nearest_even(mag, E2M1_GRID)
-    sign = np.signbit(arr).astype(np.uint8)
-    return ((sign << 3) | idx.astype(np.uint8)).astype(np.uint8)
-
-
-def decode_e2m1(codes) -> np.ndarray:
-    codes = np.asarray(codes, np.uint8)
-    vals = E2M1_GRID[codes & 0x7]
-    return np.where(codes & 0x8, -vals, vals).astype(np.float32)
+    return _encode(arr.reshape(-1), _E2M1, mode).reshape(arr.shape)
 
 
 def encode_e4m3(x, mode: RoundingMode = NEAREST_EVEN, round_up: bool = False) -> np.ndarray:
     """8-bit codes; finite-only (the NaN code is never produced)."""
-    arr = np.asarray(x, np.float32)
+    arr = np.array(x, np.float32)  # a copy, which the encoder overwrites
     _check_finite(arr, "encode_e4m3")
-    mag = np.abs(arr)
-    if round_up:
-        idx = _round_index_up(mag, E4M3_GRID)
-    elif mode.kind == "stochastic":
-        idx = _round_index_stochastic(np.minimum(mag, E4M3_MAX), E4M3_GRID, mode.uniforms(arr.shape))
-    else:
-        idx = _round_index_nearest_even(mag, E4M3_GRID)
-    sign = np.signbit(arr).astype(np.uint8)
-    return ((sign << 7) | idx.astype(np.uint8)).astype(np.uint8)
+    return _encode(arr.reshape(-1), _E4M3, mode, round_up).reshape(arr.shape)
+
+
+def _decode_table(grid: _Grid) -> np.ndarray:
+    """Values of every code: magnitudes by index, then the same with the sign bit set."""
+    idx = np.arange(1 << grid.sign_bit, dtype=np.int32)
+    normal = ((idx + ((126 + grid.emin) << grid.mb)) << (23 - grid.mb)).view(np.float32)
+    mags = np.where(idx < (1 << grid.mb), idx * 2.0 ** (grid.emin - grid.mb), normal).astype(np.float32)
+    mags[grid.top + 1:] = np.nan
+    return np.concatenate([mags, -mags])
+
+
+E2M1_TABLE = _decode_table(_E2M1)  # 16 entries; code 8 is -0.0
+E4M3_TABLE = _decode_table(_E4M3)  # 256 entries; codes 0x7F and 0xFF are NaN
+
+
+def decode_e2m1(codes) -> np.ndarray:
+    return E2M1_TABLE.take(np.asarray(codes, np.uint8) & 0xF)
 
 
 def decode_e4m3(codes) -> np.ndarray:
     codes = np.asarray(codes, np.uint8)
     if np.any((codes & 0x7F) == 0x7F):
         raise NumericInputError("NaN E4M3 code cannot be decoded")
-    return E4M3_TABLE[codes]
+    return E4M3_TABLE.take(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +205,39 @@ class Layout(str, Enum):
 BLOCK_1D_SIZE = 16
 BLOCK_2D_TILE = 16
 MXFP8_BLOCK = 32
+
+
+def _last_axis_grid(shape: tuple[int, ...], block: int) -> tuple[int, int, int]:
+    """[rows, blocks, block] grid of zero-padded blocks along the last axis (0-d: one element)."""
+    cols = shape[-1] if shape else 1
+    return math.prod(shape[:-1]), -(-cols // block), block
+
+
+def _last_axis_blocks(data: np.ndarray, block: int) -> np.ndarray:
+    """``data`` on its ``_last_axis_grid``; copies only to pad or to make it contiguous."""
+    rows, nblk, _ = grid = _last_axis_grid(data.shape, block)
+    cols = data.shape[-1] if data.ndim else 1
+    flat = data.reshape(rows, cols)
+    if cols % block:
+        flat = np.pad(flat, ((0, 0), (0, nblk * block - cols)))
+    return flat.reshape(grid)
+
+
+def _abs_max_last(x: np.ndarray) -> np.ndarray:
+    """max(|x|) over a last axis of power-of-two length, by halving: several
+    times faster than numpy's reduction over a short contiguous axis."""
+    x = np.abs(x)
+    while x.shape[-1] > 1:
+        half = x.shape[-1] // 2
+        x = np.maximum(x[..., :half], x[..., half:])
+    return x[..., 0]
+
+
+def _from_last_axis_blocks(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Inverse of ``_last_axis_blocks``: drop the padding, restore ``shape``."""
+    rows, nblk, block = blocks.shape
+    cols = shape[-1] if shape else 1
+    return np.ascontiguousarray(blocks.reshape(rows, nblk * block)[:, :cols]).reshape(shape)
 
 
 @dataclass
@@ -201,16 +258,11 @@ class QuantizedTensorNVFP4:
         vals = decode_e2m1(self.codes)
         scales = decode_e4m3(self.block_scales) * self.global_scale
         if self.layout == Layout.BLOCK_1D:
-            rows, nblk, bs = vals.shape
-            out = vals * scales[:, :, None]
-            out = out.reshape(rows, nblk * bs)[:, : self.shape[-1]]
-            return out.reshape(self.shape).astype(np.float32)
+            return _from_last_axis_blocks(vals * scales[:, :, None], self.shape)
         pr, pc = vals.shape
-        tr, tc = pr // BLOCK_2D_TILE, pc // BLOCK_2D_TILE
-        tiled = vals.reshape(tr, BLOCK_2D_TILE, tc, BLOCK_2D_TILE)
-        out = tiled * scales[:, None, :, None]
-        out = out.reshape(pr, pc)[: self.shape[0], : self.shape[1]]
-        return out.astype(np.float32)
+        tiled = vals.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
+        out = (tiled * scales[:, None, :, None]).reshape(pr, pc)
+        return np.ascontiguousarray(out[: self.shape[0], : self.shape[1]])
 
 
 @dataclass
@@ -222,11 +274,16 @@ class QuantizedTensorMXFP8:
     scale_exps: np.ndarray   # int16 exponents, one per block
 
     def dequantize(self) -> np.ndarray:
-        vals = decode_e4m3(self.codes)
         scales = np.ldexp(np.float32(1.0), self.scale_exps.astype(np.int32))
-        out = vals * scales[:, :, None].astype(np.float32)
-        rows, nblk, bs = vals.shape
-        return out.reshape(rows, nblk * bs)[:, : self.shape[-1]].reshape(self.shape).astype(np.float32)
+        return _from_last_axis_blocks(decode_e4m3(self.codes) * scales[:, :, None], self.shape)
+
+
+def _pow2_exponent(amax, limit: float):
+    """Smallest integer e with amax <= limit * 2^e for amax > 0: with amax = m 2^k
+    and limit = l 2^j, m and l in [0.5, 1), it is k - j, plus one when m > l."""
+    m, k = np.frexp(amax)
+    lm, lk = math.frexp(limit)
+    return k - lk + (m > lm)
 
 
 def _pow2_global_scale(amax: float) -> np.float32:
@@ -235,23 +292,8 @@ def _pow2_global_scale(amax: float) -> np.float32:
     A power of two keeps every block_scale * global product exact in
     float32; the raw block scale of the hottest block lands in (224, 448].
     """
-    if amax <= 0.0:
-        return np.float32(2.0 ** -126)
-    e = int(np.ceil(np.log2(amax / (E2M1_MAX * E4M3_MAX))))
-    # guard against log2 rounding at exact powers of two
-    while amax / 2.0 ** e > E2M1_MAX * E4M3_MAX:
-        e += 1
-    while e - 1 >= -126 and amax / 2.0 ** (e - 1) <= E2M1_MAX * E4M3_MAX:
-        e -= 1
-    return np.float32(2.0 ** max(e, -126))
-
-
-def _pad_last(two_d: np.ndarray, block: int) -> np.ndarray:
-    rows, cols = two_d.shape
-    pad = (-cols) % block
-    if pad:
-        two_d = np.concatenate([two_d, np.zeros((rows, pad), two_d.dtype)], axis=1)
-    return two_d
+    e = _pow2_exponent(amax, E2M1_MAX * E4M3_MAX) if amax > 0 else -126
+    return np.float32(2.0 ** max(int(e), -126))
 
 
 def quantize_nvfp4(
@@ -266,50 +308,39 @@ def quantize_nvfp4(
     magnitude so scaled elements never exceed +-6 and the element encoder
     never clamps. All-zero blocks get scale code 0 and element codes 0.
     ``global_scale`` overrides the derived per-tensor scale (used by tests
-    that need unit scales).
+    that need unit scales); an override under which a block scale would
+    exceed E4M3's range raises ``NumericInputError``.
     """
     data = np.asarray(t.data if isinstance(t, Tensor) else t, np.float32)
     _check_finite(data, "quantize_nvfp4")
     shape = data.shape
-    g = np.float32(global_scale) if global_scale is not None else _pow2_global_scale(
-        float(np.abs(data).max(initial=0.0))
-    )
-
     if layout == Layout.BLOCK_1D:
-        rows = int(np.prod(shape[:-1], dtype=np.int64)) if len(shape) > 1 else 1
-        flat = _pad_last(data.reshape(rows, shape[-1] if shape else 1), BLOCK_1D_SIZE)
-        blocks = flat.reshape(rows, -1, BLOCK_1D_SIZE)
-        amax = np.abs(blocks).max(axis=2)
+        blocks = _last_axis_blocks(data, BLOCK_1D_SIZE)  # [rows, blocks, 16]
+        amax, per_block = _abs_max_last(blocks), np.s_[:, :, None]
     elif layout == Layout.BLOCK_2D:
         if data.ndim != 2:
             raise ShapeError(f"2D block layout needs a matrix, got shape {shape}")
-        padded = _pad_last(data, BLOCK_2D_TILE)
-        padded = _pad_last(padded.T, BLOCK_2D_TILE).T
-        pr, pc = padded.shape
-        tiled = padded.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
-        amax = np.abs(tiled).max(axis=(1, 3))
+        pr, pc = (-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
+        padded = np.pad(data, ((0, pr - shape[0]), (0, pc - shape[1]))) if (pr, pc) != shape else data
+        blocks = padded.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
+        amax, per_block = _abs_max_last(np.abs(blocks).max(axis=1)), np.s_[:, None, :, None]
     else:  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
 
-    raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
-    scale_codes = encode_e4m3(raw.astype(np.float32), round_up=True)
-    scale_codes[amax == 0.0] = 0
-    scales = decode_e4m3(scale_codes)
-    eff = scales * g  # exact: 4-bit significand times a power of two
-    safe = np.where(eff > 0, eff, 1.0).astype(np.float32)
-
-    live = (eff != 0.0).astype(np.uint8)
-    if layout == Layout.BLOCK_1D:
-        scaled = blocks / safe[:, :, None]
-        codes = encode_e2m1(scaled, mode) * live[:, :, None]
-    else:
-        scaled = tiled / safe[:, None, :, None]
-        codes = (encode_e2m1(scaled, mode) * live[:, None, :, None]).reshape(pr, pc)
+    g = np.float32(_pow2_global_scale(float(amax.max(initial=0.0))) if global_scale is None else global_scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
+    if not (0 < g < np.inf and raw.max(initial=0.0) <= E4M3_MAX):
+        raise NumericInputError(f"global_scale {global_scale} is not finite and positive or clamps a scale")
+    scale_codes = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
+    eff = decode_e4m3(scale_codes) * g  # exact: 4-bit significand times a power of two
+    live = eff != 0.0
+    eff[~live] = 1.0
+    codes = _encode(blocks / eff[per_block], _E2M1, mode)
+    codes *= live[per_block]
+    if layout == Layout.BLOCK_2D:
+        codes = codes.reshape(pr, pc)
     return QuantizedTensorNVFP4(shape, layout, codes, scale_codes, g)
-
-
-def dequantize_nvfp4(q: QuantizedTensorNVFP4) -> Tensor:
-    return Tensor(q.dequantize())
 
 
 def quantize_mxfp8(t: Tensor | np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> QuantizedTensorMXFP8:
@@ -320,29 +351,13 @@ def quantize_mxfp8(t: Tensor | np.ndarray, mode: RoundingMode = NEAREST_EVEN) ->
     """
     data = np.asarray(t.data if isinstance(t, Tensor) else t, np.float32)
     _check_finite(data, "quantize_mxfp8")
-    shape = data.shape
-    rows = int(np.prod(shape[:-1], dtype=np.int64)) if len(shape) > 1 else 1
-    flat = _pad_last(data.reshape(rows, shape[-1] if shape else 1), MXFP8_BLOCK)
-    blocks = flat.reshape(rows, -1, MXFP8_BLOCK)
-    amax = np.abs(blocks).max(axis=2)
+    blocks = _last_axis_blocks(data, MXFP8_BLOCK)
+    amax = _abs_max_last(blocks)
 
-    with np.errstate(divide="ignore"):
-        e = np.ceil(np.log2(amax.astype(np.float64) / E4M3_MAX))
-    e = np.where(np.isfinite(e), e, E8M0_MIN_EXP).astype(np.int32)
-    # fix up log2 rounding, then clamp to the representable exponent range
-    too_small = amax > E4M3_MAX * np.exp2(e.astype(np.float64))
-    e = np.where(too_small, e + 1, e)
-    shrinkable = (e - 1 >= E8M0_MIN_EXP) & (amax <= E4M3_MAX * np.exp2(e - 1.0)) & (amax > 0)
-    e = np.where(shrinkable, e - 1, e)
+    e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
     e = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
-
     scaled = blocks / np.exp2(e.astype(np.float32))[:, :, None]
-    codes = encode_e4m3(scaled, mode)
-    return QuantizedTensorMXFP8(shape, codes, e)
-
-
-def dequantize_mxfp8(q: QuantizedTensorMXFP8) -> Tensor:
-    return Tensor(q.dequantize())
+    return QuantizedTensorMXFP8(data.shape, _encode(scaled, _E4M3, mode), e)
 
 
 # ---------------------------------------------------------------------------
@@ -387,23 +402,6 @@ def apply_rht(x: np.ndarray, transform: HadamardTransform, axis: int, inverse: b
     blocked = moved.reshape(*moved.shape[:-1], moved.shape[-1] // n, n)
     out = blocked @ mat
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
-
-
-# ---------------------------------------------------------------------------
-# Stochastic rounding to an arbitrary grid
-# ---------------------------------------------------------------------------
-
-
-def stochastic_round_to_grid(x, grid: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Round to a bracketing grid value with proximity-proportional odds."""
-    arr = np.asarray(x, np.float64)
-    grid = np.asarray(grid, np.float64)
-    lo = np.clip(np.searchsorted(grid, arr, side="right") - 1, 0, len(grid) - 1)
-    hi = np.minimum(lo + 1, len(grid) - 1)
-    gap = grid[hi] - grid[lo]
-    p = np.where(gap > 0, (arr - grid[lo]) / np.where(gap > 0, gap, 1.0), 0.0)
-    pick_hi = rng.random(arr.shape) < p
-    return np.where(pick_hi, grid[hi], grid[lo])
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +469,6 @@ def _qgemm_arrays(a: np.ndarray, b: np.ndarray, a_format: Format, b_format: Form
     else:
         bq = quantize_dequantize(b, b_format, options.b_mode)
     return matmul_exact(np.ascontiguousarray(aq), np.ascontiguousarray(bq))
-
-
-def qgemm_sim(a: Tensor, b: Tensor, a_format: Format, b_format: Format,
-              options: QgemmOptions = QgemmOptions()) -> Tensor:
-    """Forward-only simulated quantized GEMM (no gradient recording)."""
-    return Tensor(_qgemm_arrays(a.data, b.data, a_format, b_format, options))
 
 
 @dataclass(frozen=True)
@@ -646,64 +638,72 @@ def _pack_nibbles(codes: np.ndarray) -> bytes:
 
 def _unpack_nibbles(raw: bytes, count: int) -> np.ndarray:
     packed = np.frombuffer(raw, np.uint8)
-    out = np.empty(packed.size * 2, np.uint8)
-    out[0::2] = packed & 0xF
-    out[1::2] = packed >> 4
-    return out[:count]
+    return np.stack([packed & 0xF, packed >> 4], axis=1).reshape(-1)[:count]
 
 
 def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
     """Header {tag, layout, shape, block grid}, scales, then packed codes."""
+
+    def dims(shape) -> bytes:
+        return struct.pack(f"<B{len(shape)}q", len(shape), *shape)
+
     if isinstance(q, QuantizedTensorNVFP4):
-        head = struct.pack("<BBB", _FMT_TAGS["nvfp4"], 0 if q.layout == Layout.BLOCK_1D else 1,
-                           len(q.shape))
-        head += struct.pack(f"<{len(q.shape)}q", *q.shape)
-        head += struct.pack(f"<B{q.codes.ndim}q", q.codes.ndim, *q.codes.shape)
-        head += struct.pack("<f", float(q.global_scale))
-        scales = q.block_scales
-        body = struct.pack(f"<B{scales.ndim}q", scales.ndim, *scales.shape) + scales.tobytes()
-        codes = _pack_nibbles(q.codes)
-        return head + body + struct.pack("<q", q.codes.size) + codes
-    head = struct.pack("<BBB", _FMT_TAGS["mxfp8"], 0, len(q.shape))
-    head += struct.pack(f"<{len(q.shape)}q", *q.shape)
-    head += struct.pack(f"<B{q.codes.ndim}q", q.codes.ndim, *q.codes.shape)
-    scales = q.scale_exps.astype("<i2")
-    body = struct.pack(f"<B{scales.ndim}q", scales.ndim, *scales.shape) + scales.tobytes()
-    return head + body + struct.pack("<q", q.codes.size) + q.codes.astype(np.uint8).tobytes()
+        head = struct.pack("<BB", _FMT_TAGS["nvfp4"], q.layout != Layout.BLOCK_1D) + dims(q.shape)
+        head += dims(q.codes.shape) + struct.pack("<f", float(q.global_scale))
+        scales, codes = q.block_scales, _pack_nibbles(q.codes)
+    else:
+        head = struct.pack("<BB", _FMT_TAGS["mxfp8"], 0) + dims(q.shape) + dims(q.codes.shape)
+        scales, codes = q.scale_exps.astype("<i2"), q.codes.astype(np.uint8).tobytes()
+    return head + dims(scales.shape) + scales.tobytes() + struct.pack("<q", q.codes.size) + codes
 
 
 def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMXFP8:
-    off = 0
+    """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes and grids that
+    disagree with the shape raise ``CheckpointError``; an unknown tag ``ConfigError``."""
+    view, off = memoryview(raw), 0
 
-    def take(fmt):
+    def take(n: int) -> memoryview:
         nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, raw, off)
-        off += size
-        return vals
+        if not 0 <= n <= len(view) - off:
+            raise CheckpointError(f"quantized record truncated: {n} bytes wanted at {off} of {len(view)}")
+        off += n
+        return view[off - n:off]
 
-    tag, layout_code, ndim = take("<BBB")
-    shape = tuple(take(f"<{ndim}q"))
-    (codes_ndim,) = take("<B")
-    codes_shape = tuple(take(f"<{codes_ndim}q"))
-    if tag == _FMT_TAGS["nvfp4"]:
-        (g,) = take("<f")
-        (sndim,) = take("<B")
-        sshape = tuple(take(f"<{sndim}q"))
-        n_scales = int(np.prod(sshape))
-        scales = np.frombuffer(raw, np.uint8, n_scales, off).reshape(sshape).copy()
-        off += n_scales
-        (n_codes,) = take("<q")
-        codes = _unpack_nibbles(raw[off:], n_codes).reshape(codes_shape).copy()
-        layout = Layout.BLOCK_1D if layout_code == 0 else Layout.BLOCK_2D
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    def dims() -> tuple[int, ...]:
+        shape = unpack(f"<{unpack('<B')[0]}q")
+        if min(shape, default=0) < 0:
+            raise CheckpointError(f"negative dimension in quantized record: {shape}")
+        return shape
+
+    tag, layout_code = unpack("<BB")
+    if tag not in _FMT_TAGS.values():
+        raise ConfigError(f"unknown quantized format tag {tag}")
+    nvfp4 = tag == _FMT_TAGS["nvfp4"]
+    shape, codes_shape = dims(), dims()
+    g = unpack("<f")[0] if nvfp4 else None
+    scales_shape = dims()
+    scales = np.frombuffer(take(math.prod(scales_shape) * (1 if nvfp4 else 2)), np.uint8 if nvfp4 else "<i2")
+    (n_codes,) = unpack("<q")
+    codes = (_unpack_nibbles(take((n_codes + 1) // 2), n_codes) if nvfp4
+             else np.frombuffer(take(n_codes), np.uint8))
+    if off != len(view):
+        raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
+    if layout_code == 1 and nvfp4 and len(shape) == 2:
+        grid = tuple(-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
+        scales_grid = tuple(n // BLOCK_2D_TILE for n in grid)
+    elif layout_code == 0:
+        grid = _last_axis_grid(shape, BLOCK_1D_SIZE if nvfp4 else MXFP8_BLOCK)
+        scales_grid = grid[:2]
+    else:
+        raise CheckpointError(f"layout code {layout_code} does not fit tag {tag} and shape {shape}")
+    if (codes_shape, scales_shape, n_codes) != (grid, scales_grid, math.prod(grid)):
+        raise CheckpointError(f"quantized record of shape {shape} holds {n_codes} codes on grid "
+                              f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
+    codes, scales = codes.reshape(grid).copy(), scales.reshape(scales_grid).copy()
+    if nvfp4:
+        layout = (Layout.BLOCK_1D, Layout.BLOCK_2D)[layout_code]
         return QuantizedTensorNVFP4(shape, layout, codes, scales, np.float32(g))
-    if tag == _FMT_TAGS["mxfp8"]:
-        (sndim,) = take("<B")
-        sshape = tuple(take(f"<{sndim}q"))
-        n_scales = int(np.prod(sshape))
-        scales = np.frombuffer(raw, "<i2", n_scales, off).reshape(sshape).copy()
-        off += 2 * n_scales
-        (n_codes,) = take("<q")
-        codes = np.frombuffer(raw, np.uint8, n_codes, off).reshape(codes_shape).copy()
-        return QuantizedTensorMXFP8(shape, codes, scales.astype(np.int16))
-    raise ConfigError(f"unknown quantized format tag {tag}")
+    return QuantizedTensorMXFP8(shape, codes, scales.astype(np.int16))
