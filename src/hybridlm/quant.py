@@ -388,19 +388,18 @@ def random_hadamard(n: int, seed: int) -> HadamardTransform:
     return HadamardTransform(n, seed, mat)
 
 
-def apply_rht(x: np.ndarray, transform: HadamardTransform, axis: int, inverse: bool = False) -> np.ndarray:
-    """Blockwise transform along ``axis`` (length must divide into n-blocks).
+def apply_rht(x: np.ndarray, transform: HadamardTransform, axis: int) -> np.ndarray:
+    """Map every n-block v of the vectors along ``axis`` to v @ M (length must divide by n).
 
-    ``inverse`` applies the transpose, so pairing apply(A, axis=1) with
-    apply(B, axis=0, inverse=True) leaves the product A @ B unchanged.
+    For A's rows (axis=1) that is A M, for B's columns (axis=0) M^T B, so
+    transforming both contraction axes leaves A @ B unchanged: M M^T = I.
     """
     n = transform.n
     if x.shape[axis] % n != 0:
         raise ShapeError(f"axis length {x.shape[axis]} not divisible by transform size {n}")
-    mat = transform.matrix.T if inverse else transform.matrix
     moved = np.moveaxis(x, axis, -1)
     blocked = moved.reshape(*moved.shape[:-1], moved.shape[-1] // n, n)
-    out = blocked @ mat
+    out = blocked @ transform.matrix
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 
@@ -432,8 +431,8 @@ def quantize_dequantize(data: np.ndarray, fmt: Format, mode: RoundingMode = NEAR
 class QgemmOptions:
     """Per-call options: RHT pairing across the contraction and rounding.
 
-    ``rht_on_a`` applies T to a's contraction axis and T^T to b's, an
-    exact identity before quantization. Rounding modes apply to the
+    ``rht_on_a`` applies the same random Hadamard transform to the
+    contraction axis of both operands, an exact identity before quantization. Rounding modes apply to the
     respective operand's element encoding.
     """
 
@@ -461,7 +460,7 @@ def _qgemm_arrays(a: np.ndarray, b: np.ndarray, a_format: Format, b_format: Form
             b = np.concatenate([b, np.zeros((pad, b.shape[1]), b.dtype)], axis=0)
         tr = random_hadamard(RHT_BLOCK, options.rht_seed)
         a = apply_rht(a, tr, axis=1)
-        b = apply_rht(b, tr, axis=0, inverse=True)
+        b = apply_rht(b, tr, axis=0)
     # block both operands along the contraction axis (1D formats)
     aq = quantize_dequantize(a, a_format, options.a_mode)
     if b_format in (Format.NVFP4, Format.MXFP8):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import hybridlm.quant as Q
+import hybridlm.tensor as T
 from hybridlm.errors import CheckpointError, ConfigError, NumericInputError
 
 # ---------------------------------------------------------------------------
@@ -318,3 +319,34 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
         Q.quantized_from_bytes(negative)
     with pytest.raises(CheckpointError):
         Q.quantized_from_bytes(raw[:1] + b"\x07" + raw[2:])  # layout code
+
+
+# ---------------------------------------------------------------------------
+# random Hadamard transform and the quantized linear
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    a, b = rng.standard_normal((24, 56)), rng.standard_normal((56, 40))  # k pads to 64
+    tr = Q.random_hadamard(16, seed)
+    assert np.abs(tr.matrix.astype(np.float64) @ tr.matrix.T - np.eye(16)).max() < 1e-12
+    # with quantization switched off, only the transform pair acts on the float64 operands
+    monkeypatch.setattr(Q, "quantize_dequantize", lambda data, fmt, mode=None: data)
+    out = Q._qgemm_arrays(a, b, Q.Format.NVFP4, Q.Format.NVFP4, Q.QgemmOptions(rht_on_a=True, rht_seed=seed))
+    assert out.dtype == np.float64 and np.abs(out - a @ b).max() < 1e-12
+
+
+def test_nvfp4_weight_gradient_points_along_the_reference():
+    rng = np.random.default_rng(3)
+    x = T.Tensor(rng.standard_normal((128, 64)).astype(np.float32), requires_grad=True)
+    w = T.Tensor((rng.standard_normal((64, 48)) / 8).astype(np.float32), requires_grad=True)
+    dy = T.Tensor(rng.standard_normal((128, 48)).astype(np.float32))
+    prec = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5)
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(Q.quantized_linear(x, w, prec), dy))
+    T.backward(tape, loss)
+    ref = x.data.astype(np.float64).T @ dy.data.astype(np.float64)
+    dw = w.grad.astype(np.float64)
+    assert (dw * ref).sum() / np.linalg.norm(dw) / np.linalg.norm(ref) > 0.9
