@@ -29,13 +29,5 @@ class TokenIndexError(HybridlmError, IndexError):
     """A token id is outside the vocabulary."""
 
 
-class TrainingDivergence(HybridlmError, RuntimeError):
-    """Training produced a non-finite loss; the run is halted, not patched over."""
-
-
 class CheckpointError(HybridlmError, RuntimeError):
     """Checkpoint file is malformed, truncated, or version-incompatible."""
-
-
-class UndefinedRateError(HybridlmError, ValueError):
-    """A rate was requested over an empty population (e.g. all-zero tensor)."""

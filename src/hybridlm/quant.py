@@ -16,8 +16,8 @@ of two, so dequantized values are products that round nowhere.
 
 Supporting machinery: sign-randomized Hadamard transforms for spreading
 outliers ahead of gradient-side quantization, seeded stochastic rounding,
-a flush-to-zero meter, and the per-layer precision policy used when wiring
-a model for mixed-precision training.
+and the per-layer precision policy used when wiring a model for
+mixed-precision training.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError, UndefinedRateError
+from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError
 from .tensor import Tensor, _make, matmul_exact
 
 # ---------------------------------------------------------------------------
@@ -365,42 +365,46 @@ def quantize_mxfp8(t: Tensor | np.ndarray, mode: RoundingMode = NEAREST_EVEN) ->
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HadamardTransform:
-    """Orthogonal (1/sqrt(n)) H_n D with a seeded random +-1 diagonal D."""
-
-    n: int
-    seed: int
-    matrix: np.ndarray  # [n, n] float32
-
-
-def random_hadamard(n: int, seed: int) -> HadamardTransform:
+def random_hadamard(n: int, seed: int) -> np.ndarray:
+    """Orthogonal float32 [n, n] matrix (1/sqrt(n)) H_n D with a seeded random +-1 diagonal D."""
     if n <= 0 or (n & (n - 1)) != 0:
         raise ConfigError(f"Hadamard size must be a power of two, got {n}")
     if n == 1:
-        return HadamardTransform(1, seed, np.ones((1, 1), np.float32))
+        return np.ones((1, 1), np.float32)
     h = np.ones((1, 1), np.float64)
     while h.shape[0] < n:
         h = np.block([[h, h], [h, -h]])
     rng = np.random.Generator(np.random.Philox(key=seed))
     d = rng.integers(0, 2, n) * 2 - 1
-    mat = (h * d[None, :] / np.sqrt(n)).astype(np.float32)
-    return HadamardTransform(n, seed, mat)
+    return (h * d[None, :] / np.sqrt(n)).astype(np.float32)
 
 
-def apply_rht(x: np.ndarray, transform: HadamardTransform, axis: int) -> np.ndarray:
+def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
     """Map every n-block v of the vectors along ``axis`` to v @ M (length must divide by n).
 
     For A's rows (axis=1) that is A M, for B's columns (axis=0) M^T B, so
     transforming both contraction axes leaves A @ B unchanged: M M^T = I.
     """
-    n = transform.n
+    n = matrix.shape[0]
     if x.shape[axis] % n != 0:
         raise ShapeError(f"axis length {x.shape[axis]} not divisible by transform size {n}")
     moved = np.moveaxis(x, axis, -1)
     blocked = moved.reshape(*moved.shape[:-1], moved.shape[-1] // n, n)
-    out = blocked @ transform.matrix
+    out = blocked @ matrix
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
+
+
+RHT_BLOCK = 16
+
+
+def _rht_pair(a: np.ndarray, b: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A M, M^T B) for one seeded 16-point transform M, after zero-padding the contraction axis to 16."""
+    pad = (-a.shape[1]) % RHT_BLOCK
+    if pad:
+        a = np.concatenate([a, np.zeros((a.shape[0], pad), a.dtype)], axis=1)
+        b = np.concatenate([b, np.zeros((pad, b.shape[1]), b.dtype)], axis=0)
+    m = random_hadamard(RHT_BLOCK, seed)
+    return apply_rht(a, m, axis=1), apply_rht(b, m, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -415,59 +419,18 @@ class Format(str, Enum):
     MXFP8 = "mxfp8"
 
 
-def quantize_dequantize(data: np.ndarray, fmt: Format, mode: RoundingMode = NEAREST_EVEN) -> np.ndarray:
+def _qdq(data: np.ndarray, fmt: Format, axis: int, mode: RoundingMode = NEAREST_EVEN) -> np.ndarray:
+    """Quantize-dequantize a matrix with 1D blocks along ``axis``, its GEMM's
+    contraction axis; REFERENCE and NVFP4_2D's 16x16 tiles ignore the axis."""
     if fmt == Format.REFERENCE:
         return data
-    if fmt == Format.NVFP4:
-        return quantize_nvfp4(data, Layout.BLOCK_1D, mode).dequantize()
     if fmt == Format.NVFP4_2D:
         return quantize_nvfp4(data, Layout.BLOCK_2D, mode).dequantize()
-    if fmt == Format.MXFP8:
-        return quantize_mxfp8(data, mode).dequantize()
-    raise ConfigError(f"unknown format {fmt}")  # pragma: no cover
-
-
-@dataclass(frozen=True)
-class QgemmOptions:
-    """Per-call options: RHT pairing across the contraction and rounding.
-
-    ``rht_on_a`` applies one random Hadamard transform to the contraction
-    axis of both operands, an identity before quantization. Rounding modes
-    apply to the respective operand's element encoding.
-    """
-
-    rht_on_a: bool = False
-    rht_seed: int = 0
-    a_mode: RoundingMode = NEAREST_EVEN
-    b_mode: RoundingMode = NEAREST_EVEN
-
-
-RHT_BLOCK = 16
-
-
-def _qgemm_arrays(a: np.ndarray, b: np.ndarray, a_format: Format, b_format: Format,
-                  options: QgemmOptions) -> np.ndarray:
-    """quantize -> dequantize -> reference matmul on raw arrays."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"qgemm shapes incompatible: {a.shape} x {b.shape}")
-    if a_format == Format.REFERENCE and b_format == Format.REFERENCE:
-        return matmul_exact(a, b)
-    if options.rht_on_a:
-        k = a.shape[1]
-        pad = (-k) % RHT_BLOCK
-        if pad:
-            a = np.concatenate([a, np.zeros((a.shape[0], pad), a.dtype)], axis=1)
-            b = np.concatenate([b, np.zeros((pad, b.shape[1]), b.dtype)], axis=0)
-        tr = random_hadamard(RHT_BLOCK, options.rht_seed)
-        a = apply_rht(a, tr, axis=1)
-        b = apply_rht(b, tr, axis=0)
-    # block both operands along the contraction axis (1D formats)
-    aq = quantize_dequantize(a, a_format, options.a_mode)
-    if b_format in (Format.NVFP4, Format.MXFP8):
-        bq = quantize_dequantize(np.ascontiguousarray(b.T), b_format, options.b_mode).T
-    else:
-        bq = quantize_dequantize(b, b_format, options.b_mode)
-    return matmul_exact(np.ascontiguousarray(aq), np.ascontiguousarray(bq))
+    if fmt not in (Format.NVFP4, Format.MXFP8):
+        raise ConfigError(f"unknown format {fmt}")
+    rows = data if axis == 1 else np.ascontiguousarray(data.T)  # blocks run along the last axis
+    q = quantize_nvfp4(rows, Layout.BLOCK_1D, mode) if fmt == Format.NVFP4 else quantize_mxfp8(rows, mode)
+    return q.dequantize() if axis == 1 else q.dequantize().T
 
 
 @dataclass(frozen=True)
@@ -497,45 +460,30 @@ REFERENCE_LINEAR = LinearPrecision()
 
 
 def quantized_linear(x: Tensor, w: Tensor, prec: LinearPrecision = REFERENCE_LINEAR) -> Tensor:
-    """Differentiable linear with quantize-dequantize simulation on all paths."""
-    out = _qgemm_arrays(x.data, w.data, prec.x_format, prec.w_format,
-                        QgemmOptions())
+    """Differentiable linear with quantize-dequantize simulation on all paths.
+
+    Each pass blocks both operands along its contraction axis. 16x16 tiles
+    commute with transposition, so dgrad reuses the forward's NVFP4_2D
+    weight; 1D weight formats are blocked again along the other axis.
+    """
+    wq = _qdq(w.data, prec.w_format, 0)
+    out = matmul_exact(_qdq(x.data, prec.x_format, 1), wq)
+    w_fwd = wq if prec.w_format in (Format.REFERENCE, Format.NVFP4_2D) else None  # what dgrad reuses
 
     def bwd(dout):
         dx = dw = None
         if x.requires_grad:
-            dx = _qgemm_arrays(
-                dout, w.data.T, prec.grad_format, prec.w_format,
-                QgemmOptions(a_mode=stochastic(prec.seed)),
-            )
+            wd = w_fwd if w_fwd is not None else _qdq(w.data, prec.w_format, 1)
+            dx = matmul_exact(_qdq(dout, prec.grad_format, 1, stochastic(prec.seed)), wd.T)
         if w.requires_grad:
-            use_rht = prec.grad_format in (Format.NVFP4, Format.NVFP4_2D)
-            dw = _qgemm_arrays(
-                x.data.T, dout,
-                prec.x_format if prec.x_format != Format.NVFP4_2D else Format.NVFP4,
-                prec.grad_format,
-                QgemmOptions(rht_on_a=use_rht, rht_seed=prec.seed + 1,
-                             b_mode=stochastic(prec.seed + 2)),
-            )
+            a, b = x.data.T, dout
+            if prec.grad_format in (Format.NVFP4, Format.NVFP4_2D):
+                a, b = _rht_pair(a, b, prec.seed + 1)
+            x_format = Format.NVFP4 if prec.x_format == Format.NVFP4_2D else prec.x_format
+            dw = matmul_exact(_qdq(a, x_format, 1), _qdq(b, prec.grad_format, 0, stochastic(prec.seed + 2)))
         return dx, dw
 
     return _make(out, (x, w), bwd)
-
-
-# ---------------------------------------------------------------------------
-# Flush-to-zero meter
-# ---------------------------------------------------------------------------
-
-
-def flush_to_zero_rate(t: Tensor | np.ndarray, fmt: Format = Format.NVFP4) -> float:
-    """Fraction of nonzero inputs whose quantized code decodes to zero."""
-    data = np.asarray(t.data if isinstance(t, Tensor) else t, np.float32)
-    nonzero = data != 0.0
-    count = int(nonzero.sum())
-    if count == 0:
-        raise UndefinedRateError("flush rate undefined for an all-zero tensor")
-    deq = quantize_dequantize(data, fmt)
-    return float(((deq == 0.0) & nonzero).sum() / count)
 
 
 # ---------------------------------------------------------------------------
@@ -657,8 +605,11 @@ def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
 
 
 def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMXFP8:
-    """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes and grids that
-    disagree with the shape raise ``CheckpointError``; an unknown tag ``ConfigError``."""
+    """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes, grids that
+    disagree with the shape, and scales or codes that no quantizer makes (a
+    global scale that is not finite and positive, E4M3 NaN codes, sign-set
+    block scales, exponents outside E8M0) raise ``CheckpointError``; an
+    unknown tag raises ``ConfigError``."""
     view, off = memoryview(raw), 0
 
     def take(n: int) -> memoryview:
@@ -702,6 +653,12 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
         raise CheckpointError(f"quantized record of shape {shape} holds {n_codes} codes on grid "
                               f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
     codes, scales = codes.reshape(grid).copy(), scales.reshape(scales_grid).copy()
+    if nvfp4:  # block scale codes above E4M3's top finite magnitude are NaN or negative
+        unproducible = not 0 < g < math.inf or (scales > _E4M3.top).any()
+    else:
+        unproducible = ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any() or ((codes & 0x7F) == 0x7F).any()
+    if unproducible:
+        raise CheckpointError(f"quantized record of shape {shape} holds a scale or code no quantizer makes")
     if nvfp4:
         layout = (Layout.BLOCK_1D, Layout.BLOCK_2D)[layout_code]
         return QuantizedTensorNVFP4(shape, layout, codes, scales, np.float32(g))

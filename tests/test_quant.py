@@ -7,6 +7,7 @@ Microscaling Formats (MX) v1.0 values.
 
 import hashlib
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis.extra import numpy as hnp
 
 import hybridlm.quant as Q
 import hybridlm.tensor as T
-from hybridlm.errors import CheckpointError, ConfigError, NumericInputError
+from hybridlm.errors import CheckpointError, ConfigError, NumericInputError, ShapeError
 
 # ---------------------------------------------------------------------------
 # oracle: OCP MX v1.0 element values and searchsorted rounding
@@ -319,6 +320,24 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
         Q.quantized_from_bytes(negative)
     with pytest.raises(CheckpointError):
         Q.quantized_from_bytes(raw[:1] + b"\x07" + raw[2:])  # layout code
+    # fields that no quantizer makes
+    nvfp4, _, mxfp8 = serialized_cases()
+
+    def poke(q, field, index, value):
+        arr = getattr(q, field).copy()
+        arr[index] = value
+        return replace(q, **{field: arr})
+
+    damaged = [replace(nvfp4, global_scale=np.float32(g)) for g in (np.nan, np.inf, 0.0, -1.0)]
+    damaged += [poke(nvfp4, "block_scales", (0, 1), c) for c in (0x7F, 0xFF, 0x80)]  # NaN, negative
+    damaged += [poke(mxfp8, "scale_exps", (1, 1), e) for e in (-30000, -128, 128, 200)]  # outside E8M0
+    damaged += [poke(mxfp8, "codes", (0, 1, 2), c) for c in (0x7F, 0xFF)]  # NaN elements
+    for q in damaged:
+        with pytest.raises(CheckpointError):
+            Q.quantized_from_bytes(Q.quantized_to_bytes(q))
+    for e in (-127, 127):  # E8M0's ends load
+        raw = Q.quantized_to_bytes(poke(mxfp8, "scale_exps", (1, 1), e))
+        assert Q.quantized_from_bytes(raw).scale_exps[1, 1] == e
 
 
 # ---------------------------------------------------------------------------
@@ -327,14 +346,14 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
-def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed, monkeypatch):
+def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.standard_normal((24, 56)), rng.standard_normal((56, 40))  # k pads to 64
-    tr = Q.random_hadamard(16, seed)
-    assert np.abs(tr.matrix.astype(np.float64) @ tr.matrix.T - np.eye(16)).max() < 1e-12
-    # with quantization switched off, only the transform pair acts on the float64 operands
-    monkeypatch.setattr(Q, "quantize_dequantize", lambda data, fmt, mode=None: data)
-    out = Q._qgemm_arrays(a, b, Q.Format.NVFP4, Q.Format.NVFP4, Q.QgemmOptions(rht_on_a=True, rht_seed=seed))
+    m = Q.random_hadamard(16, seed).astype(np.float64)
+    assert np.abs(m @ m.T - np.eye(16)).max() < 1e-12
+    ta, tb = Q._rht_pair(a, b, seed)
+    assert ta.shape == (24, 64) and tb.shape == (64, 40)
+    out = T.matmul_exact(ta, tb)
     assert out.dtype == np.float64 and np.abs(out - a @ b).max() < 1e-12
 
 
@@ -350,3 +369,137 @@ def test_nvfp4_weight_gradient_points_along_the_reference():
     ref = x.data.astype(np.float64).T @ dy.data.astype(np.float64)
     dw = w.grad.astype(np.float64)
     assert (dw * ref).sum() / np.linalg.norm(dw) / np.linalg.norm(ref) > 0.9
+
+
+NVFP4_RECIPE = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5)
+MXFP8_RECIPE = Q.LinearPrecision(Q.Format.MXFP8, Q.Format.MXFP8, Q.Format.MXFP8, seed=5)
+LINEAR_PRECISIONS = {"reference": Q.REFERENCE_LINEAR, "nvfp4": NVFP4_RECIPE, "mxfp8": MXFP8_RECIPE}
+
+
+def linear_pass(linear, m, k, n):
+    """out, dx and dw of one seeded linear under the upstream gradient dy."""
+    rng = np.random.default_rng(m * 10000 + k * 100 + n)
+    x = T.Tensor(rng.standard_normal((m, k)).astype(np.float32), requires_grad=True)
+    w = T.Tensor((rng.standard_normal((k, n)) / 8).astype(np.float32), requires_grad=True)
+    dy = T.Tensor(rng.standard_normal((m, n)).astype(np.float32))
+    with T.Tape() as tape:
+        out = linear(x, w)
+        loss = T.sum_all(T.mul(out, dy))
+    T.backward(tape, loss)
+    return out.data, x.grad, w.grad
+
+
+# sha256 of out, dx and dw bytes, fixed before the three passes called
+# matmul_exact directly; k and n need not divide by 16
+GOLDEN_LINEAR = {
+    ("reference", (40, 72, 37)): "aa1baef438e1988269756cd8",
+    ("reference", (17, 33, 50)): "033f0648c5229fe11bcb0640",
+    ("nvfp4", (40, 72, 37)): "8a25eb84e9dfe4608dc2318b",
+    ("nvfp4", (17, 33, 50)): "08ee3fe3f5a7c07db3400be1",
+    ("mxfp8", (40, 72, 37)): "e0ea02068e1f0d6af84c9903",
+    ("mxfp8", (17, 33, 50)): "3d584bc66475e77250139e33",
+}
+
+
+@pytest.mark.parametrize("name,shape", sorted(GOLDEN_LINEAR))
+def test_golden_quantized_linear_outputs_and_gradients(name, shape):
+    prec = LINEAR_PRECISIONS[name]
+    out, dx, dw = linear_pass(lambda x, w: Q.quantized_linear(x, w, prec), *shape)
+    digest = hashlib.sha256(out.tobytes() + dx.tobytes() + dw.tobytes()).hexdigest()[:24]
+    assert digest == GOLDEN_LINEAR[name, shape]
+
+
+def test_reference_linear_matches_matmul_bit_for_bit():
+    ours = linear_pass(Q.quantized_linear, 40, 72, 37)
+    theirs = linear_pass(T.matmul, 40, 72, 37)
+    for a, b in zip(ours, theirs):
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                  elements=st.floats(-1e6, 1e6, width=32)))
+def test_2d_tile_quantization_commutes_with_transposition(x):
+    q, qt = Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D), Q.quantize_nvfp4(np.ascontiguousarray(x.T), Q.Layout.BLOCK_2D)
+    assert np.array_equal(q.codes.T, qt.codes) and np.array_equal(q.block_scales.T, qt.block_scales)
+    assert q.dequantize().T.tobytes() == qt.dequantize().tobytes()
+
+
+def test_nvfp4_linear_quantizes_its_2d_weight_once_per_step(monkeypatch):
+    layouts, orig = [], Q.quantize_nvfp4
+
+    def spy(data, layout=Q.Layout.BLOCK_1D, *args, **kwargs):
+        layouts.append(layout)
+        return orig(data, layout, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "quantize_nvfp4", spy)
+    linear_pass(lambda x, w: Q.quantized_linear(x, w, NVFP4_RECIPE), 40, 72, 37)
+    # 1D: x (forward), dy (dgrad), x and dy (wgrad); 2D: w, shared by forward and dgrad
+    assert layouts.count(Q.Layout.BLOCK_2D) == 1 and layouts.count(Q.Layout.BLOCK_1D) == 4
+
+
+@pytest.mark.parametrize("name", sorted(LINEAR_PRECISIONS))
+def test_quantized_linear_rejects_operands_that_are_not_matching_matrices(name):
+    prec = LINEAR_PRECISIONS[name]
+    x, w = T.Tensor(np.ones((4, 32), np.float32)), T.Tensor(np.ones((32, 16), np.float32))
+    for a, b in [(T.Tensor(np.ones(32, np.float32)), w), (x, T.Tensor(np.ones(32, np.float32))),
+                 (x, T.Tensor(np.ones((16, 16), np.float32)))]:
+        with pytest.raises(ShapeError):
+            Q.quantized_linear(a, b, prec)
+
+
+def test_quantized_linear_rejects_unknown_formats():
+    x = T.Tensor(np.ones((4, 32), np.float32), requires_grad=True)
+    w = T.Tensor(np.ones((32, 16), np.float32))
+    with pytest.raises(ConfigError):
+        Q.quantized_linear(x, w, Q.LinearPrecision(x_format="fp16"))
+    with T.Tape() as tape:
+        loss = T.sum_all(Q.quantized_linear(x, w, Q.LinearPrecision(grad_format="fp16")))
+    with pytest.raises(ConfigError):
+        T.backward(tape, loss)
+
+
+# ---------------------------------------------------------------------------
+# precision policy
+# ---------------------------------------------------------------------------
+
+K, R, N4, M8 = Q.LayerKind, Q.Format.REFERENCE, Q.Format.NVFP4, Q.Format.MXFP8
+RECIPE, ABLATION = Q.PrecisionPolicy(), Q.PrecisionPolicy(quantize_sensitive=True)
+ALWAYS_REFERENCE = (K.LATENT_DOWN, K.LATENT_UP, K.MTP_MIX, K.ROUTER_GATE, K.LM_HEAD)
+
+POLICY_TABLE = [  # policy, kind, layer index, layer count, format
+    *[(Q.PrecisionPolicy(base="reference", quantize_sensitive=s), k, 0, 10, R)
+      for s in (False, True) for k in (K.EXPERT_FFN, K.QKV_PROJ, K.MAMBA_OUT_PROJ)],
+    *[(p, k, 0, 10, R) for p in (RECIPE, ABLATION) for k in ALWAYS_REFERENCE],
+    *[(p, k, 0, 10, N4) for p in (RECIPE, ABLATION) for k in (K.MAMBA_IN_PROJ, K.EXPERT_FFN, K.SHARED_EXPERT)],
+    (RECIPE, K.QKV_PROJ, 0, 10, R), (RECIPE, K.ATTN_OUT_PROJ, 0, 10, R), (RECIPE, K.MAMBA_OUT_PROJ, 0, 10, M8),
+    (ABLATION, K.QKV_PROJ, 0, 10, N4), (ABLATION, K.ATTN_OUT_PROJ, 0, 10, N4),
+    (ABLATION, K.MAMBA_OUT_PROJ, 0, 10, N4),
+    # the last ceil(fraction * count) layers stay reference: 2 of 10 at 0.15
+    (RECIPE, K.EXPERT_FFN, 7, 10, N4), (RECIPE, K.EXPERT_FFN, 8, 10, R), (ABLATION, K.QKV_PROJ, 8, 10, R),
+    (RECIPE, K.MAMBA_OUT_PROJ, 9, 10, R), (ABLATION, K.MAMBA_OUT_PROJ, 9, 10, R),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=0.0), K.EXPERT_FFN, 3, 4, N4),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=0.15), K.EXPERT_FFN, 2, 4, N4),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=0.15), K.EXPERT_FFN, 3, 4, R),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=0.5), K.EXPERT_FFN, 1, 4, N4),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=0.5), K.EXPERT_FFN, 2, 4, R),
+    (Q.PrecisionPolicy(fraction_high_precision_tail=1.0), K.EXPERT_FFN, 0, 4, R),
+]
+
+
+@pytest.mark.parametrize("policy,kind,index,total,fmt", POLICY_TABLE)
+def test_precision_policy_table(policy, kind, index, total, fmt):
+    desc = Q.LayerDescriptor(kind, index, total)
+    assert Q.resolve_precision(desc, policy) == fmt
+    expected = {R: Q.REFERENCE_LINEAR, M8: Q.LinearPrecision(M8, M8, M8, 3),
+                N4: Q.LinearPrecision(N4, Q.Format.NVFP4_2D, N4, 3)}[fmt]
+    assert Q.linear_precision(desc, policy, seed=3) == expected
+
+
+@pytest.mark.parametrize("policy", [RECIPE, Q.PrecisionPolicy(base="reference")])
+def test_precision_policy_rejects_a_layer_index_past_the_stack(policy):
+    for index in (4, 5):
+        with pytest.raises(ConfigError):
+            Q.resolve_precision(Q.LayerDescriptor(K.EXPERT_FFN, index, 4), policy)
+        with pytest.raises(ConfigError):
+            Q.linear_precision(Q.LayerDescriptor(K.EXPERT_FFN, index, 4), policy, seed=0)
