@@ -345,6 +345,11 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
 # ---------------------------------------------------------------------------
 
 
+NVFP4_RECIPE = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5)
+MXFP8_RECIPE = Q.LinearPrecision(Q.Format.MXFP8, Q.Format.MXFP8, Q.Format.MXFP8, seed=5)
+LINEAR_PRECISIONS = {"reference": Q.REFERENCE_LINEAR, "nvfp4": NVFP4_RECIPE, "mxfp8": MXFP8_RECIPE}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed):
     rng = np.random.default_rng(seed)
@@ -362,18 +367,12 @@ def test_nvfp4_weight_gradient_points_along_the_reference():
     x = T.Tensor(rng.standard_normal((128, 64)).astype(np.float32), requires_grad=True)
     w = T.Tensor((rng.standard_normal((64, 48)) / 8).astype(np.float32), requires_grad=True)
     dy = T.Tensor(rng.standard_normal((128, 48)).astype(np.float32))
-    prec = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5)
     with T.Tape() as tape:
-        loss = T.sum_all(T.mul(Q.quantized_linear(x, w, prec), dy))
+        loss = T.sum_all(T.mul(Q.quantized_linear(x, w, NVFP4_RECIPE), dy))
     T.backward(tape, loss)
     ref = x.data.astype(np.float64).T @ dy.data.astype(np.float64)
     dw = w.grad.astype(np.float64)
     assert (dw * ref).sum() / np.linalg.norm(dw) / np.linalg.norm(ref) > 0.9
-
-
-NVFP4_RECIPE = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5)
-MXFP8_RECIPE = Q.LinearPrecision(Q.Format.MXFP8, Q.Format.MXFP8, Q.Format.MXFP8, seed=5)
-LINEAR_PRECISIONS = {"reference": Q.REFERENCE_LINEAR, "nvfp4": NVFP4_RECIPE, "mxfp8": MXFP8_RECIPE}
 
 
 def linear_pass(linear, m, k, n):
