@@ -297,21 +297,15 @@ def _pow2_global_scale(amax: float) -> np.float32:
 
 
 def quantize_nvfp4(
-    t: Tensor | np.ndarray,
-    layout: Layout = Layout.BLOCK_1D,
-    mode: RoundingMode = NEAREST_EVEN,
-    global_scale: float | None = None,
+    data: np.ndarray, layout: Layout = Layout.BLOCK_1D, mode: RoundingMode = NEAREST_EVEN
 ) -> QuantizedTensorNVFP4:
-    """Encode a tensor as E2M1 codes with E4M3 block scales.
+    """Encode an array as E2M1 codes with E4M3 block scales.
 
     Block scales are amax(block) / (6 * global), encoded rounding up in
     magnitude so scaled elements never exceed +-6 and the element encoder
     never clamps. All-zero blocks get scale code 0 and element codes 0.
-    ``global_scale`` overrides the derived per-tensor scale (used by tests
-    that need unit scales); an override under which a block scale would
-    exceed E4M3's range raises ``NumericInputError``.
     """
-    data = np.asarray(t.data if isinstance(t, Tensor) else t, np.float32)
+    data = np.asarray(data, np.float32)
     _check_finite(data, "quantize_nvfp4")
     shape = data.shape
     if layout == Layout.BLOCK_1D:
@@ -327,11 +321,8 @@ def quantize_nvfp4(
     else:  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
 
-    g = np.float32(_pow2_global_scale(float(amax.max(initial=0.0))) if global_scale is None else global_scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
-    if not (0 < g < np.inf and raw.max(initial=0.0) <= E4M3_MAX):
-        raise NumericInputError(f"global_scale {global_scale} is not finite and positive or clamps a scale")
+    g = _pow2_global_scale(float(amax.max(initial=0.0)))
+    raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
     scale_codes = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
     eff = decode_e4m3(scale_codes) * g  # exact: 4-bit significand times a power of two
     live = eff != 0.0
@@ -343,13 +334,13 @@ def quantize_nvfp4(
     return QuantizedTensorNVFP4(shape, layout, codes, scale_codes, g)
 
 
-def quantize_mxfp8(t: Tensor | np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> QuantizedTensorMXFP8:
+def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> QuantizedTensorMXFP8:
     """Encode with E4M3 elements and power-of-two scales per 32-wide block.
 
     The block exponent is the smallest power of two that brings the block
     max within E4M3 range, so block maxima never clamp.
     """
-    data = np.asarray(t.data if isinstance(t, Tensor) else t, np.float32)
+    data = np.asarray(data, np.float32)
     _check_finite(data, "quantize_mxfp8")
     blocks = _last_axis_blocks(data, MXFP8_BLOCK)
     amax = _abs_max_last(blocks)

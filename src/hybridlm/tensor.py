@@ -248,26 +248,9 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar; all routed through the module-level ops
+    # operator sugar for the residual adds, routed through the module-level op
     def __add__(self, other):
         return add(self, _as_tensor(other))
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -436,9 +419,12 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * cc, (a,), bwd)
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return (1.0 / (1.0 + np.exp(-z))).astype(z.dtype)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
-    s = s.astype(x.data.dtype)
+    s = _sigmoid(x.data)
 
     def bwd(dout):
         return (dout * s * (1.0 - s),)
@@ -448,7 +434,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x)."""
-    s = (1.0 / (1.0 + np.exp(-x.data))).astype(x.data.dtype)
+    s = _sigmoid(x.data)
     out = x.data * s
 
     def bwd(dout):
@@ -471,7 +457,7 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow for large x."""
     out = np.where(x.data > 30.0, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
     out = out.astype(x.data.dtype)
-    s = (1.0 / (1.0 + np.exp(-x.data))).astype(x.data.dtype)
+    s = _sigmoid(x.data)
 
     def bwd(dout):
         return (dout * s,)
@@ -555,14 +541,7 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise TokenIndexError(f"token id out of range for vocab {weight.shape[0]}")
-    out = weight.data[ids]
-
-    def bwd(dout):
-        dw = np.zeros_like(weight.data)
-        np.add.at(dw, ids, dout)
-        return (dw,)
-
-    return _make(out, (weight,), bwd)
+    return take_rows(weight, ids)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -658,20 +637,11 @@ def scatter_rows(vals: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
 
 def gather_cols(x: Tensor, idx: np.ndarray) -> Tensor:
     """out[t, k] = x[t, idx[t, k]] for per-row column indices."""
-    idx = np.asarray(idx)
-    out = np.take_along_axis(x.data, idx, axis=1)
-    rows = np.arange(x.shape[0])[:, None]
-
-    def bwd(dout):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (rows, idx), dout)
-        return (dx,)
-
-    return _make(out, (x,), bwd)
+    return take_elems(x, np.arange(x.shape[0])[:, None], idx)
 
 
 def take_elems(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """1-D gather out[i] = x[rows[i], cols[i]]."""
+    """Element gather out[...] = x[rows[...], cols[...]] over the broadcast index arrays."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
     out = x.data[rows, cols]
@@ -761,9 +731,17 @@ def mamba_scan(
 
     Returns the output [T, H, P] and the final state [H, P, N] as a plain
     array (states are inference bookkeeping, not differentiated through).
+    ``h0``, when given, is the initial state [H, P, N].
     """
-    t_len, h, p = x.shape
-    n = b_in.shape[1]
+    if x.data.ndim != 3 or b_in.data.ndim != 2:
+        raise ShapeError(f"mamba_scan needs x [T, H, P] and b_in [T, N], got {x.shape} and {b_in.shape}")
+    (t_len, h, p), n = x.shape, b_in.shape[1]
+    names = ("dt", "a_coef", "b_in", "c_out", "d_skip", "h0")
+    got = (dt.shape, a_coef.shape, b_in.shape, c_out.shape, d_skip.shape, (h, p, n) if h0 is None else np.shape(h0))
+    want = ((t_len, h), (h,), (t_len, n), (t_len, n), (h,), (h, p, n))
+    bad = [f"{k} {g} (want {w})" for k, g, w in zip(names, got, want) if g != w]
+    if bad:
+        raise ShapeError(f"mamba_scan shapes for x {x.shape}: " + ", ".join(bad))
     dtype = np.result_type(x.data, dt.data, a_coef.data, b_in.data, c_out.data, d_skip.data)
     state = np.zeros((h, p, n), dtype) if h0 is None else h0.astype(dtype).copy()
 

@@ -236,6 +236,30 @@ def test_silu_values():
     assert T.silu(T.Tensor([1.0])).data[0] == pytest.approx(want, abs=1e-6)
 
 
+SIGMOID_FAMILY = {
+    "sigmoid": (T.sigmoid, lambda z: 1.0 / (1.0 + np.exp(-z))),
+    "silu": (T.silu, lambda z: z / (1.0 + np.exp(-z))),
+    "softplus": (T.softplus, lambda z: np.logaddexp(0.0, z)),
+}
+
+
+@pytest.mark.parametrize("name", SIGMOID_FAMILY)
+def test_sigmoid_family_against_float64(name):
+    op, ref = SIGMOID_FAMILY[name]
+    x = np.concatenate([np.linspace(-80.0, 80.0, 161), _rand((200,), 35, std=4.0)]).astype(np.float32)
+    got = op(T.Tensor(x)).data
+    assert got.dtype == np.float32
+    want = ref(x.astype(np.float64))
+    assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want) + 1e-30)
+
+
+@pytest.mark.parametrize("name", SIGMOID_FAMILY)
+def test_grad_check_sigmoid_family(name):
+    op = SIGMOID_FAMILY[name][0]
+    w = T.Tensor(_rand((3, 5), 36))
+    assert T.grad_check(lambda t: T.sum_all(T.mul(op(t), w)), T.Tensor(_rand((3, 5), 37, std=3.0))) < 1e-3
+
+
 # ---------------------------------------------------------------------------
 # cross entropy
 # ---------------------------------------------------------------------------
@@ -378,6 +402,64 @@ def test_gather_scatter_rows_grads():
     assert np.array_equal(x.grad, want)
 
 
+# Index ops against a Python loop oracle, forward and backward, bit for bit.
+# Many repeated indices make the float32 sums order-dependent; the oracle adds
+# in index order, as np.add.at does.
+
+
+def _fwd_bwd(op, x, *args):
+    """Output, input gradient and upstream gradient of ``op(x, *args)``."""
+    xt = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        y = op(xt, *args)
+        g = _rand(y.shape, 99)
+        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(g))))
+    return y.data, xt.grad, g
+
+
+@pytest.mark.parametrize("op", [T.take_rows, T.embedding])
+def test_row_gather_matches_loop_oracle(op):
+    x, idx = _rand((6, 5), 40), np.random.default_rng(40).integers(0, 6, 24)
+    out, dx, g = _fwd_bwd(op, x, idx)
+    want_dx = np.zeros_like(x)
+    for i, r in enumerate(idx):
+        want_dx[r] = want_dx[r] + g[i]
+    _assert_same_bits(out, np.stack([x[r] for r in idx]))
+    _assert_same_bits(dx, want_dx)
+
+
+def test_gather_cols_matches_loop_oracle():
+    x, idx = _rand((4, 6), 41), np.random.default_rng(41).integers(0, 6, (4, 10))
+    out, dx, g = _fwd_bwd(T.gather_cols, x, idx)
+    want, want_dx = np.zeros(idx.shape, np.float32), np.zeros_like(x)
+    for t, k in itertools.product(range(idx.shape[0]), range(idx.shape[1])):
+        want[t, k] = x[t, idx[t, k]]
+        want_dx[t, idx[t, k]] = want_dx[t, idx[t, k]] + g[t, k]
+    _assert_same_bits(out, want)
+    _assert_same_bits(dx, want_dx)
+
+
+def test_take_elems_matches_loop_oracle():
+    rng = np.random.default_rng(42)
+    x, rows, cols = _rand((5, 4), 42), rng.integers(0, 3, 30), rng.integers(0, 2, 30)
+    out, dx, g = _fwd_bwd(T.take_elems, x, rows, cols)
+    want_dx = np.zeros_like(x)
+    for i, (r, c) in enumerate(zip(rows, cols)):
+        want_dx[r, c] = want_dx[r, c] + g[i]
+    _assert_same_bits(out, np.array([x[r, c] for r, c in zip(rows, cols)], np.float32))
+    _assert_same_bits(dx, want_dx)
+
+
+def test_scatter_rows_matches_loop_oracle():
+    vals, idx = _rand((24, 3), 43), np.random.default_rng(43).integers(0, 5, 24)
+    out, dvals, g = _fwd_bwd(T.scatter_rows, vals, idx, 6)
+    want = np.zeros((6, 3), np.float32)
+    for i, r in enumerate(idx):
+        want[r] = want[r] + vals[i]
+    _assert_same_bits(out, want)
+    _assert_same_bits(dvals, np.stack([g[r] for r in idx]))
+
+
 def test_causal_conv1d_matches_manual():
     x = _rand((6, 3), 22)
     w = _rand((4, 3), 23)
@@ -446,3 +528,58 @@ def test_grad_check_mamba_scan():
         return T.mean_all(T.mul(y, y))
 
     assert T.grad_check(f_b, b) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# typed errors
+# ---------------------------------------------------------------------------
+
+
+def _t(*shape):
+    return T.Tensor(np.ones(shape, np.float32))
+
+
+def _scan(**shapes):
+    """mamba_scan on ones with T=4, H=2, P=3, N=5, except the operand shapes given."""
+    shapes = dict(dict(x=(4, 2, 3), dt=(4, 2), a_coef=(2,), b_in=(4, 5), c_out=(4, 5), d_skip=(2,)), **shapes)
+    h0 = shapes.pop("h0", None)
+    return T.mamba_scan(*(_t(*shape) for shape in shapes.values()), h0=None if h0 is None else np.ones(h0))
+
+
+TYPED_ERRORS = {
+    "rms_norm_weight": (ShapeError, lambda: T.rms_norm(_t(2, 4), _t(3))),
+    "cross_entropy_targets_2d": (ShapeError, lambda: T.cross_entropy(_t(2, 4), np.zeros((2, 1), int))),
+    "cross_entropy_targets_len": (ShapeError, lambda: T.cross_entropy(_t(2, 4), np.zeros(3, int))),
+    "embedding_id_past_vocab": (TokenIndexError, lambda: T.embedding(_t(5, 3), np.array([0, 5]))),
+    "embedding_negative_id": (TokenIndexError, lambda: T.embedding(_t(5, 3), np.array([-1, 2]))),
+    "transpose2d_3d": (ShapeError, lambda: T.transpose2d(_t(2, 3, 4))),
+    "causal_softmax_non_square": (ShapeError, lambda: T.causal_softmax(_t(3, 4))),
+    "causal_conv1d_channels": (ShapeError, lambda: T.causal_conv1d(_t(6, 3), _t(4, 2), _t(3))),
+    "causal_conv1d_bias": (ShapeError, lambda: T.causal_conv1d(_t(6, 3), _t(4, 3), _t(2))),
+    "grad_check_non_scalar": (ContractError, lambda: T.grad_check(lambda t: T.scale(t, 2.0), _t(3))),
+    "item_non_scalar": (ContractError, lambda: _t(2).item()),
+    "mamba_scan_x_2d": (ShapeError, lambda: _scan(x=(4, 6))),
+    "mamba_scan_b_in_1d": (ShapeError, lambda: _scan(b_in=(5,))),
+    "mamba_scan_b_in_extra_row": (ShapeError, lambda: _scan(b_in=(5, 5))),
+    "mamba_scan_c_out_extra_row": (ShapeError, lambda: _scan(c_out=(5, 5))),
+    "mamba_scan_dt_extra_row": (ShapeError, lambda: _scan(dt=(5, 2))),
+    "mamba_scan_h0_per_head_missing": (ShapeError, lambda: _scan(h0=(3, 5))),
+    "mamba_scan_h0_one_head": (ShapeError, lambda: _scan(h0=(1, 3, 5))),
+    "mamba_scan_a_coef_one": (ShapeError, lambda: _scan(a_coef=(1,))),
+    "mamba_scan_c_out_wrong_n": (ShapeError, lambda: _scan(c_out=(4, 6))),
+    "mamba_scan_d_skip_wrong_h": (ShapeError, lambda: _scan(d_skip=(3,))),
+}
+
+
+@pytest.mark.parametrize("case", TYPED_ERRORS)
+def test_ops_raise_typed_errors(case):
+    err, call = TYPED_ERRORS[case]
+    with pytest.raises(err):
+        call()
+
+
+def test_mamba_scan_shape_error_names_the_operand():
+    with pytest.raises(ShapeError, match=r"c_out \(4, 6\) \(want \(4, 5\)\)"):
+        _scan(c_out=(4, 6))
+    y, state = _scan(h0=(2, 3, 5))
+    assert y.shape == (4, 2, 3) and state.shape == (2, 3, 5)
