@@ -26,7 +26,7 @@ class PatternParseError(HybridlmError, ValueError):
 
 
 class TokenIndexError(HybridlmError, IndexError):
-    """A token id is outside the vocabulary."""
+    """An index, such as a token id, is outside the axis it selects from."""
 
 
 class CheckpointError(HybridlmError, RuntimeError):

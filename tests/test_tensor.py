@@ -529,6 +529,141 @@ def test_grad_check_mamba_scan():
 
     assert T.grad_check(f_b, b) < 1e-3
 
+    def f_c(cv):
+        y, _ = T.mamba_scan(x_fixed, dt, a, b, cv, d)
+        return T.mean_all(T.mul(y, y))
+
+    assert T.grad_check(f_c, c) < 1e-3
+
+    def f_d(dv):
+        y, _ = T.mamba_scan(x_fixed, dt, a, b, c, dv)
+        return T.mean_all(T.mul(y, y))
+
+    assert T.grad_check(f_d, d) < 1e-3
+
+
+# mamba_scan runs in chunks (SSD form) and is not bit-exact; the oracle is the
+# step-by-step recurrence, forward and backward, carried in float64.
+
+
+def _scan_oracle(x, dt, a, b, c, d, h0, dout):
+    """Output, final state and the six gradients for upstream ``dout``, step by step in float64."""
+    x, dt, a, b, c, d, dout = (np.asarray(v, np.float64) for v in (x, dt, a, b, c, d, dout))
+    t_len, h, p = x.shape
+    n = b.shape[1]
+    decays = np.exp(dt[:, :, None, None] * a[None, :, None, None])
+    hs = np.empty((t_len + 1, h, p, n))
+    hs[0] = 0 if h0 is None else h0
+    y = np.empty((t_len, h, p))
+    for t in range(t_len):
+        hs[t + 1] = decays[t] * hs[t] + dt[t][:, None, None] * (x[t][:, :, None] * b[t][None, None, :])
+        y[t] = np.einsum("hpn,n->hp", hs[t + 1], c[t]) + d[:, None] * x[t]
+    dx, ddt, da, db, dc, dd = (np.zeros_like(v) for v in (x, dt, a, b, c, d))
+    dh = np.zeros((h, p, n))
+    for t in range(t_len - 1, -1, -1):
+        g = dout[t]
+        dc[t] = np.einsum("hp,hpn->n", g, hs[t + 1])
+        dd += (g * x[t]).sum(axis=1)
+        dx[t] += d[:, None] * g
+        dht = dh + g[:, :, None] * c[t][None, None, :]
+        ddecay = (dht * hs[t]).sum(axis=(1, 2)) * decays[t, :, 0, 0]
+        ddt[t] += ddecay * a + (dht * (x[t][:, :, None] * b[t][None, None, :])).sum(axis=(1, 2))
+        da += ddecay * dt[t]
+        db[t] = np.einsum("hpn,hp,h->n", dht, x[t], dt[t])
+        dx[t] += dt[t][:, None] * np.einsum("hpn,n->hp", dht, b[t])
+        dh = decays[t] * dht
+    return [y, hs[t_len], dx, ddt, da, db, dc, dd]
+
+
+def _scan_inputs(t_len, h, p, n, seed, dtype=np.float32):
+    """x, dt, a_coef, b_in, c_out, d_skip, an initial state and an upstream gradient."""
+    rng = np.random.default_rng(seed)
+    shapes = ((t_len, h, p), (t_len, h), (h,), (t_len, n), (t_len, n), (h,), (h, p, n), (t_len, h, p))
+    x, dt, a, b, c, d, h0, dout = (rng.standard_normal(s) for s in shapes)
+    dt, a = np.log1p(np.exp(dt - 1.0)), -np.abs(a) - 0.1
+    return [v.astype(dtype) for v in (x, dt, a, b, c, d)], h0.astype(dtype), dout.astype(dtype)
+
+
+def _scan_fwd_bwd(args, h0, dout):
+    """Output, final state and the six gradients of mamba_scan for upstream ``dout``."""
+    ts = [T.Tensor(v, requires_grad=True) for v in args]
+    with T.Tape() as tape:
+        y, state = T.mamba_scan(*ts, h0=h0)
+        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(dout))))
+    return [y.data, state] + [t.grad for t in ts]
+
+
+def _rel_err(got, want):
+    """Largest |got - want| over the largest |want|."""
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+SCAN_OUTPUTS = ("y", "state", "dx", "ddt", "da", "db", "dc", "dd")
+
+
+@pytest.mark.parametrize("shape", [(37, 3, 4, 5), (256, 4, 16, 32), (1, 2, 3, 4)])
+@pytest.mark.parametrize("with_h0", [False, True])
+def test_mamba_scan_float32_matches_float64_oracle(shape, with_h0):
+    args, h0, dout = _scan_inputs(*shape, seed=sum(shape))
+    h0 = h0 if with_h0 else None
+    got = _scan_fwd_bwd(args, h0, dout)
+    want = _scan_oracle(*args, h0, dout)
+    for name, g, w in zip(SCAN_OUTPUTS, got, want):
+        assert g.dtype == np.float32 and g.shape == w.shape, name
+        assert _rel_err(g, w) < 1e-4, name
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 37])
+def test_mamba_scan_chunk_size_independent_in_float64(monkeypatch, chunk):
+    monkeypatch.setattr(T, "_SCAN_CHUNK", chunk)
+    args, h0, dout = _scan_inputs(37, 3, 4, 5, seed=50, dtype=np.float64)
+    got = _scan_fwd_bwd(args, h0, dout)
+    want = _scan_oracle(*args, h0, dout)
+    for name, g, w in zip(SCAN_OUTPUTS, got, want):
+        assert _rel_err(g, w) < 1e-12, name
+
+
+def test_mamba_scan_h0_continues_a_split_sequence():
+    args, h0, dout = _scan_inputs(40, 2, 3, 4, seed=51, dtype=np.float64)
+    y, state = T.mamba_scan(*map(T.Tensor, args), h0=h0)
+    y1, mid = T.mamba_scan(*(T.Tensor(v[:25] if v.ndim > 1 else v) for v in args), h0=h0)
+    y2, end = T.mamba_scan(*(T.Tensor(v[25:] if v.ndim > 1 else v) for v in args), h0=mid)
+    assert _rel_err(np.concatenate([y1.data, y2.data]), y.data) < 1e-12
+    assert _rel_err(end, state) < 1e-12
+    # no steps: the state passes through unchanged
+    empty, same = T.mamba_scan(*(T.Tensor(v[:0] if v.ndim > 1 else v) for v in args), h0=h0)
+    assert empty.shape == (0, 2, 3) and np.array_equal(same, h0)
+
+
+def test_mamba_scan_accepts_h0_as_nested_list():
+    args, h0, _ = _scan_inputs(20, 2, 3, 4, seed=52)
+    y, state = T.mamba_scan(*map(T.Tensor, args), h0=h0)
+    y_list, state_list = T.mamba_scan(*map(T.Tensor, args), h0=h0.tolist())
+    _assert_same_bits(y_list.data, y.data)
+    _assert_same_bits(state_list, state)
+
+
+def test_mamba_scan_strong_decay_stays_finite():
+    # a = -8 and dt near 3: exp(dt * a) is about 4e-11 per step and the
+    # in-chunk decay products underflow to 0; nothing may overflow or go NaN
+    args, h0, dout = _scan_inputs(64, 3, 4, 5, seed=53)
+    args[1] = np.full_like(args[1], 3.0) + 0.1 * args[1]
+    args[2] = np.full_like(args[2], -8.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = _scan_fwd_bwd(args, h0, dout)
+    assert all(np.isfinite(g).all() for g in got)
+    want = _scan_oracle(*args, h0, dout)
+    for name, g, w in zip(SCAN_OUTPUTS, got, want):
+        assert _rel_err(g, w) < 1e-4, name
+
+
+def test_mamba_scan_repeats_bit_for_bit():
+    # the benchmark replays training steps and compares losses bit for bit
+    args, h0, dout = _scan_inputs(256, 4, 16, 32, seed=54)
+    first, second = _scan_fwd_bwd(args, h0, dout), _scan_fwd_bwd(args, h0, dout)
+    for g1, g2 in zip(first, second):
+        _assert_same_bits(g1, g2)
+
 
 # ---------------------------------------------------------------------------
 # typed errors
@@ -552,6 +687,12 @@ TYPED_ERRORS = {
     "cross_entropy_targets_len": (ShapeError, lambda: T.cross_entropy(_t(2, 4), np.zeros(3, int))),
     "embedding_id_past_vocab": (TokenIndexError, lambda: T.embedding(_t(5, 3), np.array([0, 5]))),
     "embedding_negative_id": (TokenIndexError, lambda: T.embedding(_t(5, 3), np.array([-1, 2]))),
+    "take_rows_negative": (TokenIndexError, lambda: T.take_rows(_t(4, 3), np.array([-1]))),
+    "take_rows_past_end": (TokenIndexError, lambda: T.take_rows(_t(4, 3), np.array([0, 4]))),
+    "take_elems_col_past_end": (TokenIndexError, lambda: T.take_elems(_t(4, 3), np.array([0]), np.array([3]))),
+    "gather_cols_past_end": (TokenIndexError, lambda: T.gather_cols(_t(4, 3), np.full((4, 1), 3))),
+    "scatter_rows_negative": (TokenIndexError, lambda: T.scatter_rows(_t(4, 3), np.array([0, 1, 2, -1]), 4)),
+    "scatter_rows_past_end": (TokenIndexError, lambda: T.scatter_rows(_t(4, 3), np.array([0, 1, 2, 4]), 4)),
     "transpose2d_3d": (ShapeError, lambda: T.transpose2d(_t(2, 3, 4))),
     "causal_softmax_non_square": (ShapeError, lambda: T.causal_softmax(_t(3, 4))),
     "causal_conv1d_channels": (ShapeError, lambda: T.causal_conv1d(_t(6, 3), _t(4, 2), _t(3))),
@@ -583,3 +724,8 @@ def test_mamba_scan_shape_error_names_the_operand():
         _scan(c_out=(4, 6))
     y, state = _scan(h0=(2, 3, 5))
     assert y.shape == (4, 2, 3) and state.shape == (2, 3, 5)
+
+
+def test_index_error_names_the_op_and_the_range():
+    with pytest.raises(TokenIndexError, match=r"scatter_rows: indices span \[-1, 2\], outside an axis of size 4"):
+        T.scatter_rows(_t(4, 3), np.array([0, 1, 2, -1]), 4)
