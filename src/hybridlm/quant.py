@@ -14,6 +14,11 @@ simulation). Every decode is exact in float32 because element grids have
 few significand bits, block scales have four, and global scales are powers
 of two, so dequantized values are products that round nowhere.
 
+The block quantizers encode and decode in a compiled C kernel when the
+local compiler can build one (the GEMM's loader in tensor.py builds it);
+otherwise they run the numpy encoder and decoder, which the tests also
+use as the oracle. Both give the same codes, scales, values and bytes.
+
 Supporting machinery: sign-randomized Hadamard transforms for spreading
 outliers ahead of gradient-side quantization, seeded stochastic rounding,
 and the per-layer precision policy used when wiring a model for
@@ -22,6 +27,8 @@ mixed-precision training.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import struct
 from collections import namedtuple
@@ -31,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError
-from .tensor import Tensor, _make, matmul_exact
+from .tensor import Tensor, _cache_dirs, _load_c_kernel, _make, matmul_exact
 
 # ---------------------------------------------------------------------------
 # Rounding modes
@@ -49,6 +56,12 @@ class RoundingMode:
 
     kind: str  # "nearest" | "stochastic"
     seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ("nearest", "stochastic"):
+            raise ConfigError(f"rounding kind must be 'nearest' or 'stochastic', got {self.kind!r}")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
+            raise ConfigError(f"rounding seed must be an integer in [0, 2**128), got {self.seed!r}")
 
     def uniforms(self, shape) -> np.ndarray:
         rng = np.random.Generator(np.random.Philox(key=self.seed))
@@ -185,9 +198,13 @@ def decode_e2m1(codes) -> np.ndarray:
     return E2M1_TABLE.take(np.asarray(codes, np.uint8) & 0xF)
 
 
+def _has_nan_e4m3(codes: np.ndarray) -> bool:
+    return bool(np.any((codes & 0x7F) == 0x7F))
+
+
 def decode_e4m3(codes) -> np.ndarray:
     codes = np.asarray(codes, np.uint8)
-    if np.any((codes & 0x7F) == 0x7F):
+    if _has_nan_e4m3(codes):
         raise NumericInputError("NaN E4M3 code cannot be decoded")
     return E4M3_TABLE.take(codes)
 
@@ -202,21 +219,33 @@ class Layout(str, Enum):
     BLOCK_2D = "2d16"   # 16x16 tiles over a matrix (weights)
 
 
+class Format(str, Enum):
+    REFERENCE = "reference"
+    NVFP4 = "nvfp4"        # 1D 16-element blocks (activations, gradients)
+    NVFP4_2D = "nvfp4_2d"  # 16x16 tiles (weights)
+    MXFP8 = "mxfp8"
+
+
 BLOCK_1D_SIZE = 16
 BLOCK_2D_TILE = 16
 MXFP8_BLOCK = 32
 
 
+def _matrix(shape: tuple[int, ...]) -> tuple[int, int]:
+    """[rows, cols] of an array blocked along its last axis (0-d: one element)."""
+    return math.prod(shape[:-1]), shape[-1] if shape else 1
+
+
 def _last_axis_grid(shape: tuple[int, ...], block: int) -> tuple[int, int, int]:
-    """[rows, blocks, block] grid of zero-padded blocks along the last axis (0-d: one element)."""
-    cols = shape[-1] if shape else 1
-    return math.prod(shape[:-1]), -(-cols // block), block
+    """[rows, blocks, block] grid of zero-padded blocks along the last axis."""
+    rows, cols = _matrix(shape)
+    return rows, -(-cols // block), block
 
 
 def _last_axis_blocks(data: np.ndarray, block: int) -> np.ndarray:
     """``data`` on its ``_last_axis_grid``; copies only to pad or to make it contiguous."""
     rows, nblk, _ = grid = _last_axis_grid(data.shape, block)
-    cols = data.shape[-1] if data.ndim else 1
+    cols = _matrix(data.shape)[1]
     flat = data.reshape(rows, cols)
     if cols % block:
         flat = np.pad(flat, ((0, 0), (0, nblk * block - cols)))
@@ -236,7 +265,7 @@ def _abs_max_last(x: np.ndarray) -> np.ndarray:
 def _from_last_axis_blocks(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Inverse of ``_last_axis_blocks``: drop the padding, restore ``shape``."""
     rows, nblk, block = blocks.shape
-    cols = shape[-1] if shape else 1
+    cols = _matrix(shape)[1]
     return np.ascontiguousarray(blocks.reshape(rows, nblk * block)[:, :cols]).reshape(shape)
 
 
@@ -255,14 +284,8 @@ class QuantizedTensorNVFP4:
     global_scale: np.float32
 
     def dequantize(self) -> np.ndarray:
-        vals = decode_e2m1(self.codes)
-        scales = decode_e4m3(self.block_scales) * self.global_scale
-        if self.layout == Layout.BLOCK_1D:
-            return _from_last_axis_blocks(vals * scales[:, :, None], self.shape)
-        pr, pc = vals.shape
-        tiled = vals.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
-        out = (tiled * scales[:, None, :, None]).reshape(pr, pc)
-        return np.ascontiguousarray(out[: self.shape[0], : self.shape[1]])
+        fmt = Format.NVFP4 if self.layout == Layout.BLOCK_1D else Format.NVFP4_2D
+        return _decode(fmt, self.shape, self.codes, self.block_scales, self.global_scale)
 
 
 @dataclass
@@ -274,8 +297,7 @@ class QuantizedTensorMXFP8:
     scale_exps: np.ndarray   # int16 exponents, one per block
 
     def dequantize(self) -> np.ndarray:
-        scales = np.ldexp(np.float32(1.0), self.scale_exps.astype(np.int32))
-        return _from_last_axis_blocks(decode_e4m3(self.codes) * scales[:, :, None], self.shape)
+        return _decode(Format.MXFP8, self.shape, self.codes, self.scale_exps)
 
 
 def _pow2_exponent(amax, limit: float):
@@ -296,6 +318,359 @@ def _pow2_global_scale(amax: float) -> np.float32:
     return np.float32(2.0 ** max(int(e), -126))
 
 
+def _pow2(e: np.ndarray) -> np.ndarray:
+    """float32 2^e, exact (np.exp2 is one ulp high at 2^127)."""
+    return np.ldexp(np.float32(1.0), e.astype(np.int32))
+
+
+# ---------------------------------------------------------------------------
+# Encode/decode kernels
+# ---------------------------------------------------------------------------
+#
+# Each format is encoded and decoded by a kernel pair selected at import:
+# the C source in _QUANT_SOURCE, built and loaded like the GEMM kernel in
+# tensor.py, or the numpy code below, which is the tests' oracle and the
+# fallback without a compiler. Both give the same codes, scales and values.
+# Kernel contract: the encoder takes a float32 array and a RoundingMode and
+# returns (codes, scales, global scale or None) on the format's grids, and
+# the decoder takes (shape, codes, scales, global scale) already checked
+# against those grids and returns the float32 array. Each returns None for
+# an input it cannot take: a non-finite value, a NaN E4M3 code.
+
+
+def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shapes of the code grid and the scale grid of a ``fmt`` array of ``shape``."""
+    if fmt == Format.NVFP4_2D:
+        if len(shape) != 2:
+            raise ShapeError(f"2D block layout needs a matrix, got shape {shape}")
+        grid = tuple(-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
+        return grid, tuple(n // BLOCK_2D_TILE for n in grid)
+    grid = _last_axis_grid(shape, MXFP8_BLOCK if fmt == Format.MXFP8 else BLOCK_1D_SIZE)
+    return grid, grid[:2]
+
+
+def _encode_kernel_numpy(fmt: Format, data: np.ndarray, mode: RoundingMode):
+    grid, _ = _grids(fmt, data.shape)
+    if not np.isfinite(data).all():
+        return None
+    if fmt == Format.MXFP8:
+        blocks = _last_axis_blocks(data, MXFP8_BLOCK)
+        amax = _abs_max_last(blocks)
+        e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
+        e = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
+        return _encode(blocks / _pow2(e)[:, :, None], _E4M3, mode), e, None
+    if fmt == Format.NVFP4:
+        blocks = _last_axis_blocks(data, BLOCK_1D_SIZE)  # [rows, blocks, 16]
+        amax, per_block = _abs_max_last(blocks), np.s_[:, :, None]
+    else:
+        pr, pc = grid
+        padded = np.pad(data, ((0, pr - data.shape[0]), (0, pc - data.shape[1]))) if grid != data.shape else data
+        blocks = padded.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
+        amax, per_block = _abs_max_last(np.abs(blocks).max(axis=1)), np.s_[:, None, :, None]
+    g = _pow2_global_scale(float(amax.max(initial=0.0)))
+    raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
+    scale_codes = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
+    eff = E4M3_TABLE.take(scale_codes) * g  # exact: 4-bit significand times a power of two
+    live = eff != 0.0
+    eff[~live] = 1.0
+    codes = _encode(blocks / eff[per_block], _E2M1, mode)
+    codes *= live[per_block]
+    return codes.reshape(grid), scale_codes, g
+
+
+def _decode_kernel_numpy(fmt: Format, shape, codes, scales, g):
+    if fmt == Format.MXFP8:
+        codes = np.asarray(codes, np.uint8)
+        if _has_nan_e4m3(codes):
+            return None
+        return _from_last_axis_blocks(E4M3_TABLE.take(codes) * _pow2(scales)[:, :, None], shape)
+    scales = np.asarray(scales, np.uint8)
+    if _has_nan_e4m3(scales):
+        return None
+    vals, scales = decode_e2m1(codes), E4M3_TABLE.take(scales) * g
+    if fmt == Format.NVFP4:
+        return _from_last_axis_blocks(vals * scales[:, :, None], shape)
+    pr, pc = vals.shape
+    tiled = vals.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
+    out = (tiled * scales[:, None, :, None]).reshape(pr, pc)
+    return np.ascontiguousarray(out[: shape[0], : shape[1]])
+
+
+# Blocks of 16 (NVFP4) or 32 (MXFP8) along the last axis of a [rows, cols]
+# matrix, or 16x16 tiles (NVFP4 2D), zero-padded at the ends; 1D and 2D
+# NVFP4 codes share the row-major padded layout. A block's codes are built
+# one element at a time in _encode's arithmetic: float32 bits for the grid
+# index (rounding by bias and shift), an integer conversion for the
+# subnormal index, u < fraction in double for stochastic rounding. Block
+# maxima are integer maxima of |x|'s bits, which order like the values and
+# flag inf and NaN. The source is built with tensor.py's flags, which keep
+# every float operation an IEEE one rounded as written.
+_QUANT_SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+
+#if defined(__x86_64__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
+enum { NVFP4_1D, NVFP4_2D, MXFP8 };
+enum { FLOOR, CEIL, NEAREST };
+/* as _Grid: mantissa bits, exponent of the smallest normal, top code, largest magnitude, sign bit */
+#define E2M1 1, 0, 7, 6.0f, 3
+#define E4M3 3, -6, 126, 448.0f, 7
+#define GRID int mb, int emin, int32_t top, float max, int sb
+#define ABS 0x7fffffffu
+#define INF 0x7f800000u
+
+static inline uint32_t f2u(float f) { uint32_t u; memcpy(&u, &f, 4); return u; }
+static inline float u2f(uint32_t u) { float f; memcpy(&f, &u, 4); return f; }
+/* min and max of floats >= +0 taken on their bits, which the vectorizer handles as integers */
+static inline float min0(float a, float b) { return u2f(f2u(a) < f2u(b) ? f2u(a) : f2u(b)); }
+static inline float max0(float a, float b) { return u2f(f2u(a) > f2u(b) ? f2u(a) : f2u(b)); }
+
+static inline float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 2^127 */
+{
+    if (e > 127) return u2f(INF);
+    if (e >= -126) return u2f((uint32_t)(e + 127) << 23);
+    return e >= -149 ? u2f(1u << (e + 149)) : 0.0f;
+}
+
+static inline int pow2_exponent(float amax, float limit)  /* as _pow2_exponent, amax > 0 */
+{
+    int k = 0;
+    if (amax < 0x1p-126f) { amax *= 0x1p64f; k = -64; }  /* a subnormal, made normal */
+    const uint32_t a = f2u(amax), l = f2u(limit);
+    return k + (int)(a >> 23) - (int)(l >> 23) + ((a & 0x7fffffu) > (l & 0x7fffffu));
+}
+
+static inline float tiny_of(int emin) { return emin < 0 ? 1.0f / (float)(1 << -emin) : (float)(1 << emin); }
+
+static inline int32_t round_index(float mag, int how, GRID)  /* as _round_index */
+{
+    const int shift = 23 - mb;
+    const float tiny = tiny_of(emin);
+    const int32_t bits = (int32_t)f2u(mag);
+    const int32_t bias = how == FLOOR ? 0 : how == CEIL ? (1 << shift) - 1
+                         : (1 << (shift - 1)) - 1 + ((bits >> shift) & 1);
+    const int32_t idx = ((bits + bias) >> shift) - ((126 + emin) << mb);
+    const float s = min0(mag, tiny) * ((float)(1 << mb) / tiny);  /* in [0, 2^mb] */
+    const int32_t fl = (int32_t)s;
+    const int32_t sub = how == FLOOR ? fl : how == CEIL ? fl + ((float)fl < s)
+                        : (int32_t)((s + 0x1p23f) - 0x1p23f);
+    const int32_t best = idx > sub ? idx : sub;
+    return best < top ? best : top;
+}
+
+static inline int32_t round_stochastic(float mag, double u, GRID)  /* as _round_index_stochastic */
+{
+    const int shift = 23 - mb;
+    const float tiny = tiny_of(emin);
+    float frac = (float)(int32_t)(f2u(max0(mag, tiny)) & ((1u << shift) - 1)) * (1.0f / (float)(1 << shift));
+    const float s = min0(mag, tiny) * ((float)(1 << mb) / tiny);
+    frac += s - (float)(int32_t)s;
+    return round_index(mag, FLOOR, mb, emin, top, max, sb) + (u < (double)frac);
+}
+
+static inline uint8_t code_nearest(float v, GRID)  /* as _encode */
+{
+    const uint32_t b = f2u(v);
+    return (uint8_t)(round_index(u2f(b & ABS), NEAREST, mb, emin, top, max, sb) | (int32_t)(b >> 31) << sb);
+}
+
+static inline uint8_t code_stochastic(float v, double u, GRID)
+{
+    const uint32_t b = f2u(v);
+    return (uint8_t)(round_stochastic(min0(u2f(b & ABS), max), u, mb, emin, top, max, sb) | (int32_t)(b >> 31) << sb);
+}
+
+static inline float value_of(uint32_t c, GRID)  /* a decode table entry, for a code that is not NaN */
+{
+    const uint32_t idx = c & ((1u << sb) - 1);
+    const uint32_t mag = idx < (1u << mb) ? f2u((float)idx * (tiny_of(emin) / (float)(1 << mb)))
+                         : (idx + (uint32_t)((126 + emin) << mb)) << (23 - mb);
+    return u2f(mag | (c >> sb & 1) << 31);
+}
+
+static inline uint32_t abs_max_bits(const float *x, ptrdiff_t n)
+{
+    uint32_t m = 0;
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const uint32_t a = f2u(x[i]) & ABS;
+        m = a > m ? a : m;
+    }
+    return m;
+}
+
+/* Encode rows of 16 elements (16 apart in x, stride apart in u and codes)
+   that share one block scale; return its code. */
+static inline uint8_t nvfp4_group(const float *x, int rows, float g, const double *u,
+                                  uint8_t *codes, ptrdiff_t stride)
+{
+    const float raw = (float)((double)u2f(abs_max_bits(x, 16 * rows)) / (6.0 * (double)g));
+    const int32_t scale = round_index(raw, CEIL, E4M3);
+    const float eff = value_of((uint32_t)scale, E4M3) * g;
+    for (int r = 0; r < rows; r++) {
+        const float *xr = x + 16 * r;
+        uint8_t *c = codes + r * stride;
+        if (scale == 0)
+            memset(c, 0, 16);
+        else if (u)
+            for (int i = 0; i < 16; i++) c[i] = code_stochastic(xr[i] / eff, u[r * stride + i], E2M1);
+        else
+            for (int i = 0; i < 16; i++) c[i] = code_nearest(xr[i] / eff, E2M1);
+    }
+    return (uint8_t)scale;
+}
+
+static inline int mxfp8_encode(const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
+                               uint8_t *codes, int16_t *exps)
+{
+    const ptrdiff_t nb = (cols + 31) / 32;
+    float pad[32];
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t b = 0; b < nb; b++) {
+            const ptrdiff_t k = r * nb + b, w = cols - 32 * b < 32 ? cols - 32 * b : 32;
+            const float *src = x + r * cols + 32 * b;
+            if (w < 32) {
+                memset(pad, 0, sizeof pad);
+                memcpy(pad, src, (size_t)w * sizeof *src);
+                src = pad;
+            }
+            const uint32_t amax = abs_max_bits(src, 32);
+            if (amax >= INF) return 1;
+            int e = amax ? pow2_exponent(u2f(amax), 448.0f) : -127;
+            e = e < -127 ? -127 : e > 127 ? 127 : e;
+            exps[k] = (int16_t)e;
+            const float s = pow2f(e);
+            uint8_t *c = codes + 32 * k;
+            if (u)
+                for (int i = 0; i < 32; i++) c[i] = code_stochastic(src[i] / s, u[32 * k + i], E4M3);
+            else
+                for (int i = 0; i < 32; i++) c[i] = code_nearest(src[i] / s, E4M3);
+        }
+    return 0;
+}
+
+/* Codes and scales of the [rows, cols] float32 matrix x in format fmt, with
+   uniforms u over the code grid for stochastic rounding (NULL: nearest);
+   the NVFP4 global scale goes to *g. Returns 1 if x is not finite. */
+CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
+                        uint8_t *codes, void *scales, float *g)
+{
+    if (fmt == MXFP8) return mxfp8_encode(x, rows, cols, u, codes, scales);
+    const uint32_t amax = abs_max_bits(x, rows * cols);
+    if (amax >= INF) return 1;
+    const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* as _pow2_global_scale */
+    const float gs = pow2f(e < -126 ? -126 : e);
+    const ptrdiff_t nb = (cols + 15) / 16, pc = 16 * nb;
+    uint8_t *sc = scales;
+    float pad[256];
+    *g = gs;
+    if (fmt == NVFP4_1D) {
+        for (ptrdiff_t r = 0; r < rows; r++)
+            for (ptrdiff_t b = 0; b < nb; b++) {
+                const ptrdiff_t k = r * nb + b, w = cols - 16 * b < 16 ? cols - 16 * b : 16;
+                const float *src = x + r * cols + 16 * b;
+                if (w < 16) {
+                    memset(pad, 0, 16 * sizeof *pad);
+                    memcpy(pad, src, (size_t)w * sizeof *src);
+                    src = pad;
+                }
+                sc[k] = nvfp4_group(src, 1, gs, u ? u + 16 * k : NULL, codes + 16 * k, 16);
+            }
+        return 0;
+    }
+    for (ptrdiff_t t = 0; 16 * t < rows; t++)
+        for (ptrdiff_t b = 0; b < nb; b++) {
+            const ptrdiff_t h = rows - 16 * t < 16 ? rows - 16 * t : 16;
+            const ptrdiff_t w = cols - 16 * b < 16 ? cols - 16 * b : 16, at = 16 * t * pc + 16 * b;
+            memset(pad, 0, sizeof pad);
+            for (ptrdiff_t i = 0; i < h; i++)
+                memcpy(pad + 16 * i, x + (16 * t + i) * cols + 16 * b, (size_t)w * sizeof *x);
+            sc[t * nb + b] = nvfp4_group(pad, 16, gs, u ? u + at : NULL, codes + at, pc);
+        }
+    return 0;
+}
+
+/* out[rows, cols] from codes and scales on fmt's grids (MXFP8 exponents as
+   int32). Returns 1, before writing, if an E4M3 code it would read is NaN. */
+CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
+                        ptrdiff_t rows, ptrdiff_t cols, float *out)
+{
+    const ptrdiff_t block = fmt == MXFP8 ? 32 : 16, nb = (cols + block - 1) / block, pc = block * nb;
+    const ptrdiff_t nscales = fmt == NVFP4_2D ? (rows + 15) / 16 * nb : rows * nb;
+    const uint8_t *checked = fmt == MXFP8 ? codes : scales;
+    uint32_t nan = 0;
+    for (ptrdiff_t i = 0; i < (fmt == MXFP8 ? rows * pc : nscales); i++)
+        nan |= (checked[i] & 0x7fu) == 0x7fu;
+    if (nan) return 1;
+    for (ptrdiff_t r = 0; r < rows; r++)
+        for (ptrdiff_t b = 0; b < nb; b++) {
+            const uint8_t *c = codes + r * pc + block * b;
+            float *o = out + r * cols + block * b;
+            const ptrdiff_t w = cols - block * b < block ? cols - block * b : block;
+            if (fmt == MXFP8) {
+                const float s = pow2f(((const int32_t *)scales)[r * nb + b]);
+                for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E4M3) * s;
+            } else {
+                const uint8_t code = ((const uint8_t *)scales)[fmt == NVFP4_2D ? r / 16 * nb + b : r * nb + b];
+                const float s = value_of(code, E4M3) * g;
+                for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E2M1) * s;
+            }
+        }
+    return 0;
+}
+"""
+_C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
+_C_ENCODE = _load_c_kernel(_cache_dirs(), source=_QUANT_SOURCE, entry="quant_encode", prototype=ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4))
+_C_DECODE = _C_ENCODE and _load_c_kernel(
+    _cache_dirs(), source=_QUANT_SOURCE, entry="quant_decode", prototype=ctypes.CFUNCTYPE(
+        ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float, ctypes.c_ssize_t,
+        ctypes.c_ssize_t, ctypes.c_void_p))
+
+
+def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
+    grid, scales_grid = _grids(fmt, data.shape)
+    x = np.ascontiguousarray(data)
+    u = mode.uniforms(grid) if mode.kind == "stochastic" else None
+    codes = np.empty(grid, np.uint8)
+    scales = np.empty(scales_grid, np.int16 if fmt == Format.MXFP8 else np.uint8)
+    g = np.zeros(1, np.float32)
+    if _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if u is None else u.ctypes.data,
+                 codes.ctypes.data, scales.ctypes.data, g.ctypes.data):
+        return None
+    return codes, scales, None if fmt == Format.MXFP8 else g[0]
+
+
+def _decode_kernel_c(fmt: Format, shape, codes, scales, g):
+    out = np.empty(shape, np.float32)
+    codes = np.ascontiguousarray(codes, np.uint8)
+    scales = np.ascontiguousarray(scales, np.int32 if fmt == Format.MXFP8 else np.uint8)
+    if _C_DECODE(_C_FORMATS[fmt], codes.ctypes.data, scales.ctypes.data, 0.0 if g is None else g,
+                 *_matrix(shape), out.ctypes.data):
+        return None
+    return out
+
+
+_encode_kernel = _encode_kernel_numpy if _C_ENCODE is None else _encode_kernel_c
+_decode_kernel = _decode_kernel_numpy if _C_DECODE is None else _decode_kernel_c
+
+
+def _decode(fmt: Format, shape, codes, scales, g=None) -> np.ndarray:
+    grid, scales_grid = _grids(fmt, shape)
+    if np.shape(codes) != grid or np.shape(scales) != scales_grid:
+        raise ShapeError(f"codes on {np.shape(codes)} and scales on {np.shape(scales)} do not fit "
+                         f"shape {shape}, whose grids are {grid} and {scales_grid}")
+    out = _decode_kernel(fmt, shape, codes, scales, g)
+    if out is None:
+        raise NumericInputError("NaN E4M3 code cannot be decoded")
+    return out
+
+
 def quantize_nvfp4(
     data: np.ndarray, layout: Layout = Layout.BLOCK_1D, mode: RoundingMode = NEAREST_EVEN
 ) -> QuantizedTensorNVFP4:
@@ -306,32 +681,12 @@ def quantize_nvfp4(
     never clamps. All-zero blocks get scale code 0 and element codes 0.
     """
     data = np.asarray(data, np.float32)
-    _check_finite(data, "quantize_nvfp4")
-    shape = data.shape
-    if layout == Layout.BLOCK_1D:
-        blocks = _last_axis_blocks(data, BLOCK_1D_SIZE)  # [rows, blocks, 16]
-        amax, per_block = _abs_max_last(blocks), np.s_[:, :, None]
-    elif layout == Layout.BLOCK_2D:
-        if data.ndim != 2:
-            raise ShapeError(f"2D block layout needs a matrix, got shape {shape}")
-        pr, pc = (-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
-        padded = np.pad(data, ((0, pr - shape[0]), (0, pc - shape[1]))) if (pr, pc) != shape else data
-        blocks = padded.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
-        amax, per_block = _abs_max_last(np.abs(blocks).max(axis=1)), np.s_[:, None, :, None]
-    else:  # pragma: no cover
+    if layout not in (Layout.BLOCK_1D, Layout.BLOCK_2D):  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
-
-    g = _pow2_global_scale(float(amax.max(initial=0.0)))
-    raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
-    scale_codes = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
-    eff = decode_e4m3(scale_codes) * g  # exact: 4-bit significand times a power of two
-    live = eff != 0.0
-    eff[~live] = 1.0
-    codes = _encode(blocks / eff[per_block], _E2M1, mode)
-    codes *= live[per_block]
-    if layout == Layout.BLOCK_2D:
-        codes = codes.reshape(pr, pc)
-    return QuantizedTensorNVFP4(shape, layout, codes, scale_codes, g)
+    encoded = _encode_kernel(Format.NVFP4 if layout == Layout.BLOCK_1D else Format.NVFP4_2D, data, mode)
+    if encoded is None:
+        raise NumericInputError("quantize_nvfp4 requires finite inputs")
+    return QuantizedTensorNVFP4(data.shape, layout, *encoded)
 
 
 def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> QuantizedTensorMXFP8:
@@ -341,19 +696,25 @@ def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> Quant
     max within E4M3 range, so block maxima never clamp.
     """
     data = np.asarray(data, np.float32)
-    _check_finite(data, "quantize_mxfp8")
-    blocks = _last_axis_blocks(data, MXFP8_BLOCK)
-    amax = _abs_max_last(blocks)
-
-    e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
-    e = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
-    scaled = blocks / np.exp2(e.astype(np.float32))[:, :, None]
-    return QuantizedTensorMXFP8(data.shape, _encode(scaled, _E4M3, mode), e)
+    encoded = _encode_kernel(Format.MXFP8, data, mode)
+    if encoded is None:
+        raise NumericInputError("quantize_mxfp8 requires finite inputs")
+    return QuantizedTensorMXFP8(data.shape, *encoded[:2])
 
 
 # ---------------------------------------------------------------------------
 # Random Hadamard transform
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _sylvester(n: int) -> np.ndarray:
+    """Read-only float64 +-1 Sylvester matrix H_n, H_2n = [[H_n, H_n], [H_n, -H_n]], for n a power of two."""
+    h = np.ones((1, 1), np.float64)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    h.flags.writeable = False
+    return h
 
 
 def random_hadamard(n: int, seed: int) -> np.ndarray:
@@ -362,12 +723,9 @@ def random_hadamard(n: int, seed: int) -> np.ndarray:
         raise ConfigError(f"Hadamard size must be a power of two, got {n}")
     if n == 1:
         return np.ones((1, 1), np.float32)
-    h = np.ones((1, 1), np.float64)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
     rng = np.random.Generator(np.random.Philox(key=seed))
     d = rng.integers(0, 2, n) * 2 - 1
-    return (h * d[None, :] / np.sqrt(n)).astype(np.float32)
+    return (_sylvester(n) * d[None, :] / np.sqrt(n)).astype(np.float32)
 
 
 def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -401,13 +759,6 @@ def _rht_pair(a: np.ndarray, b: np.ndarray, seed: int) -> tuple[np.ndarray, np.n
 # ---------------------------------------------------------------------------
 # Formats and simulated GEMM
 # ---------------------------------------------------------------------------
-
-
-class Format(str, Enum):
-    REFERENCE = "reference"
-    NVFP4 = "nvfp4"        # 1D 16-element blocks (activations, gradients)
-    NVFP4_2D = "nvfp4_2d"  # 16x16 tiles (weights)
-    MXFP8 = "mxfp8"
 
 
 def _qdq(data: np.ndarray, fmt: Format, axis: int, mode: RoundingMode = NEAREST_EVEN) -> np.ndarray:
@@ -633,11 +984,9 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
     if layout_code == 1 and nvfp4 and len(shape) == 2:
-        grid = tuple(-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
-        scales_grid = tuple(n // BLOCK_2D_TILE for n in grid)
+        grid, scales_grid = _grids(Format.NVFP4_2D, shape)
     elif layout_code == 0:
-        grid = _last_axis_grid(shape, BLOCK_1D_SIZE if nvfp4 else MXFP8_BLOCK)
-        scales_grid = grid[:2]
+        grid, scales_grid = _grids(Format.NVFP4 if nvfp4 else Format.MXFP8, shape)
     else:
         raise CheckpointError(f"layout code {layout_code} does not fit tag {tag} and shape {shape}")
     if (codes_shape, scales_shape, n_codes) != (grid, scales_grid, math.prod(grid)):

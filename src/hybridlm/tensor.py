@@ -46,15 +46,21 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # and vectorizes across those independent columns. Two flag rules protect
 # the bits: -ffp-contract=off stops the compiler fusing a multiply and an
 # add into one FMA (one rounding instead of two), and -ffast-math/-Ofast are
-# never used, since they reassociate sums and flush subnormals to zero. On
+# never used, since they reassociate sums and flush subnormals to zero.
+# -fno-trapping-math lets the compiler assume that floating-point
+# operations do not trap, which it needs to vectorize conditional selects
+# such as the quantizers' (quant.py); it changes no rounding, and the
+# GEMM's machine code is the same with or without it. On
 # x86-64, target_clones builds avx512f, avx2 and baseline variants and picks
 # one when the library loads, so a cached build stays portable where
 # -march=native would not. The kernel is single-threaded.
 #
-# The library is cached in $XDG_CACHE_HOME/hybridlm (default
-# ~/.cache/hybridlm), or in <tempdir>/hybridlm-<uid> when that directory is
-# not writable. Its file name hashes the source, the flags and
-# `cc --version`, so a changed kernel or compiler builds afresh. Each build
+# _load_c_kernel builds any C source this way; quant.py's encode/decode
+# kernels come from the same loader. A library is cached in
+# $XDG_CACHE_HOME/hybridlm (default ~/.cache/hybridlm), or in
+# <tempdir>/hybridlm-<uid> when that directory is not writable. Its file
+# name hashes the source, the flags and `cc --version`, so a changed kernel
+# or compiler builds afresh. Each build
 # goes to a temporary file that os.replace moves into place, so processes
 # importing concurrently are safe. A directory that another user owns or
 # can write to is skipped, since a library planted there would be loaded.
@@ -104,7 +110,8 @@ void mm_exact_f32(const float *restrict a, const float *restrict b, float *restr
     }
 }
 """
-_MM_FLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+_MM_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC", "-shared")
+_MM_PROTOTYPE = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 3)
 
 
 def _cache_dirs() -> list[Path]:
@@ -112,11 +119,11 @@ def _cache_dirs() -> list[Path]:
     return [Path(base) / "hybridlm", Path(tempfile.gettempdir()) / f"hybridlm-{os.getuid()}"]
 
 
-def _compile(cc: str, lib: Path) -> None:
+def _compile(cc: str, lib: Path, source: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
     os.close(fd)
     try:
-        subprocess.run([cc, *_MM_FLAGS, "-x", "c", "-", "-o", tmp], input=_MM_SOURCE, text=True,
+        subprocess.run([cc, *_MM_FLAGS, "-x", "c", "-", "-o", tmp], input=source, text=True,
                        capture_output=True, check=True)
         os.replace(tmp, lib)
     finally:
@@ -124,35 +131,33 @@ def _compile(cc: str, lib: Path) -> None:
             os.unlink(tmp)
 
 
-def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc"):
-    """Return the compiled kernel's ctypes entry point, or None.
+def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM_SOURCE,
+                   entry: str = "mm_exact_f32", prototype=_MM_PROTOTYPE):
+    """Return the ctypes function ``entry`` of the C ``source``, typed by ``prototype``, or None.
 
     Reuses a build cached in the first usable directory of ``cache_dirs``,
     or compiles one into it. None means ``cc`` is missing or fails, or no
-    directory is usable.
+    directory is usable. Entry points of one source share one library.
     """
     try:
         version = subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
     except (OSError, subprocess.CalledProcessError):
         return None
-    key = hashlib.sha256("\0".join((_MM_SOURCE, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
+    key = hashlib.sha256("\0".join((source, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
     for d in map(Path, cache_dirs):
-        lib = d / f"mm_exact-{key}.so"
+        lib = d / f"hybridlm-{key}.so"
         try:
             d.mkdir(mode=0o700, parents=True, exist_ok=True)
             st = d.stat()
             if st.st_uid != os.getuid() or st.st_mode & 0o022:
                 continue
             if not lib.exists():
-                _compile(cc, lib)
-            fn = ctypes.CDLL(str(lib)).mm_exact_f32
+                _compile(cc, lib, source)
+            return prototype((entry, ctypes.CDLL(str(lib))))
         except subprocess.CalledProcessError:
             return None
         except OSError:
             continue  # directory not writable, or the library cannot be loaded from it
-        fn.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_ssize_t] * 3
-        fn.restype = None
-        return fn
     return None
 
 

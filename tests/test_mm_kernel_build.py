@@ -1,4 +1,5 @@
-"""Build and load checks for the compiled exact-GEMM kernel.
+"""Build and load checks for the compiled kernels: the exact GEMM and the
+quantizers' encode/decode, built by one loader from their C sources.
 
 Each build test calls the loader directly with its own ``tmp_path`` cache,
 so none depends on what the user's cache holds.
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hybridlm.quant as Q
 import hybridlm.tensor as T
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
@@ -35,6 +37,11 @@ def _operands():
 def test_c_kernel_selected_when_cc_available():
     # A compiler is present, so falling back to numpy here is a build failure.
     assert T._mm_kernel is T._mm_kernel_c
+
+
+@needs_cc
+def test_c_quant_kernels_selected_when_cc_available():
+    assert Q._encode_kernel is Q._encode_kernel_c and Q._decode_kernel is Q._decode_kernel_c
 
 
 @needs_cc
@@ -68,6 +75,17 @@ def test_compile_flags_protect_the_bits(tmp_path, monkeypatch):
     assert len(compiles) == 1
     assert "-ffp-contract=off" in compiles[0]
     assert "-ffast-math" not in compiles[0] and "-Ofast" not in compiles[0]
+    # the quantizer source builds with the same flags into its own library
+    assert T._load_c_kernel([tmp_path], source=Q._QUANT_SOURCE, entry="quant_encode") is not None
+    compiles = [c for c in commands if "-shared" in c]
+    assert len(compiles) == 2 and len(list(tmp_path.glob("*.so"))) == 2
+    # none of these may change a rounding: fused multiply-adds, reassociation,
+    # reciprocals, flushed subnormals or dropped signs of zero
+    unsafe = {"-ffast-math", "-Ofast", "-ffp-contract=fast", "-freciprocal-math", "-fassociative-math",
+              "-ffinite-math-only", "-fno-signed-zeros", "-funsafe-math-optimizations", "-ffp-contract=on"}
+    for cmd in compiles:
+        assert cmd[1:1 + len(T._MM_FLAGS)] == list(T._MM_FLAGS)
+        assert "-ffp-contract=off" in cmd and not unsafe & set(cmd)
 
 
 def test_missing_compiler_yields_none(tmp_path):
@@ -124,3 +142,30 @@ def test_concurrent_first_builds_share_one_library(tmp_path):
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
     files = list(tmp_path.iterdir())  # one library, no temporary files left
     assert len(files) == 1 and files[0].suffix == ".so"
+
+
+def test_import_without_compiler_selects_numpy_quantizer_with_same_bits(tmp_path):
+    x = (np.random.default_rng(3).standard_normal((17, 70)) * 1e-3).astype(np.float32)
+    x[0, :16] = -0.0
+    np.save(tmp_path / "x.npy", x)
+    (tmp_path / "empty").mkdir()
+    script = textwrap.dedent(f"""
+        import numpy as np
+        import hybridlm.quant as Q
+        assert Q._encode_kernel is Q._encode_kernel_numpy and Q._decode_kernel is Q._decode_kernel_numpy
+        x = np.load({str(tmp_path / "x.npy")!r})
+        qs = [Q.quantize_nvfp4(x, mode=Q.stochastic(2)), Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D),
+              Q.quantize_mxfp8(x, Q.stochastic(2))]
+        np.savez({str(tmp_path / "out.npz")!r},
+                 *[np.frombuffer(Q.quantized_to_bytes(q), np.uint8) for q in qs], *[q.dequantize() for q in qs])
+    """)
+    env = dict(os.environ, PATH=str(tmp_path / "empty"), PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path / "cache"))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=120)
+    with np.load(tmp_path / "out.npz") as out:
+        got = [out[f"arr_{i}"] for i in range(6)]
+    qs = [Q.quantize_nvfp4(x, mode=Q.stochastic(2)), Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D),
+          Q.quantize_mxfp8(x, Q.stochastic(2))]
+    for i, q in enumerate(qs):
+        assert got[i].tobytes() == Q.quantized_to_bytes(q)
+        assert got[3 + i].view(np.uint32).tobytes() == q.dequantize().view(np.uint32).tobytes()
+    assert not (tmp_path / "cache").exists()

@@ -6,8 +6,11 @@ Microscaling Formats (MX) v1.0 values.
 """
 
 import hashlib
+import math
 import struct
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -350,6 +353,18 @@ def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed):
     assert out.dtype == np.float64 and np.abs(out - a @ b).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 16, 256])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**40 + 3])
+def test_random_hadamard_matches_the_doubling_construction(n, seed):
+    h = np.ones((1, 1), np.float64)
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    d = np.random.Generator(np.random.Philox(key=seed)).integers(0, 2, n) * 2 - 1
+    expected = np.ones((1, 1), np.float32) if n == 1 else (h * d[None, :] / np.sqrt(n)).astype(np.float32)
+    assert Q.random_hadamard(n, seed).tobytes() == expected.tobytes()
+    assert Q.random_hadamard(n, seed).flags.writeable  # callers get their own array
+
+
 def test_nvfp4_weight_gradient_points_along_the_reference():
     rng = np.random.default_rng(3)
     x = T.Tensor(rng.standard_normal((128, 64)).astype(np.float32), requires_grad=True)
@@ -444,6 +459,190 @@ def test_quantized_linear_rejects_unknown_formats():
         loss = T.sum_all(Q.quantized_linear(x, w, Q.LinearPrecision(grad_format="fp16")))
     with pytest.raises(ConfigError):
         T.backward(tape, loss)
+
+
+# ---------------------------------------------------------------------------
+# both encode/decode paths: the C kernels and the numpy fallback
+# ---------------------------------------------------------------------------
+
+# The C path is skipped only where it was not built; test_mm_kernel_build.py
+# fails when a compiler is present and the C kernels were not selected.
+needs_c = pytest.mark.skipif(Q._C_ENCODE is None, reason="C kernels not built")
+PATHS = [pytest.param("c", marks=needs_c), "numpy"]
+FORMATS = [Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.MXFP8]
+
+
+@contextmanager
+def on_path(path):
+    with mock.patch.object(Q, "_encode_kernel", getattr(Q, f"_encode_kernel_{path}")), \
+            mock.patch.object(Q, "_decode_kernel", getattr(Q, f"_decode_kernel_{path}")):
+        yield
+
+
+def quantize(fmt, x, mode=Q.NEAREST_EVEN):
+    if fmt == Q.Format.MXFP8:
+        return Q.quantize_mxfp8(x, mode)
+    return Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D if fmt == Q.Format.NVFP4_2D else Q.Layout.BLOCK_1D, mode)
+
+
+def assert_same_codes(q, r):
+    """Same codes, scales and global scale."""
+    assert type(q) is type(r) and q.shape == r.shape
+    for name in ("codes", "block_scales", "scale_exps"):
+        a, b = getattr(q, name, None), getattr(r, name, None)
+        assert (a is None and b is None) or (a.dtype == b.dtype and np.array_equal(a, b)), name
+    if isinstance(q, Q.QuantizedTensorNVFP4):
+        assert np.float32(q.global_scale).view(np.uint32) == np.float32(r.global_scale).view(np.uint32)
+
+
+def on_both_paths(fmt, x, mode):
+    """Quantize and dequantize ``x`` on the C and the numpy path, check that both give the same codes
+    and the same dequantized bits (so the sign of zero counts), and return the C path's pair."""
+    results = []
+    for path in ("c", "numpy"):
+        # within a block scale of float32's largest value both paths can
+        # decode a code rounded up past it to inf; numpy also warns there
+        with on_path(path), np.errstate(over="ignore"):
+            q = quantize(fmt, x, mode)
+            results.append((q, q.dequantize()))
+    (q, out), (r, ref) = results
+    assert_same_codes(q, r)
+    assert out.shape == ref.shape == x.shape and out.dtype == ref.dtype == np.float32
+    assert np.array_equal(out.view(np.uint32), ref.view(np.uint32))
+    return q, out
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_hashes_on_each_path(path, name):
+    with on_path(path):
+        test_golden_codes_scales_and_bytes(name)
+        if name == "nvfp4_1d":
+            test_golden_leading_codes_and_scales()
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("name,shape", sorted(GOLDEN_LINEAR))
+def test_golden_linear_hashes_on_each_path(path, name, shape):
+    with on_path(path):
+        test_golden_quantized_linear_outputs_and_gradients(name, shape)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_stochastic_rounding_draws_one_uniform_per_code_on_each_path(path, fmt):
+    x = golden_input()[:17, :33]
+    shapes = []
+    real = Q.RoundingMode.uniforms
+
+    def spy(mode, shape):
+        shapes.append(shape)
+        return real(mode, shape)
+
+    with on_path(path), mock.patch.object(Q.RoundingMode, "uniforms", spy):
+        q = quantize(fmt, x, Q.stochastic(9))
+        quantize(fmt, x)  # nearest draws nothing
+        assert len(shapes) == 1 and math.prod(shapes[0]) == q.codes.size
+        again = quantize(fmt, x, Q.stochastic(9))
+    assert_same_codes(q, again)
+
+
+def signed_zero_and_subnormal_input() -> np.ndarray:
+    """Blocks of +-0, of subnormals, of values that round to zero next to a large one, and one dead block."""
+    x = np.zeros((32, 48), np.float32)
+    x[0, :16] = np.where(np.arange(16) % 2, -0.0, 0.0)  # dead block holding -0.0
+    x[1, :16] = np.float32(1e-45) * np.arange(-8, 8)
+    x[2, :16] = -np.float32(1e-40)
+    x[3, 0], x[3, 1:16] = 1000.0, -1e-3  # the small ones round to -0
+    x[4:20, 16:32] = np.float32(3e-39) * np.arange(-128, 128).reshape(16, 16)
+    x[21, 3] = -0.0  # in a live block
+    x[21, 4] = 1.0
+    return x
+
+
+# shape and input scale; 1064 columns and the 2D tiles' odd shapes leave partial blocks
+EDGE_CASES = [((), 1.0), ((0, 16), 1.0), ((16, 0), 1.0), ((17, 33), 1.0), ((33, 5), 1e-38), ((5, 33), 1e30),
+              ((3, 1064), 1.0), ((2, 3, 40), 1e-45), ((67, 128), 1.0), ((256, 8), 3.0)]
+
+
+@needs_c
+@pytest.mark.parametrize("mode", [Q.NEAREST_EVEN, Q.stochastic(4)], ids=["nearest", "stochastic"])
+@pytest.mark.parametrize("fmt,shape,scale", [(fmt, shape, scale) for fmt in FORMATS for shape, scale in EDGE_CASES
+                                             if fmt != Q.Format.NVFP4_2D or len(shape) == 2])
+def test_c_and_numpy_paths_agree_on_edge_shapes(fmt, mode, shape, scale):
+    rng = np.random.default_rng(len(shape) * 1000 + sum(shape))
+    x = (rng.standard_normal(shape) * scale).astype(np.float32)
+    x.reshape(-1)[::5] = -0.0
+    on_both_paths(fmt, x, mode)
+
+
+@needs_c
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("mode", [Q.NEAREST_EVEN, Q.stochastic(4)], ids=["nearest", "stochastic"])
+def test_c_and_numpy_paths_agree_on_signed_zeros_and_subnormals(fmt, mode):
+    x = signed_zero_and_subnormal_input()
+    _, out = on_both_paths(fmt, x, mode)
+    if fmt == Q.Format.NVFP4:
+        bits = out.view(np.uint32)
+        assert (bits[0, :16] == 0).all()  # a dead block decodes to +0.0, even where it held -0.0
+        assert (bits[3, 1:16] == 0x80000000).all()  # a live value rounding to zero keeps its sign
+        assert bits[21, 3] == 0x80000000
+
+
+@needs_c
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_c_and_numpy_paths_agree_on_grid_ties(fmt):
+    """The sweep's grid points, midpoints and neighbours at unit block scale, which a leading 6 or 448
+    in every block sets, rounded to nearest and stochastically with every uniform 0.5, which ties
+    with the fraction at each midpoint."""
+    top, block = (448.0, 32) if fmt == Q.Format.MXFP8 else (6.0, 16)
+    vals = sweep_inputs()
+    vals = vals[np.abs(vals) <= top]
+    body = np.zeros(-(-vals.size // (block - 1)) * (block - 1), np.float32)
+    body[:vals.size] = vals
+    x = np.concatenate([np.full((body.size // (block - 1), 1), top, np.float32), body.reshape(-1, block - 1)], axis=1)
+    with mock.patch.object(Q.RoundingMode, "uniforms", lambda mode, shape: np.full(shape, 0.5)):
+        for mode in (Q.NEAREST_EVEN, Q.stochastic(0)):
+            q, _ = on_both_paths(fmt, x, mode)
+    if fmt == Q.Format.MXFP8:
+        assert (q.scale_exps == 0).all()
+    else:
+        assert (Q.decode_e4m3(q.block_scales) * q.global_scale == 1.0).all()
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_raises_on_each_path(path, fmt, bad):
+    name = "quantize_mxfp8" if fmt == Q.Format.MXFP8 else "quantize_nvfp4"
+    for shape, at in [((3, 20), (2, 19)), ((17, 33), (0, 0)), ((16, 16), (15, 15))]:
+        x = np.ones(shape, np.float32)
+        x[at] = bad
+        with on_path(path), pytest.raises(NumericInputError, match=f"^{name} requires finite inputs$"):
+            quantize(fmt, x, Q.stochastic(1))
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_nan_codes_do_not_decode_on_each_path(path):
+    nvfp4, _, mxfp8 = serialized_cases()
+    scales = nvfp4.block_scales.copy()
+    scales[0, 1] = 0xFF
+    codes = mxfp8.codes.copy()
+    codes[-1, -1, -1] = 0x7F  # in the padding: the numpy path checks the whole grid
+    for q in (replace(nvfp4, block_scales=scales), replace(mxfp8, codes=codes)):
+        with on_path(path), pytest.raises(NumericInputError, match="NaN E4M3 code"):
+            q.dequantize()
+
+
+@needs_c
+@settings(max_examples=150, deadline=None)
+@given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
+                  elements=st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)),
+       st.integers(0, 2**32 - 1), st.sampled_from(FORMATS), st.booleans())
+def test_c_encode_matches_numpy_encode_property(x, seed, fmt, sr):
+    if fmt == Q.Format.NVFP4_2D and x.ndim != 2:
+        x = x.reshape(1, -1)
+    on_both_paths(fmt, x, Q.stochastic(seed) if sr else Q.NEAREST_EVEN)
 
 
 # ---------------------------------------------------------------------------

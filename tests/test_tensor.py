@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hybridlm.quant as Q
 import hybridlm.tensor as T
-from hybridlm.errors import ContractError, NumericInputError, ShapeError, TokenIndexError
+from hybridlm.errors import ConfigError, ContractError, NumericInputError, ShapeError, TokenIndexError
 
 
 def _rand(shape, seed, std=1.0):
@@ -709,6 +710,13 @@ TYPED_ERRORS = {
     "mamba_scan_a_coef_one": (ShapeError, lambda: _scan(a_coef=(1,))),
     "mamba_scan_c_out_wrong_n": (ShapeError, lambda: _scan(c_out=(4, 6))),
     "mamba_scan_d_skip_wrong_h": (ShapeError, lambda: _scan(d_skip=(3,))),
+    "rounding_kind_misspelt": (ConfigError, lambda: Q.RoundingMode("stocastic", 3)),
+    "rounding_seed_negative": (ConfigError, lambda: Q.stochastic(-1)),
+    "rounding_seed_past_philox_key": (ConfigError, lambda: Q.stochastic(2**128)),
+    "dequantize_codes_off_grid": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
+        (2, 20), Q.Layout.BLOCK_1D, np.zeros((2, 1, 16), np.uint8), np.zeros((2, 1), np.uint8), 1.0).dequantize()),
+    "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
+        (16,), Q.Layout.BLOCK_2D, np.zeros(16, np.uint8), np.zeros(1, np.uint8), 1.0).dequantize()),
 }
 
 
