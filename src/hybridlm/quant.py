@@ -334,8 +334,16 @@ def _pow2(e: np.ndarray) -> np.ndarray:
 # Kernel contract: the encoder takes a float32 array and a RoundingMode and
 # returns (codes, scales, global scale or None) on the format's grids, and
 # the decoder takes (shape, codes, scales, global scale) already checked
-# against those grids and returns the float32 array. Each returns None for
-# an input it cannot take: a non-finite value, a NaN E4M3 code.
+# against those grids and returns the float32 array. The encoder returns a
+# status in _ENCODE_ERRORS for an input it cannot take, and the decoder None
+# for a NaN E4M3 code.
+
+_ENCODE_ERRORS = {
+    1: "requires finite inputs",
+    # within a block scale of float32's maximum a code can round up past it
+    2: "input rounds to a code that decodes past float32's maximum",
+}
+_FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -349,16 +357,23 @@ def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return grid, grid[:2]
 
 
+def _past_max(grid: _Grid, table: np.ndarray, codes: np.ndarray, scales: np.ndarray) -> bool:
+    """Whether a code's value in ``table`` times its float64 block scale passes float32's maximum."""
+    return grid.max * scales.max(initial=0.0) > _FLT_MAX and bool(
+        (np.abs(table.take(codes)) * scales > _FLT_MAX).any())
+
+
 def _encode_kernel_numpy(fmt: Format, data: np.ndarray, mode: RoundingMode):
     grid, _ = _grids(fmt, data.shape)
     if not np.isfinite(data).all():
-        return None
+        return 1
     if fmt == Format.MXFP8:
         blocks = _last_axis_blocks(data, MXFP8_BLOCK)
         amax = _abs_max_last(blocks)
         e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
         e = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
-        return _encode(blocks / _pow2(e)[:, :, None], _E4M3, mode), e, None
+        codes = _encode(blocks / _pow2(e)[:, :, None], _E4M3, mode)
+        return 2 if _past_max(_E4M3, E4M3_TABLE, codes, np.ldexp(1.0, e)[:, :, None]) else (codes, e, None)
     if fmt == Format.NVFP4:
         blocks = _last_axis_blocks(data, BLOCK_1D_SIZE)  # [rows, blocks, 16]
         amax, per_block = _abs_max_last(blocks), np.s_[:, :, None]
@@ -375,6 +390,8 @@ def _encode_kernel_numpy(fmt: Format, data: np.ndarray, mode: RoundingMode):
     eff[~live] = 1.0
     codes = _encode(blocks / eff[per_block], _E2M1, mode)
     codes *= live[per_block]
+    if _past_max(_E2M1, E2M1_TABLE, codes, eff.astype(np.float64)[per_block]):
+        return 2
     return codes.reshape(grid), scale_codes, g
 
 
@@ -406,6 +423,7 @@ def _decode_kernel_numpy(fmt: Format, shape, codes, scales, g):
 # flag inf and NaN. The source is built with tensor.py's flags, which keep
 # every float operation an IEEE one rounded as written.
 _QUANT_SOURCE = r"""
+#include <float.h>
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
@@ -504,10 +522,21 @@ static inline uint32_t abs_max_bits(const float *x, ptrdiff_t n)
     return m;
 }
 
+/* Does one of the n codes c decode past FLT_MAX under block scale s? */
+static inline int past_max(const uint8_t *c, int n, float s, GRID)
+{
+    if ((double)max * (double)s <= (double)FLT_MAX) return 0;
+    for (int i = 0; i < n; i++)
+        if ((double)value_of(c[i] & ((1u << sb) - 1), mb, emin, top, max, sb) * (double)s > (double)FLT_MAX)
+            return 1;
+    return 0;
+}
+
 /* Encode rows of 16 elements (16 apart in x, stride apart in u and codes)
-   that share one block scale; return its code. */
-static inline uint8_t nvfp4_group(const float *x, int rows, float g, const double *u,
-                                  uint8_t *codes, ptrdiff_t stride)
+   that share one block scale; return its code, or -1 if a code would decode
+   past FLT_MAX. */
+static inline int nvfp4_group(const float *x, int rows, float g, const double *u,
+                              uint8_t *codes, ptrdiff_t stride)
 {
     const float raw = (float)((double)u2f(abs_max_bits(x, 16 * rows)) / (6.0 * (double)g));
     const int32_t scale = round_index(raw, CEIL, E4M3);
@@ -521,8 +550,9 @@ static inline uint8_t nvfp4_group(const float *x, int rows, float g, const doubl
             for (int i = 0; i < 16; i++) c[i] = code_stochastic(xr[i] / eff, u[r * stride + i], E2M1);
         else
             for (int i = 0; i < 16; i++) c[i] = code_nearest(xr[i] / eff, E2M1);
+        if (past_max(c, 16, eff, E2M1)) return -1;
     }
-    return (uint8_t)scale;
+    return scale;
 }
 
 static inline int mxfp8_encode(const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
@@ -550,13 +580,15 @@ static inline int mxfp8_encode(const float *x, ptrdiff_t rows, ptrdiff_t cols, c
                 for (int i = 0; i < 32; i++) c[i] = code_stochastic(src[i] / s, u[32 * k + i], E4M3);
             else
                 for (int i = 0; i < 32; i++) c[i] = code_nearest(src[i] / s, E4M3);
+            if (past_max(c, 32, s, E4M3)) return 2;
         }
     return 0;
 }
 
 /* Codes and scales of the [rows, cols] float32 matrix x in format fmt, with
    uniforms u over the code grid for stochastic rounding (NULL: nearest);
-   the NVFP4 global scale goes to *g. Returns 1 if x is not finite. */
+   the NVFP4 global scale goes to *g. Returns 1 if x is not finite, 2 if a
+   code would decode past FLT_MAX (x within a block scale of it). */
 CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
                         uint8_t *codes, void *scales, float *g)
 {
@@ -579,7 +611,9 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
                     memcpy(pad, src, (size_t)w * sizeof *src);
                     src = pad;
                 }
-                sc[k] = nvfp4_group(src, 1, gs, u ? u + 16 * k : NULL, codes + 16 * k, 16);
+                const int scale = nvfp4_group(src, 1, gs, u ? u + 16 * k : NULL, codes + 16 * k, 16);
+                if (scale < 0) return 2;
+                sc[k] = (uint8_t)scale;
             }
         return 0;
     }
@@ -590,7 +624,9 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
             memset(pad, 0, sizeof pad);
             for (ptrdiff_t i = 0; i < h; i++)
                 memcpy(pad + 16 * i, x + (16 * t + i) * cols + 16 * b, (size_t)w * sizeof *x);
-            sc[t * nb + b] = nvfp4_group(pad, 16, gs, u ? u + at : NULL, codes + at, pc);
+            const int scale = nvfp4_group(pad, 16, gs, u ? u + at : NULL, codes + at, pc);
+            if (scale < 0) return 2;
+            sc[t * nb + b] = (uint8_t)scale;
         }
     return 0;
 }
@@ -640,10 +676,9 @@ def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
     codes = np.empty(grid, np.uint8)
     scales = np.empty(scales_grid, np.int16 if fmt == Format.MXFP8 else np.uint8)
     g = np.zeros(1, np.float32)
-    if _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if u is None else u.ctypes.data,
-                 codes.ctypes.data, scales.ctypes.data, g.ctypes.data):
-        return None
-    return codes, scales, None if fmt == Format.MXFP8 else g[0]
+    status = _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if u is None else u.ctypes.data,
+                       codes.ctypes.data, scales.ctypes.data, g.ctypes.data)
+    return status or (codes, scales, None if fmt == Format.MXFP8 else g[0])
 
 
 def _decode_kernel_c(fmt: Format, shape, codes, scales, g):
@@ -684,8 +719,8 @@ def quantize_nvfp4(
     if layout not in (Layout.BLOCK_1D, Layout.BLOCK_2D):  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
     encoded = _encode_kernel(Format.NVFP4 if layout == Layout.BLOCK_1D else Format.NVFP4_2D, data, mode)
-    if encoded is None:
-        raise NumericInputError("quantize_nvfp4 requires finite inputs")
+    if isinstance(encoded, int):
+        raise NumericInputError(f"quantize_nvfp4 {_ENCODE_ERRORS[encoded]}")
     return QuantizedTensorNVFP4(data.shape, layout, *encoded)
 
 
@@ -697,8 +732,8 @@ def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> Quant
     """
     data = np.asarray(data, np.float32)
     encoded = _encode_kernel(Format.MXFP8, data, mode)
-    if encoded is None:
-        raise NumericInputError("quantize_mxfp8 requires finite inputs")
+    if isinstance(encoded, int):
+        raise NumericInputError(f"quantize_mxfp8 {_ENCODE_ERRORS[encoded]}")
     return QuantizedTensorMXFP8(data.shape, *encoded[:2])
 
 

@@ -41,9 +41,17 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # rounding the product and then the sum to float32.
 #
 # The fast kernel is the C source in _MM_SOURCE. On first import the local
-# `cc` compiles it into a shared library, which ctypes loads. It keeps a
-# 4-row by 32-column block of sums in a local accumulator per pass over k
-# and vectorizes across those independent columns. Two flag rules protect
+# `cc` compiles it into a shared library, which ctypes loads. It reads A and
+# B through element strides, so transposed and sliced views need no copy.
+# For each panel of 64 columns of B (32 or 16 when the panel is that narrow)
+# and each block of up to 128 values of k (KC), it packs the panel into a
+# contiguous stack buffer, then sweeps the rows of A in tiles of 6 rows (12
+# for the narrow panels). A tile's sums stay in 24 (or 12) 16-float vectors,
+# registers under AVX-512, while k runs through the block and go back to
+# `out` after it; the next block resumes from `out`, so each sum still sees
+# k in increasing order with one product and one sum rounding per step. A tile that overhangs the
+# last rows or columns repeats the last row and pads the panel with zeros,
+# and only its real rows and columns are stored. Two flag rules protect
 # the bits: -ffp-contract=off stops the compiler fusing a multiply and an
 # add into one FMA (one rounding instead of two), and -ffast-math/-Ofast are
 # never used, since they reassociate sums and flush subnormals to zero.
@@ -53,7 +61,9 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # GEMM's machine code is the same with or without it. On
 # x86-64, target_clones builds avx512f, avx2 and baseline variants and picks
 # one when the library loads, so a cached build stays portable where
-# -march=native would not. The kernel is single-threaded.
+# -march=native would not. The kernel is single-threaded: splitting rows
+# over two threads gave no reliable end-to-end gain on a 2-vCPU host whose
+# cores also serve numpy's BLAS calls.
 #
 # _load_c_kernel builds any C source this way; quant.py's encode/decode
 # kernels come from the same loader. A library is cached in
@@ -70,48 +80,93 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 _MM_SOURCE = r"""
 #include <stddef.h>
 
+typedef float vf __attribute__((vector_size(64)));
+typedef float vfu __attribute__((vector_size(64), aligned(4)));
+
+enum { VW = 16, KC = 128, NP = 64 };
+
+/* out[0:rows, 0:w] (row stride n) += a[0:rows, 0:kc] @ bp, in k order, for
+   an MR x NV*VW tile; bp is the packed panel, NV*VW floats per k. */
+static inline __attribute__((always_inline)) void
+mm_tile(const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, const float *restrict bp,
+        float *restrict out, ptrdiff_t n, ptrdiff_t w, ptrdiff_t kc, const int MR, const int NV)
+{
+    const int full = rows == MR && w == NV * VW;
+    const float *ar[12];
+    vf acc[12][4], bv[4];
+    float t[12 * NP] __attribute__((aligned(64)));
+    if (!full)
+        for (ptrdiff_t r = 0; r < MR; r++)
+            for (ptrdiff_t j = 0; j < NV * VW; j++)
+                t[r * NP + j] = r < rows && j < w ? out[r * n + j] : 0.0f;
+#pragma GCC unroll 12
+    for (int r = 0; r < MR; r++) {
+        ar[r] = a + (r < rows ? r : rows - 1) * sa0;
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; v++)
+            acc[r][v] = full ? *(const vfu *)(out + r * n + v * VW) : *(const vf *)(t + r * NP + v * VW);
+    }
+    for (ptrdiff_t k = 0; k < kc; k++) {
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; v++)
+            bv[v] = *(const vf *)(bp + (k * NV + v) * VW);
+#pragma GCC unroll 12
+        for (int r = 0; r < MR; r++) {
+            const float x = ar[r][k * sa1];
+#pragma GCC unroll 4
+            for (int v = 0; v < NV; v++)
+                acc[r][v] += x * bv[v];
+        }
+    }
+#pragma GCC unroll 12
+    for (int r = 0; r < MR; r++)
+#pragma GCC unroll 4
+        for (int v = 0; v < NV; v++)
+            if (full)
+                *(vfu *)(out + r * n + v * VW) = acc[r][v];
+            else
+                *(vf *)(t + r * NP + v * VW) = acc[r][v];
+    if (!full)
+        for (ptrdiff_t r = 0; r < rows; r++)
+            for (ptrdiff_t j = 0; j < w; j++)
+                out[r * n + j] = t[r * NP + j];
+}
+
 #if defined(__x86_64__)
 __attribute__((target_clones("avx512f", "avx2", "default")))
 #endif
 void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
-                  ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n)
+                  ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+                  ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
-    enum { JB = 32 };
-    ptrdiff_t i = 0;
-    for (; i + 4 <= m; i += 4) {
-        const float *a0 = a + i * kk;
-        for (ptrdiff_t j0 = 0; j0 < n; j0 += JB) {
-            const ptrdiff_t w = n - j0 < JB ? n - j0 : JB;
-            float acc[4][JB] = {{0}};
-            for (ptrdiff_t k = 0; k < kk; k++) {
-                const float x0 = a0[k], x1 = a0[kk + k], x2 = a0[2 * kk + k], x3 = a0[3 * kk + k];
-                const float *bk = b + k * n + j0;
-                for (ptrdiff_t j = 0; j < w; j++) {
-                    const float y = bk[j];
-                    acc[0][j] += x0 * y;
-                    acc[1][j] += x1 * y;
-                    acc[2][j] += x2 * y;
-                    acc[3][j] += x3 * y;
-                }
+    float bp[KC * NP] __attribute__((aligned(64)));
+    for (ptrdiff_t j0 = 0; j0 < n; j0 += NP) {
+        const ptrdiff_t w = n - j0 < NP ? n - j0 : NP;
+        const ptrdiff_t pw = w <= NP / 4 ? NP / 4 : w <= NP / 2 ? NP / 2 : NP;
+        for (ptrdiff_t k0 = 0; k0 < kk; k0 += KC) {
+            const ptrdiff_t kc = kk - k0 < KC ? kk - k0 : KC;
+            for (ptrdiff_t k = 0; k < kc; k++) {
+                const float *bk = b + (k0 + k) * sb0 + j0 * sb1;
+                for (ptrdiff_t j = 0; j < pw; j++)
+                    bp[k * pw + j] = j < w ? bk[j * sb1] : 0.0f;
             }
-            for (int r = 0; r < 4; r++)
-                for (ptrdiff_t j = 0; j < w; j++)
-                    out[(i + r) * n + j0 + j] += acc[r][j];
-        }
-    }
-    for (; i < m; i++) {
-        float *o = out + i * n;
-        for (ptrdiff_t k = 0; k < kk; k++) {
-            const float x = a[i * kk + k];
-            const float *bk = b + k * n;
-            for (ptrdiff_t j = 0; j < n; j++)
-                o[j] += x * bk[j];
+            const float *ak = a + k0 * sa1;
+            for (ptrdiff_t i = 0, mr = pw == NP ? 6 : 12; i < m; i += mr) {
+                const ptrdiff_t rows = m - i < mr ? m - i : mr;
+                float *o = out + i * n + j0;
+                if (pw == NP)
+                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 6, 4);
+                else if (pw == NP / 2)
+                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 12, 2);
+                else
+                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 12, 1);
+            }
         }
     }
 }
 """
 _MM_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC", "-shared")
-_MM_PROTOTYPE = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 3)
+_MM_PROTOTYPE = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)
 
 
 def _cache_dirs() -> list[Path]:
@@ -164,13 +219,15 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
 _C_KERNEL = _load_c_kernel(_cache_dirs())
 
 
-# Kernel contract: ``a`` (m, k), ``b`` (k, n) and ``out`` (m, n) are
-# C-contiguous float32 and ``out`` is zero-filled; the kernel adds a @ b into
-# it in the oracle's order and returns it.
+# Kernel contract: ``a`` (m, k) and ``b`` (k, n) are float32 arrays whose
+# strides are non-negative multiples of 4 bytes, so views such as ``x.T`` or
+# slices qualify; ``out`` (m, n) is C-contiguous float32 and zero-filled. The
+# kernel adds a @ b into ``out`` in the oracle's order and returns it.
 
 
 def _mm_kernel_c(a, b, out):
-    _C_KERNEL(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
+    _C_KERNEL(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
+              *(s // 4 for s in a.strides + b.strides))
     return out
 
 
@@ -183,6 +240,13 @@ def _mm_kernel_numpy(a, b, out):
 _mm_kernel = _mm_kernel_numpy if _C_KERNEL is None else _mm_kernel_c
 
 
+def _kernel_operand(x: np.ndarray) -> np.ndarray:
+    """``x`` itself when the kernel contract admits it, else a C-contiguous float32 copy."""
+    if x.dtype == np.float32 and all(s >= 0 and s % 4 == 0 for s in x.strides):
+        return x
+    return np.ascontiguousarray(x, np.float32)
+
+
 def matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Raw float matmul with fixed k-increasing accumulation order."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -192,7 +256,7 @@ def matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # there because the extra precision swamps reassociation effects.
         return np.asarray(a, np.float64) @ np.asarray(b, np.float64)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
-    return _mm_kernel(np.ascontiguousarray(a, np.float32), np.ascontiguousarray(b, np.float32), out)
+    return _mm_kernel(_kernel_operand(a), _kernel_operand(b), out)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ SRC = str(Path(T.__file__).resolve().parents[1])
 
 def _run_kernel(fn, a, b):
     out = np.zeros((a.shape[0], b.shape[1]), np.float32)
-    fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1])
+    fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
+       *(s // 4 for s in a.strides + b.strides))
     return out
 
 

@@ -497,14 +497,20 @@ def assert_same_codes(q, r):
 
 def on_both_paths(fmt, x, mode):
     """Quantize and dequantize ``x`` on the C and the numpy path, check that both give the same codes
-    and the same dequantized bits (so the sign of zero counts), and return the C path's pair."""
+    and the same dequantized bits (so the sign of zero counts), and return the C path's pair. If
+    either path raises NumericInputError, both must raise it with the same message; that is re-raised."""
     results = []
     for path in ("c", "numpy"):
-        # within a block scale of float32's largest value both paths can
-        # decode a code rounded up past it to inf; numpy also warns there
-        with on_path(path), np.errstate(over="ignore"):
-            q = quantize(fmt, x, mode)
+        with on_path(path):
+            try:
+                q = quantize(fmt, x, mode)
+            except NumericInputError as e:
+                results.append(e)
+                continue
             results.append((q, q.dequantize()))
+    if any(isinstance(r, NumericInputError) for r in results):
+        assert [type(r) for r in results] == [NumericInputError] * 2 and str(results[0]) == str(results[1])
+        raise results[0]
     (q, out), (r, ref) = results
     assert_same_codes(q, r)
     assert out.shape == ref.shape == x.shape and out.dtype == ref.dtype == np.float32
@@ -622,6 +628,60 @@ def test_non_finite_input_raises_on_each_path(path, fmt, bad):
             quantize(fmt, x, Q.stochastic(1))
 
 
+PAST_MAX = "input rounds to a code that decodes past float32's maximum"
+FLT_MAX = np.finfo(np.float32).max
+# The largest inputs whose codes decode finite when rounded to nearest. NVFP4: above
+# 2688 * 2^116 the global scale is 2^117, a block maximum past 320 * 6 * 2^117 gets block
+# scale 352 (rounded up), and its code, 6, decodes to 2112 * 2^117 > 2^128. MXFP8: above
+# 448 * 2^119 the block exponent is 120, and x / 2^120 at or past 248 rounds to 256 (a
+# tie goes to 256, the even code), which decodes to 2^128.
+LARGEST_FINITE = {Q.Format.NVFP4: np.float32(1920 * 2.0**117), Q.Format.NVFP4_2D: np.float32(1920 * 2.0**117),
+                  Q.Format.MXFP8: np.nextafter(np.float32(248 * 2.0**120), np.float32(0))}
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("big", [3.4e38, FLT_MAX], ids=["3.4e38", "FLT_MAX"])
+def test_codes_decoding_past_float32_max_raise_on_each_path(path, fmt, big):
+    name = "quantize_mxfp8" if fmt == Q.Format.MXFP8 else "quantize_nvfp4"
+    for shape, at in [((1, 1), (0, 0)), ((3, 40), (1, 35)), ((17, 33), (16, 32))]:
+        for sign in (1, -1):
+            x = np.ones(shape, np.float32)
+            x[at] = sign * big
+            with on_path(path), pytest.raises(NumericInputError, match=f"^{name} {PAST_MAX}$"):
+                quantize(fmt, x)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_largest_inputs_that_do_not_raise_decode_finite_on_each_path(path, fmt):
+    top = LARGEST_FINITE[fmt]
+    for shape, at in [((1, 1), (0, 0)), ((17, 33), (16, 32))]:
+        for sign in (1, -1):
+            x = np.ones(shape, np.float32)
+            x[at] = sign * top
+            with on_path(path):
+                out = quantize(fmt, x).dequantize()
+                assert np.isfinite(out).all() and abs(out[at]) <= FLT_MAX
+                x[at] = sign * np.nextafter(top, np.float32(np.inf))
+                with pytest.raises(NumericInputError, match=PAST_MAX):
+                    quantize(fmt, x)
+    # near the top, stochastic rounding may round either way: each input raises or decodes finite
+    outcomes = set()
+    for v in np.linspace(0.9 * float(top), float(FLT_MAX), 48).astype(np.float32):
+        for seed in range(4):
+            with on_path(path):
+                try:
+                    out = quantize(fmt, np.full((1, 1), v), Q.stochastic(seed)).dequantize()
+                except NumericInputError as e:
+                    assert str(e).endswith(PAST_MAX)
+                    outcomes.add("raised")
+                else:
+                    assert np.isfinite(out).all()
+                    outcomes.add("finite")
+    assert outcomes == {"raised", "finite"}
+
+
 @pytest.mark.parametrize("path", PATHS)
 def test_nan_codes_do_not_decode_on_each_path(path):
     nvfp4, _, mxfp8 = serialized_cases()
@@ -642,7 +702,12 @@ def test_nan_codes_do_not_decode_on_each_path(path):
 def test_c_encode_matches_numpy_encode_property(x, seed, fmt, sr):
     if fmt == Q.Format.NVFP4_2D and x.ndim != 2:
         x = x.reshape(1, -1)
-    on_both_paths(fmt, x, Q.stochastic(seed) if sr else Q.NEAREST_EVEN)
+    try:
+        _, out = on_both_paths(fmt, x, Q.stochastic(seed) if sr else Q.NEAREST_EVEN)
+    except NumericInputError as e:  # near float32's maximum; both paths raised alike
+        assert str(e).endswith(PAST_MAX)
+    else:
+        assert np.isfinite(out).all()
 
 
 # ---------------------------------------------------------------------------

@@ -96,13 +96,35 @@ def _assert_same_bits(x, y):
     assert np.array_equal(x[keep].view(np.uint32), y[keep].view(np.uint32))
 
 
+def _sequential_sum(a, b):
+    """matmul_oracle's rounding sequence vectorized over the output, for shapes too large for its
+    scalar loop: start from +0, then for k = 0, 1, ... add the float32 products a[:, k] b[k, :]."""
+    out = np.zeros((a.shape[0], b.shape[1]), np.float32)
+    for k in range(a.shape[1]):
+        out = out + np.multiply.outer(a[:, k], b[k])
+    return out
+
+
+def _transposed_layout(x):
+    """``x``'s values, held as the transpose of a C-contiguous array."""
+    return np.ascontiguousarray(x.T).T
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernel_matches_oracle_on_edge_shapes(kernel):
-    # m covers the 4-row blocks and their leftovers; n covers SIMD tails and
-    # the 32-column tiles; any of m, k, n may be 0.
-    for m, k, n in itertools.product((0, 1, 3, 4, 5, 9), (0, 1, 2, 17), (0, 1, 15, 16, 17, 33, 65)):
-        a, b = _rand((m, k), m * 100 + k), _rand((k, n), k * 100 + n)
-        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(a, b))
+    # m covers the 6- and 12-row tiles and their leftovers; n covers the
+    # 16-, 32- and 64-column panels and their zero-padded tails; k = 300
+    # spans three 128-deep blocks that resume from the stored partial sums;
+    # any of m, k, n may be 0. Each operand also arrives as a transposed view.
+    for m, k, n in itertools.product((0, 1, 5, 6, 7, 11, 12, 13, 25), (0, 1, 17, 300),
+                                     (0, 1, 31, 32, 33, 63, 64, 65, 129)):
+        a, b = _rand((m, k), m * 1000 + k), _rand((k, n), k * 1000 + n)
+        want = _sequential_sum(a, b)
+        at, bt = _transposed_layout(a), _transposed_layout(b)
+        for x, y in ((a, b), (at, b), (a, bt), (at, bt)):
+            _assert_same_bits(_mm(kernel, x, y), want)
+    a, b = _rand((13, 17), 1), _rand((17, 65), 2)  # the vectorized sum is the oracle's
+    _assert_same_bits(_sequential_sum(a, b), T.matmul_oracle(a, b))
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -152,16 +174,48 @@ def test_kernel_propagates_inf_and_nan(kernel):
     assert np.isnan(out).any() and np.isinf(out).any()
 
 
+@st.composite
+def _operand(draw, shape):
+    """A float32 array of ``shape``: C-contiguous, a transposed view, or a strided slice of a larger one."""
+    elems = st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    kind = draw(st.sampled_from(["contiguous", "transposed", "sliced"]))
+    if kind == "contiguous":
+        return draw(hnp.arrays(np.float32, shape, elements=elems))
+    if kind == "transposed":
+        return draw(hnp.arrays(np.float32, shape[::-1], elements=elems)).T
+    step = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    base = draw(hnp.arrays(np.float32, (shape[0] * step[0] + 1, shape[1] * step[1] + 2), elements=elems))
+    return base[1 : 1 + shape[0] * step[0] : step[0], 2 : 2 + shape[1] * step[1] : step[1]]
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_oracle_property(kernel, data):
-    m, k, n = (data.draw(st.integers(0, 9)) for _ in range(3))
-    elems = st.floats(width=32, allow_nan=True, allow_infinity=True, allow_subnormal=True)
-    a = data.draw(hnp.arrays(np.float32, (m, k), elements=elems))
-    b = data.draw(hnp.arrays(np.float32, (k, n), elements=elems))
+    # up to 14 rows and 70 columns: tails of both tile heights and of the 64-column panel
+    m, k, n = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 12)), data.draw(st.integers(0, 70))
+    a, b = data.draw(_operand((m, k))), data.draw(_operand((k, n)))
     with np.errstate(all="ignore"):
         _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(a, b))
+
+
+def test_matmul_exact_hands_views_to_the_kernel_without_copies():
+    seen, kernel = [], T._mm_kernel
+
+    def spy(a, b, out):
+        seen.append((a, b))
+        return kernel(a, b, out)
+
+    x, w, g = _rand((7, 5), 61), _rand((9, 5), 62), _rand((7, 9), 63)
+    with mock.patch.object(T, "_mm_kernel", spy):
+        for a, b in ((x, w.T), (x.T, g), (x[1:6:2, ::2], w[::3, ::2].T)):  # ABᵀ, AᵀB, strided slices
+            _assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
+            assert np.shares_memory(seen[-1][0], a) and np.shares_memory(seen[-1][1], b)
+        # a negative stride is copied, and still matches the oracle
+        a = x[::-1]
+        _assert_same_bits(T.matmul_exact(a, w.T), T.matmul_oracle(a, w.T))
+        assert not np.shares_memory(seen[-1][0], x) and seen[-1][0].flags.c_contiguous
+        assert np.shares_memory(seen[-1][1], w)
 
 
 @pytest.mark.skipif(T._C_KERNEL is None, reason="C kernel not built")
