@@ -226,9 +226,11 @@ class Format(str, Enum):
     MXFP8 = "mxfp8"
 
 
-BLOCK_1D_SIZE = 16
-BLOCK_2D_TILE = 16
-MXFP8_BLOCK = 32
+# (block rows, block cols) of each format's blocks over an array's [rows, cols]
+# matrix: the last axis, and the product of the others as rows
+_BLOCK = {Format.NVFP4: (1, 16), Format.NVFP4_2D: (16, 16), Format.MXFP8: (1, 32)}
+BLOCK_1D_SIZE, BLOCK_2D_TILE, MXFP8_BLOCK = (_BLOCK[f][1] for f in (Format.NVFP4, Format.NVFP4_2D, Format.MXFP8))
+_LAYOUT_FORMAT = {Layout.BLOCK_1D: Format.NVFP4, Layout.BLOCK_2D: Format.NVFP4_2D}
 
 
 def _matrix(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -236,37 +238,15 @@ def _matrix(shape: tuple[int, ...]) -> tuple[int, int]:
     return math.prod(shape[:-1]), shape[-1] if shape else 1
 
 
-def _last_axis_grid(shape: tuple[int, ...], block: int) -> tuple[int, int, int]:
-    """[rows, blocks, block] grid of zero-padded blocks along the last axis."""
-    rows, cols = _matrix(shape)
-    return rows, -(-cols // block), block
-
-
-def _last_axis_blocks(data: np.ndarray, block: int) -> np.ndarray:
-    """``data`` on its ``_last_axis_grid``; copies only to pad or to make it contiguous."""
-    rows, nblk, _ = grid = _last_axis_grid(data.shape, block)
-    cols = _matrix(data.shape)[1]
-    flat = data.reshape(rows, cols)
-    if cols % block:
-        flat = np.pad(flat, ((0, 0), (0, nblk * block - cols)))
-    return flat.reshape(grid)
-
-
-def _abs_max_last(x: np.ndarray) -> np.ndarray:
-    """max(|x|) over a last axis of power-of-two length, by halving: two to
-    three times faster than numpy's reduction over a short contiguous axis."""
-    x = np.abs(x)
+def _abs_max_blocks(blocks: np.ndarray) -> np.ndarray:
+    """[nr, nb] max(|x|) of [nr, bh, nb, bw] blocks: over bh, then over bw, a power of two,
+    by halving, two to three times faster than numpy's reduction over a short contiguous axis."""
+    x = np.abs(blocks)
+    x = x.max(axis=1) if x.shape[1] > 1 else x[:, 0]
     while x.shape[-1] > 1:
         half = x.shape[-1] // 2
         x = np.maximum(x[..., :half], x[..., half:])
     return x[..., 0]
-
-
-def _from_last_axis_blocks(blocks: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Inverse of ``_last_axis_blocks``: drop the padding, restore ``shape``."""
-    rows, nblk, block = blocks.shape
-    cols = _matrix(shape)[1]
-    return np.ascontiguousarray(blocks.reshape(rows, nblk * block)[:, :cols]).reshape(shape)
 
 
 @dataclass
@@ -284,8 +264,7 @@ class QuantizedTensorNVFP4:
     global_scale: np.float32
 
     def dequantize(self) -> np.ndarray:
-        fmt = Format.NVFP4 if self.layout == Layout.BLOCK_1D else Format.NVFP4_2D
-        return _decode(fmt, self.shape, self.codes, self.block_scales, self.global_scale)
+        return _decode(_LAYOUT_FORMAT[self.layout], self.shape, self.codes, self.block_scales, self.global_scale)
 
 
 @dataclass
@@ -327,16 +306,18 @@ def _pow2(e: np.ndarray) -> np.ndarray:
 # Encode/decode kernels
 # ---------------------------------------------------------------------------
 #
-# Each format is encoded and decoded by a kernel pair selected at import:
+# Every format is encoded and decoded by one kernel pair selected at import:
 # the C source in _QUANT_SOURCE, built and loaded like the GEMM kernel in
 # tensor.py, or the numpy code below, which is the tests' oracle and the
 # fallback without a compiler. Both give the same codes, scales and values.
-# Kernel contract: the encoder takes a float32 array and a RoundingMode and
-# returns (codes, scales, global scale or None) on the format's grids, and
-# the decoder takes (shape, codes, scales, global scale) already checked
-# against those grids and returns the float32 array. The encoder returns a
-# status in _ENCODE_ERRORS for an input it cannot take, and the decoder None
-# for a NaN E4M3 code.
+# A format is its block shape in _BLOCK and its scale rule: an E8M0 exponent
+# per block for MXFP8, an E4M3 block scale times a global scale for NVFP4.
+# Kernel contract: the encoder takes a format, a float32 array and a
+# RoundingMode and returns (codes, scales, global scale or None) on the grids
+# _grids derives from the block shape, and the decoder takes (format, shape,
+# codes, scales, global scale) already checked against those grids and
+# returns the float32 array. The encoder returns a status in _ENCODE_ERRORS
+# for an input it cannot take, and the decoder None for a NaN E4M3 code.
 
 _ENCODE_ERRORS = {
     1: "requires finite inputs",
@@ -347,14 +328,26 @@ _FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Shapes of the code grid and the scale grid of a ``fmt`` array of ``shape``."""
-    if fmt == Format.NVFP4_2D:
-        if len(shape) != 2:
-            raise ShapeError(f"2D block layout needs a matrix, got shape {shape}")
-        grid = tuple(-(-n // BLOCK_2D_TILE) * BLOCK_2D_TILE for n in shape)
-        return grid, tuple(n // BLOCK_2D_TILE for n in grid)
-    grid = _last_axis_grid(shape, MXFP8_BLOCK if fmt == Format.MXFP8 else BLOCK_1D_SIZE)
-    return grid, grid[:2]
+    """Shapes of the code grid and the scale grid of a ``fmt`` array of ``shape``: the
+    zero-padded [nr, nb] blocks of its [rows, cols] matrix hold codes on [rows, nb, bw]
+    for 1D blocks and on the padded matrix for 2D tiles, and one scale each."""
+    bh, bw = _BLOCK[fmt]
+    if bh > 1 and len(shape) != 2:
+        raise ShapeError(f"2D block layout needs a matrix, got shape {shape}")
+    rows, cols = _matrix(shape)
+    nr, nb = -(-rows // bh), -(-cols // bw)
+    return ((nr * bh, nb * bw) if bh > 1 else (rows, nb, bw)), (nr, nb)
+
+
+def _blocks(data: np.ndarray, fmt: Format) -> np.ndarray:
+    """``data`` as the zero-padded [nr, bh, nb, bw] blocks of its [rows, cols] matrix,
+    in C order; copies only to pad or to make it contiguous."""
+    (bh, bw), (nr, nb) = _BLOCK[fmt], _grids(fmt, data.shape)[1]
+    rows, cols = _matrix(data.shape)
+    flat = data.reshape(rows, cols)
+    if (rows, cols) != (nr * bh, nb * bw):
+        flat = np.pad(flat, ((0, nr * bh - rows), (0, nb * bw - cols)))
+    return flat.reshape(nr, bh, nb, bw)
 
 
 def _past_max(grid: _Grid, table: np.ndarray, codes: np.ndarray, scales: np.ndarray) -> bool:
@@ -367,61 +360,52 @@ def _encode_kernel_numpy(fmt: Format, data: np.ndarray, mode: RoundingMode):
     grid, _ = _grids(fmt, data.shape)
     if not np.isfinite(data).all():
         return 1
-    if fmt == Format.MXFP8:
-        blocks = _last_axis_blocks(data, MXFP8_BLOCK)
-        amax = _abs_max_last(blocks)
+    blocks = _blocks(data, fmt)
+    amax, g = _abs_max_blocks(blocks), None
+    if fmt == Format.MXFP8:  # E8M0: the smallest power of two that brings amax within +-448
         e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
-        e = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
-        codes = _encode(blocks / _pow2(e)[:, :, None], _E4M3, mode)
-        return 2 if _past_max(_E4M3, E4M3_TABLE, codes, np.ldexp(1.0, e)[:, :, None]) else (codes, e, None)
-    if fmt == Format.NVFP4:
-        blocks = _last_axis_blocks(data, BLOCK_1D_SIZE)  # [rows, blocks, 16]
-        amax, per_block = _abs_max_last(blocks), np.s_[:, :, None]
-    else:
-        pr, pc = grid
-        padded = np.pad(data, ((0, pr - data.shape[0]), (0, pc - data.shape[1]))) if grid != data.shape else data
-        blocks = padded.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
-        amax, per_block = _abs_max_last(np.abs(blocks).max(axis=1)), np.s_[:, None, :, None]
-    g = _pow2_global_scale(float(amax.max(initial=0.0)))
-    raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
-    scale_codes = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
-    eff = E4M3_TABLE.take(scale_codes) * g  # exact: 4-bit significand times a power of two
-    live = eff != 0.0
-    eff[~live] = 1.0
-    codes = _encode(blocks / eff[per_block], _E2M1, mode)
-    codes *= live[per_block]
-    if _past_max(_E2M1, E2M1_TABLE, codes, eff.astype(np.float64)[per_block]):
+        scales = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
+        elem, table, eff = _E4M3, E4M3_TABLE, _pow2(scales)
+    else:  # E4M3 amax / (6 g), rounded up, times the power-of-two global scale g
+        g = _pow2_global_scale(float(amax.max(initial=0.0)))
+        raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
+        scales = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
+        elem, table, eff = _E2M1, E2M1_TABLE, E4M3_TABLE.take(scales) * g  # exact: 4 significand bits times 2^k
+    dead, per_block = eff == 0.0, np.s_[:, None, :, None]  # an NVFP4 block of zeros: scale 0, codes 0
+    eff[dead] = 1.0
+    codes = _encode(blocks / eff[per_block], elem, mode)
+    if dead.any():
+        codes *= ~dead[per_block]
+    if _past_max(elem, table, codes, eff.astype(np.float64)[per_block]):
         return 2
-    return codes.reshape(grid), scale_codes, g
+    return codes.reshape(grid), scales, g
 
 
 def _decode_kernel_numpy(fmt: Format, shape, codes, scales, g):
+    codes = np.asarray(codes, np.uint8)
     if fmt == Format.MXFP8:
-        codes = np.asarray(codes, np.uint8)
         if _has_nan_e4m3(codes):
             return None
-        return _from_last_axis_blocks(E4M3_TABLE.take(codes) * _pow2(scales)[:, :, None], shape)
-    scales = np.asarray(scales, np.uint8)
-    if _has_nan_e4m3(scales):
-        return None
-    vals, scales = decode_e2m1(codes), E4M3_TABLE.take(scales) * g
-    if fmt == Format.NVFP4:
-        return _from_last_axis_blocks(vals * scales[:, :, None], shape)
-    pr, pc = vals.shape
-    tiled = vals.reshape(pr // BLOCK_2D_TILE, BLOCK_2D_TILE, pc // BLOCK_2D_TILE, BLOCK_2D_TILE)
-    out = (tiled * scales[:, None, :, None]).reshape(pr, pc)
-    return np.ascontiguousarray(out[: shape[0], : shape[1]])
+        vals, scales = E4M3_TABLE.take(codes), _pow2(np.asarray(scales))
+    else:
+        scales = np.asarray(scales, np.uint8)
+        if _has_nan_e4m3(scales):
+            return None
+        vals, scales = decode_e2m1(codes), E4M3_TABLE.take(scales) * g
+    (bh, bw), (nr, nb), (rows, cols) = _BLOCK[fmt], scales.shape, _matrix(shape)
+    out = (vals.reshape(nr, bh, nb, bw) * scales[:, None, :, None]).reshape(nr * bh, nb * bw)
+    return np.ascontiguousarray(out[:rows, :cols]).reshape(shape)
 
 
-# Blocks of 16 (NVFP4) or 32 (MXFP8) along the last axis of a [rows, cols]
-# matrix, or 16x16 tiles (NVFP4 2D), zero-padded at the ends; 1D and 2D
-# NVFP4 codes share the row-major padded layout. A block's codes are built
-# one element at a time in _encode's arithmetic: float32 bits for the grid
-# index (rounding by bias and shift), an integer conversion for the
-# subnormal index, u < fraction in double for stochastic rounding. Block
-# maxima are integer maxima of |x|'s bits, which order like the values and
-# flag inf and NaN. The source is built with tensor.py's flags, which keep
-# every float operation an IEEE one rounded as written.
+# The one block table, BH and BW as _BLOCK, cuts the [rows, cols] matrix into
+# blocks zero-padded at the ends, and encode_blocks gives each block its scale
+# and its codes, on the code grid of the numpy encoder. A block's codes are
+# built one element at a time in _encode's arithmetic: float32 bits for the
+# grid index (rounding by bias and shift), an integer conversion for the
+# subnormal index, u < fraction in double for stochastic rounding. Maxima are
+# integer maxima of |x|'s bits, which order like the values and flag inf and
+# NaN. The source is built with tensor.py's flags, which keep every float
+# operation an IEEE one rounded as written.
 _QUANT_SOURCE = r"""
 #include <float.h>
 #include <stddef.h>
@@ -435,6 +419,9 @@ _QUANT_SOURCE = r"""
 #endif
 
 enum { NVFP4_1D, NVFP4_2D, MXFP8 };
+/* rows and columns of a format's blocks, as _BLOCK */
+#define BH(fmt) ((fmt) == NVFP4_2D ? 16 : 1)
+#define BW(fmt) ((fmt) == MXFP8 ? 32 : 16)
 enum { FLOOR, CEIL, NEAREST };
 /* as _Grid: mantissa bits, exponent of the smallest normal, top code, largest magnitude, sign bit */
 #define E2M1 1, 0, 7, 6.0f, 3
@@ -512,16 +499,6 @@ static inline float value_of(uint32_t c, GRID)  /* a decode table entry, for a c
     return u2f(mag | (c >> sb & 1) << 31);
 }
 
-static inline uint32_t abs_max_bits(const float *x, ptrdiff_t n)
-{
-    uint32_t m = 0;
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const uint32_t a = f2u(x[i]) & ABS;
-        m = a > m ? a : m;
-    }
-    return m;
-}
-
 /* Does one of the n codes c decode past FLT_MAX under block scale s? */
 static inline int past_max(const uint8_t *c, int n, float s, GRID)
 {
@@ -532,55 +509,61 @@ static inline int past_max(const uint8_t *c, int n, float s, GRID)
     return 0;
 }
 
-/* Encode rows of 16 elements (16 apart in x, stride apart in u and codes)
-   that share one block scale; return its code, or -1 if a code would decode
-   past FLT_MAX. */
-static inline int nvfp4_group(const float *x, int rows, float g, const double *u,
-                              uint8_t *codes, ptrdiff_t stride)
+/* Scales and codes on element grid GRID of the finite [rows, cols] matrix x
+   in format fmt, a constant once inlined, under NVFP4 global scale g, with
+   uniforms u for stochastic rounding (NULL: nearest): block by block in C
+   order, each full block read in place through row stride cols and each
+   partial one from a zero-padded copy. Returns 2 if a code would decode past
+   FLT_MAX. */
+static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GRID, const float *x, ptrdiff_t rows,
+                                                               ptrdiff_t cols, float g, const double *u,
+                                                               uint8_t *codes, void *scales)
 {
-    const float raw = (float)((double)u2f(abs_max_bits(x, 16 * rows)) / (6.0 * (double)g));
-    const int32_t scale = round_index(raw, CEIL, E4M3);
-    const float eff = value_of((uint32_t)scale, E4M3) * g;
-    for (int r = 0; r < rows; r++) {
-        const float *xr = x + 16 * r;
-        uint8_t *c = codes + r * stride;
-        if (scale == 0)
-            memset(c, 0, 16);
-        else if (u)
-            for (int i = 0; i < 16; i++) c[i] = code_stochastic(xr[i] / eff, u[r * stride + i], E2M1);
-        else
-            for (int i = 0; i < 16; i++) c[i] = code_nearest(xr[i] / eff, E2M1);
-        if (past_max(c, 16, eff, E2M1)) return -1;
-    }
-    return scale;
-}
-
-static inline int mxfp8_encode(const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
-                               uint8_t *codes, int16_t *exps)
-{
-    const ptrdiff_t nb = (cols + 31) / 32;
-    float pad[32];
-    for (ptrdiff_t r = 0; r < rows; r++)
+    const int bh = BH(fmt), bw = BW(fmt);
+    const ptrdiff_t nb = (cols + bw - 1) / bw, pc = bw * nb;
+    float pad[256];
+    for (ptrdiff_t t = 0; bh * t < rows; t++)
         for (ptrdiff_t b = 0; b < nb; b++) {
-            const ptrdiff_t k = r * nb + b, w = cols - 32 * b < 32 ? cols - 32 * b : 32;
-            const float *src = x + r * cols + 32 * b;
-            if (w < 32) {
-                memset(pad, 0, sizeof pad);
-                memcpy(pad, src, (size_t)w * sizeof *src);
+            const ptrdiff_t h = rows - bh * t < bh ? rows - bh * t : bh, w = cols - bw * b < bw ? cols - bw * b : bw;
+            const ptrdiff_t k = t * nb + b, at = bh * t * pc + bw * b;  /* its scale, its first code and uniform */
+            const float *src = x + bh * t * cols + bw * b;
+            ptrdiff_t ld = cols;
+            if (h < bh || w < bw) {
+                memset(pad, 0, sizeof *pad * bh * bw);
+                for (ptrdiff_t i = 0; i < h; i++) memcpy(pad + bw * i, src + cols * i, (size_t)w * sizeof *src);
                 src = pad;
+                ld = bw;
             }
-            const uint32_t amax = abs_max_bits(src, 32);
-            if (amax >= INF) return 1;
-            int e = amax ? pow2_exponent(u2f(amax), 448.0f) : -127;
-            e = e < -127 ? -127 : e > 127 ? 127 : e;
-            exps[k] = (int16_t)e;
-            const float s = pow2f(e);
-            uint8_t *c = codes + 32 * k;
-            if (u)
-                for (int i = 0; i < 32; i++) c[i] = code_stochastic(src[i] / s, u[32 * k + i], E4M3);
-            else
-                for (int i = 0; i < 32; i++) c[i] = code_nearest(src[i] / s, E4M3);
-            if (past_max(c, 32, s, E4M3)) return 2;
+            uint32_t m[32] = {0}, amax = 0;  /* the rows' elementwise maximum, then its maximum */
+            for (int r = 0; r < bh; r++)
+                for (int i = 0; i < bw; i++) {
+                    const uint32_t a = f2u(src[ld * r + i]) & ABS;
+                    m[i] = a > m[i] ? a : m[i];
+                }
+            for (int i = 0; i < bw; i++) amax = m[i] > amax ? m[i] : amax;
+            float s;  /* as _encode_kernel_numpy's scale rules */
+            if (fmt == MXFP8) {
+                int e = amax ? pow2_exponent(u2f(amax), 448.0f) : -127;
+                e = e < -127 ? -127 : e > 127 ? 127 : e;
+                ((int16_t *)scales)[k] = (int16_t)e;
+                s = pow2f(e);
+            } else {
+                const int32_t scale = round_index((float)((double)u2f(amax) / (6.0 * (double)g)), CEIL, E4M3);
+                ((uint8_t *)scales)[k] = (uint8_t)scale;
+                s = value_of((uint32_t)scale, E4M3) * g;
+            }
+            for (int r = 0; r < bh; r++) {
+                const float *xr = src + ld * r;
+                uint8_t *c = codes + at + pc * r;
+                if (s == 0.0f)  /* an NVFP4 block of zeros */
+                    memset(c, 0, (size_t)bw);
+                else if (u)
+                    for (int i = 0; i < bw; i++)
+                        c[i] = code_stochastic(xr[i] / s, u[at + pc * r + i], mb, emin, top, max, sb);
+                else
+                    for (int i = 0; i < bw; i++) c[i] = code_nearest(xr[i] / s, mb, emin, top, max, sb);
+                if (past_max(c, bw, s, mb, emin, top, max, sb)) return 2;
+            }
         }
     return 0;
 }
@@ -592,43 +575,17 @@ static inline int mxfp8_encode(const float *x, ptrdiff_t rows, ptrdiff_t cols, c
 CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
                         uint8_t *codes, void *scales, float *g)
 {
-    if (fmt == MXFP8) return mxfp8_encode(x, rows, cols, u, codes, scales);
-    const uint32_t amax = abs_max_bits(x, rows * cols);
-    if (amax >= INF) return 1;
-    const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* as _pow2_global_scale */
-    const float gs = pow2f(e < -126 ? -126 : e);
-    const ptrdiff_t nb = (cols + 15) / 16, pc = 16 * nb;
-    uint8_t *sc = scales;
-    float pad[256];
-    *g = gs;
-    if (fmt == NVFP4_1D) {
-        for (ptrdiff_t r = 0; r < rows; r++)
-            for (ptrdiff_t b = 0; b < nb; b++) {
-                const ptrdiff_t k = r * nb + b, w = cols - 16 * b < 16 ? cols - 16 * b : 16;
-                const float *src = x + r * cols + 16 * b;
-                if (w < 16) {
-                    memset(pad, 0, 16 * sizeof *pad);
-                    memcpy(pad, src, (size_t)w * sizeof *src);
-                    src = pad;
-                }
-                const int scale = nvfp4_group(src, 1, gs, u ? u + 16 * k : NULL, codes + 16 * k, 16);
-                if (scale < 0) return 2;
-                sc[k] = (uint8_t)scale;
-            }
-        return 0;
+    uint32_t amax = 0;
+    for (ptrdiff_t i = 0; i < rows * cols; i++) {
+        const uint32_t a = f2u(x[i]) & ABS;
+        amax = a > amax ? a : amax;
     }
-    for (ptrdiff_t t = 0; 16 * t < rows; t++)
-        for (ptrdiff_t b = 0; b < nb; b++) {
-            const ptrdiff_t h = rows - 16 * t < 16 ? rows - 16 * t : 16;
-            const ptrdiff_t w = cols - 16 * b < 16 ? cols - 16 * b : 16, at = 16 * t * pc + 16 * b;
-            memset(pad, 0, sizeof pad);
-            for (ptrdiff_t i = 0; i < h; i++)
-                memcpy(pad + 16 * i, x + (16 * t + i) * cols + 16 * b, (size_t)w * sizeof *x);
-            const int scale = nvfp4_group(pad, 16, gs, u ? u + at : NULL, codes + at, pc);
-            if (scale < 0) return 2;
-            sc[t * nb + b] = (uint8_t)scale;
-        }
-    return 0;
+    if (amax >= INF) return 1;
+    if (fmt == MXFP8) return encode_blocks(MXFP8, E4M3, x, rows, cols, 0.0f, u, codes, scales);
+    const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* as _pow2_global_scale */
+    const float gs = *g = pow2f(e < -126 ? -126 : e);
+    return fmt == NVFP4_1D ? encode_blocks(NVFP4_1D, E2M1, x, rows, cols, gs, u, codes, scales)
+                           : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, u, codes, scales);
 }
 
 /* out[rows, cols] from codes and scales on fmt's grids (MXFP8 exponents as
@@ -636,24 +593,22 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
 CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
                         ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
-    const ptrdiff_t block = fmt == MXFP8 ? 32 : 16, nb = (cols + block - 1) / block, pc = block * nb;
-    const ptrdiff_t nscales = fmt == NVFP4_2D ? (rows + 15) / 16 * nb : rows * nb;
+    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, pc = bw * nb;
     const uint8_t *checked = fmt == MXFP8 ? codes : scales;
     uint32_t nan = 0;
-    for (ptrdiff_t i = 0; i < (fmt == MXFP8 ? rows * pc : nscales); i++)
+    for (ptrdiff_t i = 0; i < (fmt == MXFP8 ? rows * pc : (rows + bh - 1) / bh * nb); i++)
         nan |= (checked[i] & 0x7fu) == 0x7fu;
     if (nan) return 1;
     for (ptrdiff_t r = 0; r < rows; r++)
-        for (ptrdiff_t b = 0; b < nb; b++) {
-            const uint8_t *c = codes + r * pc + block * b;
-            float *o = out + r * cols + block * b;
-            const ptrdiff_t w = cols - block * b < block ? cols - block * b : block;
+        for (ptrdiff_t b = 0, k = r / bh * nb; b < nb; b++, k++) {
+            const ptrdiff_t w = cols - bw * b < bw ? cols - bw * b : bw;
+            const uint8_t *c = codes + r * pc + bw * b;
+            float *o = out + r * cols + bw * b;
             if (fmt == MXFP8) {
-                const float s = pow2f(((const int32_t *)scales)[r * nb + b]);
+                const float s = pow2f(((const int32_t *)scales)[k]);
                 for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E4M3) * s;
             } else {
-                const uint8_t code = ((const uint8_t *)scales)[fmt == NVFP4_2D ? r / 16 * nb + b : r * nb + b];
-                const float s = value_of(code, E4M3) * g;
+                const float s = value_of(((const uint8_t *)scales)[k], E4M3) * g;
                 for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E2M1) * s;
             }
         }
@@ -716,9 +671,9 @@ def quantize_nvfp4(
     never clamps. All-zero blocks get scale code 0 and element codes 0.
     """
     data = np.asarray(data, np.float32)
-    if layout not in (Layout.BLOCK_1D, Layout.BLOCK_2D):  # pragma: no cover
+    if layout not in _LAYOUT_FORMAT:  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
-    encoded = _encode_kernel(Format.NVFP4 if layout == Layout.BLOCK_1D else Format.NVFP4_2D, data, mode)
+    encoded = _encode_kernel(_LAYOUT_FORMAT[layout], data, mode)
     if isinstance(encoded, int):
         raise NumericInputError(f"quantize_nvfp4 {_ENCODE_ERRORS[encoded]}")
     return QuantizedTensorNVFP4(data.shape, layout, *encoded)
@@ -985,8 +940,9 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
     """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes, grids that
     disagree with the shape, and scales or codes that no quantizer makes (a
     global scale that is not finite and positive, E4M3 NaN codes, sign-set
-    block scales, exponents outside E8M0) raise ``CheckpointError``; an
-    unknown tag raises ``ConfigError``."""
+    block scales, exponents outside E8M0, block scales or codes that decode
+    past float32's maximum) raise ``CheckpointError``; an unknown tag raises
+    ``ConfigError``."""
     view, off = memoryview(raw), 0
 
     def take(n: int) -> memoryview:
@@ -1018,12 +974,11 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
              else np.frombuffer(take(n_codes), np.uint8))
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
-    if layout_code == 1 and nvfp4 and len(shape) == 2:
-        grid, scales_grid = _grids(Format.NVFP4_2D, shape)
-    elif layout_code == 0:
-        grid, scales_grid = _grids(Format.NVFP4 if nvfp4 else Format.MXFP8, shape)
-    else:
+    layouts = list(_LAYOUT_FORMAT) if nvfp4 else [Layout.BLOCK_1D]
+    if layout_code >= len(layouts) or (layouts[layout_code] == Layout.BLOCK_2D and len(shape) != 2):
         raise CheckpointError(f"layout code {layout_code} does not fit tag {tag} and shape {shape}")
+    fmt = _LAYOUT_FORMAT[layouts[layout_code]] if nvfp4 else Format.MXFP8
+    grid, scales_grid = _grids(fmt, shape)
     if (codes_shape, scales_shape, n_codes) != (grid, scales_grid, math.prod(grid)):
         raise CheckpointError(f"quantized record of shape {shape} holds {n_codes} codes on grid "
                               f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
@@ -1032,9 +987,14 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
         unproducible = not 0 < g < math.inf or (scales > _E4M3.top).any()
     else:
         unproducible = ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any() or ((codes & 0x7F) == 0x7F).any()
+    if not unproducible:  # nor a block scale, or a code times it, past float32's maximum
+        (bh, bw), (nr, nb) = _BLOCK[fmt], scales_grid
+        elem, table, eff = ((_E2M1, E2M1_TABLE, E4M3_TABLE.take(scales) * np.float64(g)) if nvfp4
+                            else (_E4M3, E4M3_TABLE, np.ldexp(1.0, scales)))
+        unproducible = (eff > _FLT_MAX).any() or _past_max(elem, table, codes.reshape(nr, bh, nb, bw),
+                                                             eff[:, None, :, None])
     if unproducible:
         raise CheckpointError(f"quantized record of shape {shape} holds a scale or code no quantizer makes")
     if nvfp4:
-        layout = (Layout.BLOCK_1D, Layout.BLOCK_2D)[layout_code]
-        return QuantizedTensorNVFP4(shape, layout, codes, scales, np.float32(g))
+        return QuantizedTensorNVFP4(shape, layouts[layout_code], codes, scales, np.float32(g))
     return QuantizedTensorMXFP8(shape, codes, scales.astype(np.int16))

@@ -89,6 +89,16 @@ def test_compile_flags_protect_the_bits(tmp_path, monkeypatch):
         assert "-ffp-contract=off" in cmd and not unsafe & set(cmd)
 
 
+@needs_cc
+@pytest.mark.parametrize("name", ["mm", "quant"])
+def test_c_sources_compile_without_warnings(tmp_path, name):
+    # -Wextra is left out: it flags the GRID parameters that a function leaves unused
+    source = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE}[name]
+    cmd = ["cc", *T._MM_FLAGS, "-Wall", "-Werror", "-x", "c", "-", "-o", str(tmp_path / f"{name}.so")]
+    result = subprocess.run(cmd, input=source, text=True, capture_output=True)
+    assert result.returncode == 0, result.stderr
+
+
 def test_missing_compiler_yields_none(tmp_path):
     assert T._load_c_kernel([tmp_path], cc=str(tmp_path / "no-such-cc")) is None
     assert not list(tmp_path.iterdir())

@@ -267,6 +267,33 @@ def test_edge_shapes_round_trip(shape):
         assert back.shape == shape and back.dequantize().tobytes() == out.tobytes()
 
 
+# code grid and scale grid per format and shape, as the serialization header records them
+GRID_TABLE = [
+    (Q.Format.NVFP4, (), (1, 1, 16), (1, 1)), (Q.Format.NVFP4, (0, 16), (0, 1, 16), (0, 1)),
+    (Q.Format.NVFP4, (3, 0, 5), (0, 1, 16), (0, 1)), (Q.Format.NVFP4, (2, 3, 17), (6, 2, 16), (6, 2)),
+    (Q.Format.MXFP8, (), (1, 1, 32), (1, 1)), (Q.Format.MXFP8, (0, 16), (0, 1, 32), (0, 1)),
+    (Q.Format.MXFP8, (3, 0, 5), (0, 1, 32), (0, 1)), (Q.Format.MXFP8, (2, 3, 17), (6, 1, 32), (6, 1)),
+    (Q.Format.NVFP4_2D, (0, 16), (0, 16), (0, 1)), (Q.Format.NVFP4_2D, (17, 33), (32, 48), (2, 3)),
+]
+
+
+@pytest.mark.parametrize("fmt,shape,codes,scales", GRID_TABLE)
+def test_code_and_scale_grids_per_format(fmt, shape, codes, scales):
+    x = np.ones(shape, np.float32)
+    if fmt == Q.Format.MXFP8:
+        q, q_scales = Q.quantize_mxfp8(x), "scale_exps"
+    else:
+        q = Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D if fmt == Q.Format.NVFP4_2D else Q.Layout.BLOCK_1D)
+        q_scales = "block_scales"
+    assert (q.codes.shape, getattr(q, q_scales).shape) == (codes, scales)
+
+
+@pytest.mark.parametrize("shape", [(32,), (2, 16, 16)])
+def test_2d_tiles_need_a_matrix(shape):
+    with pytest.raises(ShapeError):
+        Q.quantize_nvfp4(np.ones(shape, np.float32), Q.Layout.BLOCK_2D)
+
+
 def test_quantizers_reject_non_finite_input():
     for quantize in (Q.quantize_nvfp4, Q.quantize_mxfp8):
         with pytest.raises(NumericInputError):
@@ -327,8 +354,32 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
         with pytest.raises(CheckpointError):
             Q.quantized_from_bytes(Q.quantized_to_bytes(q))
     for e in (-127, 127):  # E8M0's ends load
-        raw = Q.quantized_to_bytes(poke(mxfp8, "scale_exps", (1, 1), e))
-        assert Q.quantized_from_bytes(raw).scale_exps[1, 1] == e
+        q = poke(mxfp8, "scale_exps", (1, 1), e)
+        if e == 127:  # the block's codes reach 256, past float32's maximum at 2^127
+            q = poke(q, "codes", (1, 1), 0x3F)  # 1.875, the largest code still finite at 2^127
+        back = Q.quantized_from_bytes(Q.quantized_to_bytes(q))
+        assert back.scale_exps[1, 1] == e and np.isfinite(back.dequantize()).all()
+
+
+def test_serialization_rejects_records_that_decode_past_float32_max():
+    mxfp8 = Q.quantize_mxfp8(np.ones((1, 32), np.float32))
+    assert (Q.decode_e4m3(mxfp8.codes) == 256).all() and mxfp8.scale_exps.tolist() == [[-8]]
+    nvfp4 = Q.quantize_nvfp4(np.ones((1, 16), np.float32))
+    top_scale = np.full_like(nvfp4.block_scales, 0x7E)  # 448
+    damaged = [replace(mxfp8, scale_exps=np.full_like(mxfp8.scale_exps, 127)),  # 256 * 2^127
+               replace(nvfp4, global_scale=np.float32(2.0**127)),  # 6 * its block scale * 2^127
+               # 448 * 2^120 passes float32's maximum, so the decoder's block scale is inf:
+               # a code of 0.5 decodes to inf, though its float64 product does not pass it,
+               # and a code of 0 to NaN
+               replace(nvfp4, codes=np.ones_like(nvfp4.codes), block_scales=top_scale,
+                       global_scale=np.float32(2.0**120)),
+               replace(nvfp4, codes=np.zeros_like(nvfp4.codes), block_scales=top_scale,
+                       global_scale=np.float32(2.0**120))]
+    for q in damaged:
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(q.dequantize()).all()
+        with pytest.raises(CheckpointError, match="no quantizer makes"):
+            Q.quantized_from_bytes(Q.quantized_to_bytes(q))
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +679,15 @@ def test_non_finite_input_raises_on_each_path(path, fmt, bad):
             quantize(fmt, x, Q.stochastic(1))
 
 
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_non_finite_input_raises_ahead_of_codes_past_float32_max_on_each_path(path, fmt):
+    x = np.ones((17, 40), np.float32)
+    x[0, 0], x[16, 39] = 3.4e38, np.inf  # the first block's codes would decode past float32's maximum
+    with on_path(path), pytest.raises(NumericInputError, match="requires finite inputs$"):
+        quantize(fmt, x)
+
+
 PAST_MAX = "input rounds to a code that decodes past float32's maximum"
 FLT_MAX = np.finfo(np.float32).max
 # The largest inputs whose codes decode finite when rounded to nearest. NVFP4: above
@@ -691,6 +751,17 @@ def test_nan_codes_do_not_decode_on_each_path(path):
     codes[-1, -1, -1] = 0x7F  # in the padding: the numpy path checks the whole grid
     for q in (replace(nvfp4, block_scales=scales), replace(mxfp8, codes=codes)):
         with on_path(path), pytest.raises(NumericInputError, match="NaN E4M3 code"):
+            q.dequantize()
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_codes_or_scales_off_their_grid_do_not_decode_on_each_path(path):
+    nvfp4, nvfp4_2d, mxfp8 = serialized_cases()
+    damaged = [replace(nvfp4, codes=nvfp4.codes[:, :, :8]), replace(nvfp4, block_scales=nvfp4.block_scales[:-1]),
+               replace(nvfp4_2d, codes=nvfp4_2d.codes.reshape(-1)), replace(nvfp4_2d, layout=Q.Layout.BLOCK_1D),
+               replace(mxfp8, codes=mxfp8.codes[1:]), replace(mxfp8, scale_exps=mxfp8.scale_exps[:, :1])]
+    for q in damaged:
+        with on_path(path), pytest.raises(ShapeError, match="do not fit"):
             q.dequantize()
 
 
