@@ -45,13 +45,24 @@ from .tensor import Tensor, _cache_dirs, _load_c_kernel, _make, matmul_exact
 # ---------------------------------------------------------------------------
 
 
+def _check_seed(seed, what: str) -> None:
+    """ConfigError unless ``seed`` is an integer that numpy's Philox takes as its 128-bit key."""
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+        raise ConfigError(f"{what} seed must be an integer in [0, 2**128), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class RoundingMode:
     """Nearest-even or seeded stochastic rounding.
 
-    Stochastic draws are a pure function of (seed, element index): the
-    uniform array is generated over the padded block grid in C order, so
-    the same seed and input always produce the same codes.
+    Stochastic draws are a pure function of (seed, code index): the code at
+    flat index i of the padded code grid, in C order, rounds with uniform i
+    of ``uniforms``, that is of
+    ``np.random.Generator(np.random.Philox(key=seed)).random(grid)``. Under
+    that key, Philox4x64-10 on counter (i // 4 + 1, 0, 0, 0) gives four
+    words, and word i % 4, w, is the uniform (w >> 11) * 2^-53. So a draw
+    depends on nothing but the key and its index: the C encoder computes
+    each where it uses it, and a new key is all a new set of draws needs.
     """
 
     kind: str  # "nearest" | "stochastic"
@@ -60,10 +71,10 @@ class RoundingMode:
     def __post_init__(self):
         if self.kind not in ("nearest", "stochastic"):
             raise ConfigError(f"rounding kind must be 'nearest' or 'stochastic', got {self.kind!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**128:
-            raise ConfigError(f"rounding seed must be an integer in [0, 2**128), got {self.seed!r}")
+        _check_seed(self.seed, "rounding")
 
     def uniforms(self, shape) -> np.ndarray:
+        """The draws over a code grid of ``shape``, as the numpy encoder takes them."""
         rng = np.random.Generator(np.random.Philox(key=self.seed))
         return rng.random(shape)
 
@@ -402,10 +413,14 @@ def _decode_kernel_numpy(fmt: Format, shape, codes, scales, g):
 # and its codes, on the code grid of the numpy encoder. A block's codes are
 # built one element at a time in _encode's arithmetic: float32 bits for the
 # grid index (rounding by bias and shift), an integer conversion for the
-# subnormal index, u < fraction in double for stochastic rounding. Maxima are
-# integer maxima of |x|'s bits, which order like the values and flag inf and
-# NaN. The source is built with tensor.py's flags, which keep every float
-# operation an IEEE one rounded as written.
+# subnormal index, u < fraction in double for stochastic rounding. The u of a
+# code is RoundingMode's draw for the code's index in the code grid, computed
+# where it is used from that index and the Philox key (seed mod 2^64,
+# seed >> 64): no uniform array is made, and a block of zeros skips its draws
+# without moving any other. Maxima are integer maxima of |x|'s bits, which
+# order like the values and flag inf and NaN. The source is built with
+# tensor.py's flags, which keep every float operation an IEEE one rounded as
+# written.
 _QUANT_SOURCE = r"""
 #include <float.h>
 #include <stddef.h>
@@ -479,6 +494,24 @@ static inline int32_t round_stochastic(float mag, double u, GRID)  /* as _round_
     return round_index(mag, FLOOR, mb, emin, top, max, sb) + (u < (double)frac);
 }
 
+/* Uniforms 4 (c - 1) .. 4 (c - 1) + 3 of np.random.Generator(np.random.Philox(key=k)).random:
+   Philox4x64-10 (Salmon et al., SC'11) on counter (c, 0, 0, 0) under the 128-bit key {k0, k1},
+   each word w as (w >> 11) 2^-53. A draw depends only on its index, so no block waits for another.
+   One counter per call: interleaving 2 to 8 counters measured no faster. */
+static inline void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double *u)
+{
+    uint64_t w[4] = {c, 0, 0, 0};
+    for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu) {
+        const unsigned __int128 p = (unsigned __int128)0xD2E7470EE14C6C93u * w[0];
+        const unsigned __int128 q = (unsigned __int128)0xCA5A826395121157u * w[2];
+        w[0] = (uint64_t)(q >> 64) ^ w[1] ^ k0;
+        w[1] = (uint64_t)q;
+        w[2] = (uint64_t)(p >> 64) ^ w[3] ^ k1;
+        w[3] = (uint64_t)p;
+    }
+    for (int i = 0; i < 4; i++) u[i] = (double)(w[i] >> 11) * 0x1p-53;
+}
+
 static inline uint8_t code_nearest(float v, GRID)  /* as _encode */
 {
     const uint32_t b = f2u(v);
@@ -511,12 +544,12 @@ static inline int past_max(const uint8_t *c, int n, float s, GRID)
 
 /* Scales and codes on element grid GRID of the finite [rows, cols] matrix x
    in format fmt, a constant once inlined, under NVFP4 global scale g, with
-   uniforms u for stochastic rounding (NULL: nearest): block by block in C
+   stochastic rounding under the Philox key key[0..1] (NULL: nearest): block by block in C
    order, each full block read in place through row stride cols and each
    partial one from a zero-padded copy. Returns 2 if a code would decode past
    FLT_MAX. */
 static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GRID, const float *x, ptrdiff_t rows,
-                                                               ptrdiff_t cols, float g, const double *u,
+                                                               ptrdiff_t cols, float g, const uint64_t *key,
                                                                uint8_t *codes, void *scales)
 {
     const int bh = BH(fmt), bw = BW(fmt);
@@ -525,7 +558,7 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
     for (ptrdiff_t t = 0; bh * t < rows; t++)
         for (ptrdiff_t b = 0; b < nb; b++) {
             const ptrdiff_t h = rows - bh * t < bh ? rows - bh * t : bh, w = cols - bw * b < bw ? cols - bw * b : bw;
-            const ptrdiff_t k = t * nb + b, at = bh * t * pc + bw * b;  /* its scale, its first code and uniform */
+            const ptrdiff_t k = t * nb + b, at = bh * t * pc + bw * b;  /* its scale and its first code */
             const float *src = x + bh * t * cols + bw * b;
             ptrdiff_t ld = cols;
             if (h < bh || w < bw) {
@@ -557,10 +590,12 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
                 uint8_t *c = codes + at + pc * r;
                 if (s == 0.0f)  /* an NVFP4 block of zeros */
                     memset(c, 0, (size_t)bw);
-                else if (u)
-                    for (int i = 0; i < bw; i++)
-                        c[i] = code_stochastic(xr[i] / s, u[at + pc * r + i], mb, emin, top, max, sb);
-                else
+                else if (key) {  /* code o + i of the code grid takes uniform o + i; 4 divides o */
+                    const uint64_t o = (uint64_t)(at + pc * r);
+                    double u[32];
+                    for (int q = 0; q < bw / 4; q++) philox_uniforms(o / 4 + q + 1, key[0], key[1], u + 4 * q);
+                    for (int i = 0; i < bw; i++) c[i] = code_stochastic(xr[i] / s, u[i], mb, emin, top, max, sb);
+                } else
                     for (int i = 0; i < bw; i++) c[i] = code_nearest(xr[i] / s, mb, emin, top, max, sb);
                 if (past_max(c, bw, s, mb, emin, top, max, sb)) return 2;
             }
@@ -569,10 +604,10 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
 }
 
 /* Codes and scales of the [rows, cols] float32 matrix x in format fmt, with
-   uniforms u over the code grid for stochastic rounding (NULL: nearest);
+   stochastic rounding under the Philox key {seed mod 2^64, seed >> 64} (NULL: nearest);
    the NVFP4 global scale goes to *g. Returns 1 if x is not finite, 2 if a
    code would decode past FLT_MAX (x within a block scale of it). */
-CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const double *u,
+CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const uint64_t *key,
                         uint8_t *codes, void *scales, float *g)
 {
     uint32_t amax = 0;
@@ -581,11 +616,11 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
         amax = a > amax ? a : amax;
     }
     if (amax >= INF) return 1;
-    if (fmt == MXFP8) return encode_blocks(MXFP8, E4M3, x, rows, cols, 0.0f, u, codes, scales);
+    if (fmt == MXFP8) return encode_blocks(MXFP8, E4M3, x, rows, cols, 0.0f, key, codes, scales);
     const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* as _pow2_global_scale */
     const float gs = *g = pow2f(e < -126 ? -126 : e);
-    return fmt == NVFP4_1D ? encode_blocks(NVFP4_1D, E2M1, x, rows, cols, gs, u, codes, scales)
-                           : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, u, codes, scales);
+    return fmt == NVFP4_1D ? encode_blocks(NVFP4_1D, E2M1, x, rows, cols, gs, key, codes, scales)
+                           : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, key, codes, scales);
 }
 
 /* out[rows, cols] from codes and scales on fmt's grids (MXFP8 exponents as
@@ -627,11 +662,12 @@ _C_DECODE = _C_ENCODE and _load_c_kernel(
 def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
     grid, scales_grid = _grids(fmt, data.shape)
     x = np.ascontiguousarray(data)
-    u = mode.uniforms(grid) if mode.kind == "stochastic" else None
+    seed = int(mode.seed)
+    key = np.array([seed & (2**64 - 1), seed >> 64], np.uint64) if mode.kind == "stochastic" else None
     codes = np.empty(grid, np.uint8)
     scales = np.empty(scales_grid, np.int16 if fmt == Format.MXFP8 else np.uint8)
     g = np.zeros(1, np.float32)
-    status = _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if u is None else u.ctypes.data,
+    status = _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if key is None else key.ctypes.data,
                        codes.ctypes.data, scales.ctypes.data, g.ctypes.data)
     return status or (codes, scales, None if fmt == Format.MXFP8 else g[0])
 
@@ -711,6 +747,7 @@ def random_hadamard(n: int, seed: int) -> np.ndarray:
     """Orthogonal float32 [n, n] matrix (1/sqrt(n)) H_n D with a seeded random +-1 diagonal D."""
     if n <= 0 or (n & (n - 1)) != 0:
         raise ConfigError(f"Hadamard size must be a power of two, got {n}")
+    _check_seed(seed, "Hadamard")
     if n == 1:
         return np.ones((1, 1), np.float32)
     rng = np.random.Generator(np.random.Philox(key=seed))
@@ -939,7 +976,8 @@ def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
 def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMXFP8:
     """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes, grids that
     disagree with the shape, and scales or codes that no quantizer makes (a
-    global scale that is not finite and positive, E4M3 NaN codes, sign-set
+    global scale that is not a power of two of at least 2^-126, whose
+    products with block scales would round, E4M3 NaN codes, sign-set
     block scales, exponents outside E8M0, block scales or codes that decode
     past float32's maximum) raise ``CheckpointError``; an unknown tag raises
     ``ConfigError``."""
@@ -984,7 +1022,8 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
                               f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
     codes, scales = codes.reshape(grid).copy(), scales.reshape(scales_grid).copy()
     if nvfp4:  # block scale codes above E4M3's top finite magnitude are NaN or negative
-        unproducible = not 0 < g < math.inf or (scales > _E4M3.top).any()
+        unproducible = (not (math.isfinite(g) and g >= 2.0**-126 and math.frexp(g)[0] == 0.5)  # as _pow2_global_scale
+                        or (scales > _E4M3.top).any())
     else:
         unproducible = ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any() or ((codes & 0x7F) == 0x7F).any()
     if not unproducible:  # nor a block scale, or a code times it, past float32's maximum

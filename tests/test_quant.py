@@ -361,6 +361,20 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
         assert back.scale_exps[1, 1] == e and np.isfinite(back.dequantize()).all()
 
 
+def test_serialization_takes_only_global_scales_a_quantizer_makes():
+    """A global scale is a power of two no smaller than 2^-126; any other would make decodes round
+    (0.1) or is one no quantizer picks (2^-130, a float32 subnormal)."""
+    nvfp4 = Q.quantize_nvfp4(golden_input()[:2, :16])
+    for g in (0.1, 3.0, 1.5 * 2.0**-126, 2.0**-127, 2.0**-130, np.nextafter(np.float32(1), np.float32(2))):
+        with pytest.raises(CheckpointError, match="no quantizer makes"):
+            Q.quantized_from_bytes(Q.quantized_to_bytes(replace(nvfp4, global_scale=np.float32(g))))
+    for g in (2.0**-126, 1.0, 2.0**64):
+        back = Q.quantized_from_bytes(Q.quantized_to_bytes(replace(nvfp4, global_scale=np.float32(g))))
+        assert back.global_scale == g
+        exact = Q.decode_e2m1(back.codes) * (Q.decode_e4m3(back.block_scales)[:, :, None] * np.float64(g))
+        assert np.array_equal(back.dequantize(), exact.reshape(2, 16))
+
+
 def test_serialization_rejects_records_that_decode_past_float32_max():
     mxfp8 = Q.quantize_mxfp8(np.ones((1, 32), np.float32))
     assert (Q.decode_e4m3(mxfp8.codes) == 256).all() and mxfp8.scale_exps.tolist() == [[-8]]
@@ -588,6 +602,8 @@ def test_golden_linear_hashes_on_each_path(path, name, shape):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_stochastic_rounding_draws_one_uniform_per_code_on_each_path(path, fmt):
+    """The numpy encoder draws ``RoundingMode.uniforms`` once over the padded code grid; the C
+    encoder computes the same draws from the Philox key, never calls it, and gives numpy's codes."""
     x = golden_input()[:17, :33]
     shapes = []
     real = Q.RoundingMode.uniforms
@@ -599,9 +615,38 @@ def test_stochastic_rounding_draws_one_uniform_per_code_on_each_path(path, fmt):
     with on_path(path), mock.patch.object(Q.RoundingMode, "uniforms", spy):
         q = quantize(fmt, x, Q.stochastic(9))
         quantize(fmt, x)  # nearest draws nothing
-        assert len(shapes) == 1 and math.prod(shapes[0]) == q.codes.size
+        if path == "numpy":
+            assert len(shapes) == 1 and math.prod(shapes[0]) == q.codes.size
+        else:
+            assert shapes == []
         again = quantize(fmt, x, Q.stochastic(9))
     assert_same_codes(q, again)
+    with on_path("numpy"):
+        assert_same_codes(q, quantize(fmt, x, Q.stochastic(9)))
+
+
+# Seeds at the ends of both 64-bit words of the Philox key, and a numpy integer
+KEY_SEEDS = [0, 2**64 - 1, 2**64, 2**128 - 1, np.uint64(2**63 + 5)]
+# 1D blocks ending part-way (40 and 100 columns), an [..., 40] input, 2D tiles cut in both axes,
+# and MXFP8 rows of 32 codes, which take the words of 8 Philox counters
+ALIGNMENT_SHAPES = [(Q.Format.NVFP4, (2, 3, 40)), (Q.Format.NVFP4, (5, 100)), (Q.Format.NVFP4_2D, (17, 33)),
+                    (Q.Format.MXFP8, (2, 3, 40)), (Q.Format.MXFP8, (5, 100))]
+
+
+@needs_c
+@pytest.mark.parametrize("seed", KEY_SEEDS, ids=repr)
+@pytest.mark.parametrize("fmt,shape", ALIGNMENT_SHAPES)
+def test_c_stochastic_draws_line_up_with_the_code_grid(fmt, shape, seed):
+    """C codes equal numpy's under stochastic rounding, with blocks of zeros, which NVFP4 leaves
+    undrawn, ahead of live ones: a code's uniform depends on its grid index alone."""
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    x = rng.standard_normal(shape).astype(np.float32)
+    flat = x.reshape(-1, shape[-1])
+    flat[:16 if fmt == Q.Format.NVFP4_2D else 1] = 0.0  # the first row of blocks is dead
+    flat[-1, :16] = 0.0  # and one block of the last row
+    q, _ = on_both_paths(fmt, x, Q.stochastic(seed))
+    if fmt != Q.Format.MXFP8:
+        assert (q.block_scales.reshape(-1)[:q.block_scales.shape[-1]] == 0).all()
 
 
 def signed_zero_and_subnormal_input() -> np.ndarray:
@@ -646,25 +691,41 @@ def test_c_and_numpy_paths_agree_on_signed_zeros_and_subnormals(fmt, mode):
         assert bits[21, 3] == 0x80000000
 
 
+# The first uniform under this key, 0.00264154770411551, is a float32, so an input of it times
+# the subnormal step rounds stochastically with a fraction equal to its uniform: a tie.
+TIE_KEY = 3278259
+
+
 @needs_c
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_c_and_numpy_paths_agree_on_grid_ties(fmt):
     """The sweep's grid points, midpoints and neighbours at unit block scale, which a leading 6 or 448
-    in every block sets, rounded to nearest and stochastically with every uniform 0.5, which ties
-    with the fraction at each midpoint."""
+    in every block sets, rounded to nearest on both paths, and on the numpy path stochastically with
+    every uniform 0.5, which ties with the fraction at each midpoint, as the searchsorted oracle does.
+    The C path computes its own uniforms, so both paths tie on TIE_KEY's first uniform instead."""
     top, block = (448.0, 32) if fmt == Q.Format.MXFP8 else (6.0, 16)
+    elem, table, sign_bit, grid = ((Q._E4M3, Q.E4M3_TABLE, 7, E4M3_GRID) if fmt == Q.Format.MXFP8
+                                   else (Q._E2M1, Q.E2M1_TABLE, 3, E2M1_GRID))
     vals = sweep_inputs()
     vals = vals[np.abs(vals) <= top]
     body = np.zeros(-(-vals.size // (block - 1)) * (block - 1), np.float32)
     body[:vals.size] = vals
     x = np.concatenate([np.full((body.size // (block - 1), 1), top, np.float32), body.reshape(-1, block - 1)], axis=1)
-    with mock.patch.object(Q.RoundingMode, "uniforms", lambda mode, shape: np.full(shape, 0.5)):
-        for mode in (Q.NEAREST_EVEN, Q.stochastic(0)):
-            q, _ = on_both_paths(fmt, x, mode)
+    q, _ = on_both_paths(fmt, x, Q.NEAREST_EVEN)
     if fmt == Q.Format.MXFP8:
         assert (q.scale_exps == 0).all()
     else:
         assert (Q.decode_e4m3(q.block_scales) * q.global_scale == 1.0).all()
+    with on_path("numpy"), mock.patch.object(Q.RoundingMode, "uniforms", lambda mode, shape: np.full(shape, 0.5)):
+        out = quantize(fmt, x, Q.stochastic(0)).dequantize()
+        expected = table.take(oracle_encode(x, grid, sign_bit, "stochastic"))
+    assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
+    u = Q.stochastic(TIE_KEY).uniforms(1)[0]
+    assert u == np.float32(u) and u == 0.00264154770411551
+    tie = np.zeros((16, 2 * block), np.float32)
+    tie[0, 0], tie[0, 1] = u * 2.0 ** (elem.emin - elem.mb), top
+    q, out = on_both_paths(fmt, tie, Q.stochastic(TIE_KEY))
+    assert q.codes.reshape(-1)[0] == 0 and out[0, 0] == 0.0  # u < fraction fails at the tie
 
 
 @pytest.mark.parametrize("path", PATHS)

@@ -767,6 +767,9 @@ TYPED_ERRORS = {
     "rounding_kind_misspelt": (ConfigError, lambda: Q.RoundingMode("stocastic", 3)),
     "rounding_seed_negative": (ConfigError, lambda: Q.stochastic(-1)),
     "rounding_seed_past_philox_key": (ConfigError, lambda: Q.stochastic(2**128)),
+    "hadamard_seed_negative": (ConfigError, lambda: Q.random_hadamard(16, -1)),
+    "hadamard_seed_float": (ConfigError, lambda: Q.random_hadamard(16, 1.5)),
+    "hadamard_seed_past_philox_key": (ConfigError, lambda: Q.random_hadamard(16, 2**128)),
     "dequantize_codes_off_grid": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
         (2, 20), Q.Layout.BLOCK_1D, np.zeros((2, 1, 16), np.uint8), np.zeros((2, 1), np.uint8), 1.0).dequantize()),
     "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
