@@ -31,3 +31,7 @@ class TokenIndexError(HybridlmError, IndexError):
 
 class CheckpointError(HybridlmError, RuntimeError):
     """Checkpoint file is malformed, truncated, or version-incompatible."""
+
+
+class KernelBuildError(HybridlmError, RuntimeError):
+    """The C kernels cannot be built or loaded: no working compiler or no usable cache directory."""

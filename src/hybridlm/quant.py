@@ -14,10 +14,9 @@ simulation). Every decode is exact in float32 because element grids have
 few significand bits, block scales have four, and global scales are powers
 of two, so dequantized values are products that round nowhere.
 
-The block quantizers encode and decode in a compiled C kernel when the
-local compiler can build one (the GEMM's loader in tensor.py builds it);
-otherwise they run the numpy encoder and decoder, which the tests also
-use as the oracle. Both give the same codes, scales, values and bytes.
+The block quantizers encode and decode in a compiled C kernel, which the
+GEMM's loader in tensor.py builds on import; the tests check its codes,
+scales and values against a numpy oracle that rounds by sorted-grid search.
 
 Supporting machinery: sign-randomized Hadamard transforms for spreading
 outliers ahead of gradient-side quantization, seeded stochastic rounding,
@@ -45,9 +44,13 @@ from .tensor import Tensor, _cache_dirs, _load_c_kernel, _make, matmul_exact
 # ---------------------------------------------------------------------------
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_seed(seed, what: str) -> None:
-    """ConfigError unless ``seed`` is an integer that numpy's Philox takes as its 128-bit key."""
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**128:
+    """ConfigError unless ``seed`` is an integer, not a bool, that numpy's Philox takes as its 128-bit key."""
+    if not _is_int(seed) or not 0 <= seed < 2**128:
         raise ConfigError(f"{what} seed must be an integer in [0, 2**128), got {seed!r}")
 
 
@@ -57,9 +60,8 @@ class RoundingMode:
 
     Stochastic draws are a pure function of (seed, code index): the code at
     flat index i of the padded code grid, in C order, rounds with uniform i
-    of ``uniforms``, that is of
-    ``np.random.Generator(np.random.Philox(key=seed)).random(grid)``. Under
-    that key, Philox4x64-10 on counter (i // 4 + 1, 0, 0, 0) gives four
+    of ``np.random.Generator(np.random.Philox(key=seed)).random(grid)``.
+    Under that key, Philox4x64-10 on counter (i // 4 + 1, 0, 0, 0) gives four
     words, and word i % 4, w, is the uniform (w >> 11) * 2^-53. So a draw
     depends on nothing but the key and its index: the C encoder computes
     each where it uses it, and a new key is all a new set of draws needs.
@@ -73,11 +75,6 @@ class RoundingMode:
             raise ConfigError(f"rounding kind must be 'nearest' or 'stochastic', got {self.kind!r}")
         _check_seed(self.seed, "rounding")
 
-    def uniforms(self, shape) -> np.ndarray:
-        """The draws over a code grid of ``shape``, as the numpy encoder takes them."""
-        rng = np.random.Generator(np.random.Philox(key=self.seed))
-        return rng.random(shape)
-
 
 NEAREST_EVEN = RoundingMode("nearest")
 
@@ -87,109 +84,15 @@ def stochastic(seed: int) -> RoundingMode:
 
 
 # ---------------------------------------------------------------------------
-# Grids and scalar codecs
+# Grids and decode tables
 # ---------------------------------------------------------------------------
-
-# E2M1 and E4M3 are minifloats with mb mantissa bits and smallest normal
-# 2^emin. A code's magnitude bits, (biased exponent << mb) | mantissa, are
-# the index of its value in the sorted grid, and exponent 0 holds the
-# subnormals mantissa * 2^(emin - mb). So rounding is integer arithmetic on
-# float32 bits: bits >> (23 - mb) keeps the exponent and the top mb mantissa
-# bits, and a bias added first makes that truncation a floor (0), a ceiling
-# (2^(23-mb) - 1) or round-half-to-even (2^(22-mb) - 1 plus the lowest kept
-# bit). A mantissa carry lands in the exponent, which is the next code, and
-# subtracting (126 + emin) << mb rebases float32's exponent onto the grid's.
-# Below 2^emin the grid is uniform, so the index there is rint/floor/ceil of
-# min(mag, 2^emin) * 2^(mb - emin), exact in float32. Each candidate is the
-# smaller outside its own range, so the index is their maximum, clamped to
-# the top code: that saturates at +-6 and +-448 and never makes E4M3's NaN
-# code. Ties go to even integers, that is to even codes.
 
 # mantissa bits, exponent of the smallest normal, code and value of the
 # largest finite magnitude, bit position of the sign in a code
 _Grid = namedtuple("_Grid", "mb emin top max sign_bit")
 _E2M1 = _Grid(1, 0, 7, 6.0, 3)
 _E4M3 = _Grid(3, -6, 126, 448.0, 7)
-E2M1_MAX, E4M3_MAX = _E2M1.max, _E4M3.max
 E8M0_MIN_EXP, E8M0_MAX_EXP = -127, 127
-_SUBNORMAL_ROUND = {"nearest": np.rint, "floor": np.floor, "ceil": np.ceil}
-
-
-def _round_index(mag: np.ndarray, grid: _Grid, how: str) -> np.ndarray:
-    """int32 grid index of float32 magnitudes ``mag``, which it overwrites.
-
-    ``how`` is "nearest" (ties to the even code), "floor" or "ceil".
-    """
-    shift = 23 - grid.mb
-    bits = mag.view(np.int32)
-    if how == "nearest":  # the lowest kept bit joins the bias, so ties go to the even code
-        idx = bits >> shift
-        idx &= 1
-        idx += bits
-    else:
-        idx = bits.copy()
-    idx += {"floor": 0, "ceil": (1 << shift) - 1, "nearest": (1 << (shift - 1)) - 1}[how]
-    idx >>= shift
-    idx -= (126 + grid.emin) << grid.mb
-    np.minimum(mag, np.float32(2.0 ** grid.emin), out=mag)
-    mag *= np.float32(2.0 ** (grid.mb - grid.emin))
-    np.maximum(idx, _SUBNORMAL_ROUND[how](mag, out=bits, casting="unsafe"), out=idx)
-    return np.minimum(idx, grid.top, out=idx)
-
-
-def _round_index_stochastic(mag: np.ndarray, grid: _Grid, u: np.ndarray) -> np.ndarray:
-    """Floor index, plus one where ``u`` < (mag - floor value) / step, for mag <= grid.max.
-
-    That fraction is exact in float32: the dropped mantissa bits above 2^emin,
-    the fractional part of mag / step below it. Overwrites ``mag``."""
-    shift = 23 - grid.mb
-    tiny = np.float32(2.0 ** grid.emin)
-    low = np.maximum(mag, tiny).view(np.int32)
-    low &= (1 << shift) - 1
-    frac = low.astype(np.float32)
-    frac *= np.float32(2.0 ** -shift)
-    sub = np.minimum(mag, tiny)
-    sub *= np.float32(2.0 ** (grid.mb - grid.emin))
-    sub -= np.floor(sub)
-    frac += sub
-    idx = _round_index(mag, grid, "floor")
-    idx += u < frac
-    return idx
-
-
-def _check_finite(x: np.ndarray, what: str) -> None:
-    if not np.isfinite(x).all():
-        raise NumericInputError(f"{what} requires finite inputs")
-
-
-def _encode(x: np.ndarray, grid: _Grid, mode: RoundingMode, round_up: bool = False) -> np.ndarray:
-    """uint8 sign-magnitude codes of the finite float32 array ``x`` (at least 1-D), which it overwrites."""
-    sign = x.view(np.int32) >> (31 - grid.sign_bit)
-    sign &= 1 << grid.sign_bit
-    mag = np.abs(x, out=x)
-    if round_up:
-        idx = _round_index(mag, grid, "ceil")
-    elif mode.kind == "stochastic":
-        np.minimum(mag, np.float32(grid.max), out=mag)
-        idx = _round_index_stochastic(mag, grid, mode.uniforms(x.shape))
-    else:
-        idx = _round_index(mag, grid, "nearest")
-    idx |= sign
-    return idx.astype(np.uint8)
-
-
-def encode_e2m1(x, mode: RoundingMode = NEAREST_EVEN) -> np.ndarray:
-    """4-bit codes (sign<<3 | grid index) for values clamped to +-6."""
-    arr = np.array(x, np.float32)  # a copy, which the encoder overwrites
-    _check_finite(arr, "encode_e2m1")
-    return _encode(arr.reshape(-1), _E2M1, mode).reshape(arr.shape)
-
-
-def encode_e4m3(x, mode: RoundingMode = NEAREST_EVEN, round_up: bool = False) -> np.ndarray:
-    """8-bit codes; finite-only (the NaN code is never produced)."""
-    arr = np.array(x, np.float32)  # a copy, which the encoder overwrites
-    _check_finite(arr, "encode_e4m3")
-    return _encode(arr.reshape(-1), _E4M3, mode, round_up).reshape(arr.shape)
 
 
 def _decode_table(grid: _Grid) -> np.ndarray:
@@ -203,21 +106,6 @@ def _decode_table(grid: _Grid) -> np.ndarray:
 
 E2M1_TABLE = _decode_table(_E2M1)  # 16 entries; code 8 is -0.0
 E4M3_TABLE = _decode_table(_E4M3)  # 256 entries; codes 0x7F and 0xFF are NaN
-
-
-def decode_e2m1(codes) -> np.ndarray:
-    return E2M1_TABLE.take(np.asarray(codes, np.uint8) & 0xF)
-
-
-def _has_nan_e4m3(codes: np.ndarray) -> bool:
-    return bool(np.any((codes & 0x7F) == 0x7F))
-
-
-def decode_e4m3(codes) -> np.ndarray:
-    codes = np.asarray(codes, np.uint8)
-    if _has_nan_e4m3(codes):
-        raise NumericInputError("NaN E4M3 code cannot be decoded")
-    return E4M3_TABLE.take(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +135,6 @@ _LAYOUT_FORMAT = {Layout.BLOCK_1D: Format.NVFP4, Layout.BLOCK_2D: Format.NVFP4_2
 def _matrix(shape: tuple[int, ...]) -> tuple[int, int]:
     """[rows, cols] of an array blocked along its last axis (0-d: one element)."""
     return math.prod(shape[:-1]), shape[-1] if shape else 1
-
-
-def _abs_max_blocks(blocks: np.ndarray) -> np.ndarray:
-    """[nr, nb] max(|x|) of [nr, bh, nb, bw] blocks: over bh, then over bw, a power of two,
-    by halving, two to three times faster than numpy's reduction over a short contiguous axis."""
-    x = np.abs(blocks)
-    x = x.max(axis=1) if x.shape[1] > 1 else x[:, 0]
-    while x.shape[-1] > 1:
-        half = x.shape[-1] // 2
-        x = np.maximum(x[..., :half], x[..., half:])
-    return x[..., 0]
 
 
 @dataclass
@@ -290,45 +167,27 @@ class QuantizedTensorMXFP8:
         return _decode(Format.MXFP8, self.shape, self.codes, self.scale_exps)
 
 
-def _pow2_exponent(amax, limit: float):
-    """Smallest integer e with amax <= limit * 2^e for amax > 0: with amax = m 2^k
-    and limit = l 2^j, m and l in [0.5, 1), it is k - j, plus one when m > l."""
-    m, k = np.frexp(amax)
-    lm, lk = math.frexp(limit)
-    return k - lk + (m > lm)
-
-
-def _pow2_global_scale(amax: float) -> np.float32:
-    """Smallest power of two g with amax/(6g) <= 448, floored at 2^-126.
-
-    A power of two keeps every block_scale * global product exact in
-    float32; the raw block scale of the hottest block lands in (224, 448].
-    """
-    e = _pow2_exponent(amax, E2M1_MAX * E4M3_MAX) if amax > 0 else -126
-    return np.float32(2.0 ** max(int(e), -126))
-
-
-def _pow2(e: np.ndarray) -> np.ndarray:
-    """float32 2^e, exact (np.exp2 is one ulp high at 2^127)."""
-    return np.ldexp(np.float32(1.0), e.astype(np.int32))
-
-
 # ---------------------------------------------------------------------------
 # Encode/decode kernels
 # ---------------------------------------------------------------------------
 #
-# Every format is encoded and decoded by one kernel pair selected at import:
-# the C source in _QUANT_SOURCE, built and loaded like the GEMM kernel in
-# tensor.py, or the numpy code below, which is the tests' oracle and the
-# fallback without a compiler. Both give the same codes, scales and values.
-# A format is its block shape in _BLOCK and its scale rule: an E8M0 exponent
-# per block for MXFP8, an E4M3 block scale times a global scale for NVFP4.
-# Kernel contract: the encoder takes a format, a float32 array and a
+# Every format is encoded and decoded by the C source in _QUANT_SOURCE, built
+# and loaded like the GEMM kernel in tensor.py; the tests check it against a
+# numpy oracle that rounds by sorted-grid search. A format is its block shape
+# in _BLOCK and its scale rule. MXFP8: an E8M0 exponent per block, the
+# smallest e in [-127, 127] with amax <= 448 * 2^e, so block maxima never
+# clamp. NVFP4: one global scale g per tensor, the smallest power of two of at
+# least 2^-126 with amax / (6 g) <= 448, which keeps every block_scale * g
+# product exact in float32 and puts the raw block scale of the hottest block
+# in (224, 448]; then an E4M3 block scale per block, amax / (6 g) rounded up,
+# so scaled elements never exceed +-6. A block whose scale is 0 (NVFP4 zeros)
+# gets codes 0.
+# Kernel contract: _encode_kernel_c takes a format, a float32 array and a
 # RoundingMode and returns (codes, scales, global scale or None) on the grids
-# _grids derives from the block shape, and the decoder takes (format, shape,
-# codes, scales, global scale) already checked against those grids and
-# returns the float32 array. The encoder returns a status in _ENCODE_ERRORS
-# for an input it cannot take, and the decoder None for a NaN E4M3 code.
+# _grids derives from the block shape, or a status in _ENCODE_ERRORS for an
+# input it cannot take; _decode_kernel_c takes (format, shape, codes, scales,
+# global scale) already checked against those grids and returns the float32
+# array, or None for a NaN E4M3 code.
 
 _ENCODE_ERRORS = {
     1: "requires finite inputs",
@@ -350,77 +209,39 @@ def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ((nr * bh, nb * bw) if bh > 1 else (rows, nb, bw)), (nr, nb)
 
 
-def _blocks(data: np.ndarray, fmt: Format) -> np.ndarray:
-    """``data`` as the zero-padded [nr, bh, nb, bw] blocks of its [rows, cols] matrix,
-    in C order; copies only to pad or to make it contiguous."""
-    (bh, bw), (nr, nb) = _BLOCK[fmt], _grids(fmt, data.shape)[1]
-    rows, cols = _matrix(data.shape)
-    flat = data.reshape(rows, cols)
-    if (rows, cols) != (nr * bh, nb * bw):
-        flat = np.pad(flat, ((0, nr * bh - rows), (0, nb * bw - cols)))
-    return flat.reshape(nr, bh, nb, bw)
-
-
 def _past_max(grid: _Grid, table: np.ndarray, codes: np.ndarray, scales: np.ndarray) -> bool:
     """Whether a code's value in ``table`` times its float64 block scale passes float32's maximum."""
     return grid.max * scales.max(initial=0.0) > _FLT_MAX and bool(
         (np.abs(table.take(codes)) * scales > _FLT_MAX).any())
 
 
-def _encode_kernel_numpy(fmt: Format, data: np.ndarray, mode: RoundingMode):
-    grid, _ = _grids(fmt, data.shape)
-    if not np.isfinite(data).all():
-        return 1
-    blocks = _blocks(data, fmt)
-    amax, g = _abs_max_blocks(blocks), None
-    if fmt == Format.MXFP8:  # E8M0: the smallest power of two that brings amax within +-448
-        e = np.where(amax > 0, _pow2_exponent(amax, E4M3_MAX), E8M0_MIN_EXP)
-        scales = np.clip(e, E8M0_MIN_EXP, E8M0_MAX_EXP).astype(np.int16)
-        elem, table, eff = _E4M3, E4M3_TABLE, _pow2(scales)
-    else:  # E4M3 amax / (6 g), rounded up, times the power-of-two global scale g
-        g = _pow2_global_scale(float(amax.max(initial=0.0)))
-        raw = amax.astype(np.float64) / (E2M1_MAX * float(g))
-        scales = _encode(raw.astype(np.float32), _E4M3, NEAREST_EVEN, round_up=True)  # 0 where amax == 0
-        elem, table, eff = _E2M1, E2M1_TABLE, E4M3_TABLE.take(scales) * g  # exact: 4 significand bits times 2^k
-    dead, per_block = eff == 0.0, np.s_[:, None, :, None]  # an NVFP4 block of zeros: scale 0, codes 0
-    eff[dead] = 1.0
-    codes = _encode(blocks / eff[per_block], elem, mode)
-    if dead.any():
-        codes *= ~dead[per_block]
-    if _past_max(elem, table, codes, eff.astype(np.float64)[per_block]):
-        return 2
-    return codes.reshape(grid), scales, g
-
-
-def _decode_kernel_numpy(fmt: Format, shape, codes, scales, g):
-    codes = np.asarray(codes, np.uint8)
-    if fmt == Format.MXFP8:
-        if _has_nan_e4m3(codes):
-            return None
-        vals, scales = E4M3_TABLE.take(codes), _pow2(np.asarray(scales))
-    else:
-        scales = np.asarray(scales, np.uint8)
-        if _has_nan_e4m3(scales):
-            return None
-        vals, scales = decode_e2m1(codes), E4M3_TABLE.take(scales) * g
-    (bh, bw), (nr, nb), (rows, cols) = _BLOCK[fmt], scales.shape, _matrix(shape)
-    out = (vals.reshape(nr, bh, nb, bw) * scales[:, None, :, None]).reshape(nr * bh, nb * bw)
-    return np.ascontiguousarray(out[:rows, :cols]).reshape(shape)
-
-
+# E2M1 and E4M3 are minifloats with mb mantissa bits and smallest normal
+# 2^emin. A code's magnitude bits, (biased exponent << mb) | mantissa, are
+# the index of its value in the sorted grid, and exponent 0 holds the
+# subnormals mantissa * 2^(emin - mb). So rounding is integer arithmetic on
+# float32 bits: bits >> (23 - mb) keeps the exponent and the top mb mantissa
+# bits, and a bias added first makes that truncation a floor (0), a ceiling
+# (2^(23-mb) - 1) or round-half-to-even (2^(22-mb) - 1 plus the lowest kept
+# bit). A mantissa carry lands in the exponent, which is the next code, and
+# subtracting (126 + emin) << mb rebases float32's exponent onto the grid's.
+# Below 2^emin the grid is uniform, so the index there is rint/floor/ceil of
+# min(mag, 2^emin) * 2^(mb - emin), exact in float32. Each candidate is the
+# smaller outside its own range, so the index is their maximum, clamped to
+# the top code: that saturates at +-6 and +-448 and never makes E4M3's NaN
+# code. Ties go to even integers, that is to even codes.
+#
 # The one block table, BH and BW as _BLOCK, cuts the [rows, cols] matrix into
 # blocks zero-padded at the ends, and encode_blocks gives each block its scale
-# and its codes, on the code grid of the numpy encoder. A block's codes are
-# built one element at a time in _encode's arithmetic: float32 bits for the
-# grid index (rounding by bias and shift), an integer conversion for the
-# subnormal index, u < fraction in double for stochastic rounding. The u of a
-# code is RoundingMode's draw for the code's index in the code grid, computed
-# where it is used from that index and the Philox key (seed mod 2^64,
-# seed >> 64): no uniform array is made, and a block of zeros skips its draws
-# without moving any other. Maxima are integer maxima of |x|'s bits, which
-# order like the values and flag inf and NaN. The source is built with
-# tensor.py's flags, which keep every float operation an IEEE one rounded as
-# written.
+# and its codes, on the code grid of _grids. A block's codes are built one
+# element at a time in that arithmetic: float32 bits for the grid index
+# (rounding by bias and shift), an integer conversion for the subnormal
+# index, u < fraction in double for stochastic rounding. The u of a code is
+# RoundingMode's draw for the code's index in the code grid, computed where
+# it is used from that index and the Philox key (seed mod 2^64, seed >> 64):
+# no uniform array is made, and a block of zeros skips its draws without
+# moving any other. Maxima are integer maxima of |x|'s bits, which order like
+# the values and flag inf and NaN. The source is built with tensor.py's
+# flags, which keep every float operation an IEEE one rounded as written.
 _QUANT_SOURCE = r"""
 #include <float.h>
 #include <stddef.h>
@@ -458,7 +279,9 @@ static inline float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 
     return e >= -149 ? u2f(1u << (e + 149)) : 0.0f;
 }
 
-static inline int pow2_exponent(float amax, float limit)  /* as _pow2_exponent, amax > 0 */
+/* The smallest integer e with amax <= limit 2^e, for amax > 0: with amax = m 2^k and
+   limit = l 2^j, m and l in [1, 2), it is k - j, plus one when m > l. */
+static inline int pow2_exponent(float amax, float limit)
 {
     int k = 0;
     if (amax < 0x1p-126f) { amax *= 0x1p64f; k = -64; }  /* a subnormal, made normal */
@@ -468,7 +291,8 @@ static inline int pow2_exponent(float amax, float limit)  /* as _pow2_exponent, 
 
 static inline float tiny_of(int emin) { return emin < 0 ? 1.0f / (float)(1 << -emin) : (float)(1 << emin); }
 
-static inline int32_t round_index(float mag, int how, GRID)  /* as _round_index */
+/* The grid index of magnitude mag rounded FLOOR, CEIL or NEAREST (ties to the even code), at most top */
+static inline int32_t round_index(float mag, int how, GRID)
 {
     const int shift = 23 - mb;
     const float tiny = tiny_of(emin);
@@ -484,7 +308,9 @@ static inline int32_t round_index(float mag, int how, GRID)  /* as _round_index 
     return best < top ? best : top;
 }
 
-static inline int32_t round_stochastic(float mag, double u, GRID)  /* as _round_index_stochastic */
+/* The floor index, plus one where u < (mag - floor value) / step, for mag <= max. That fraction
+   is exact in float32: the dropped mantissa bits above 2^emin, the fractional part of mag / step below it. */
+static inline int32_t round_stochastic(float mag, double u, GRID)
 {
     const int shift = 23 - mb;
     const float tiny = tiny_of(emin);
@@ -512,7 +338,7 @@ static inline void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double 
     for (int i = 0; i < 4; i++) u[i] = (double)(w[i] >> 11) * 0x1p-53;
 }
 
-static inline uint8_t code_nearest(float v, GRID)  /* as _encode */
+static inline uint8_t code_nearest(float v, GRID)  /* v's sign-magnitude code, rounded to nearest even */
 {
     const uint32_t b = f2u(v);
     return (uint8_t)(round_index(u2f(b & ABS), NEAREST, mb, emin, top, max, sb) | (int32_t)(b >> 31) << sb);
@@ -574,7 +400,7 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
                     m[i] = a > m[i] ? a : m[i];
                 }
             for (int i = 0; i < bw; i++) amax = m[i] > amax ? m[i] : amax;
-            float s;  /* as _encode_kernel_numpy's scale rules */
+            float s;  /* the format's scale rule: see the kernel section in quant.py */
             if (fmt == MXFP8) {
                 int e = amax ? pow2_exponent(u2f(amax), 448.0f) : -127;
                 e = e < -127 ? -127 : e > 127 ? 127 : e;
@@ -617,7 +443,7 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
     }
     if (amax >= INF) return 1;
     if (fmt == MXFP8) return encode_blocks(MXFP8, E4M3, x, rows, cols, 0.0f, key, codes, scales);
-    const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* as _pow2_global_scale */
+    const int e = amax ? pow2_exponent(u2f(amax), 2688.0f) : -126;  /* amax <= 6 * 448 * g */
     const float gs = *g = pow2f(e < -126 ? -126 : e);
     return fmt == NVFP4_1D ? encode_blocks(NVFP4_1D, E2M1, x, rows, cols, gs, key, codes, scales)
                            : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, key, codes, scales);
@@ -653,10 +479,9 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
 _C_ENCODE = _load_c_kernel(_cache_dirs(), source=_QUANT_SOURCE, entry="quant_encode", prototype=ctypes.CFUNCTYPE(
     ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4))
-_C_DECODE = _C_ENCODE and _load_c_kernel(
-    _cache_dirs(), source=_QUANT_SOURCE, entry="quant_decode", prototype=ctypes.CFUNCTYPE(
-        ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float, ctypes.c_ssize_t,
-        ctypes.c_ssize_t, ctypes.c_void_p))
+_C_DECODE = _load_c_kernel(_cache_dirs(), source=_QUANT_SOURCE, entry="quant_decode", prototype=ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float, ctypes.c_ssize_t, ctypes.c_ssize_t,
+    ctypes.c_void_p))
 
 
 def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
@@ -682,16 +507,12 @@ def _decode_kernel_c(fmt: Format, shape, codes, scales, g):
     return out
 
 
-_encode_kernel = _encode_kernel_numpy if _C_ENCODE is None else _encode_kernel_c
-_decode_kernel = _decode_kernel_numpy if _C_DECODE is None else _decode_kernel_c
-
-
 def _decode(fmt: Format, shape, codes, scales, g=None) -> np.ndarray:
     grid, scales_grid = _grids(fmt, shape)
     if np.shape(codes) != grid or np.shape(scales) != scales_grid:
         raise ShapeError(f"codes on {np.shape(codes)} and scales on {np.shape(scales)} do not fit "
                          f"shape {shape}, whose grids are {grid} and {scales_grid}")
-    out = _decode_kernel(fmt, shape, codes, scales, g)
+    out = _decode_kernel_c(fmt, shape, codes, scales, g)
     if out is None:
         raise NumericInputError("NaN E4M3 code cannot be decoded")
     return out
@@ -709,7 +530,7 @@ def quantize_nvfp4(
     data = np.asarray(data, np.float32)
     if layout not in _LAYOUT_FORMAT:  # pragma: no cover
         raise ConfigError(f"unknown layout {layout}")
-    encoded = _encode_kernel(_LAYOUT_FORMAT[layout], data, mode)
+    encoded = _encode_kernel_c(_LAYOUT_FORMAT[layout], data, mode)
     if isinstance(encoded, int):
         raise NumericInputError(f"quantize_nvfp4 {_ENCODE_ERRORS[encoded]}")
     return QuantizedTensorNVFP4(data.shape, layout, *encoded)
@@ -722,7 +543,7 @@ def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> Quant
     max within E4M3 range, so block maxima never clamp.
     """
     data = np.asarray(data, np.float32)
-    encoded = _encode_kernel(Format.MXFP8, data, mode)
+    encoded = _encode_kernel_c(Format.MXFP8, data, mode)
     if isinstance(encoded, int):
         raise NumericInputError(f"quantize_mxfp8 {_ENCODE_ERRORS[encoded]}")
     return QuantizedTensorMXFP8(data.shape, *encoded[:2])
@@ -745,8 +566,8 @@ def _sylvester(n: int) -> np.ndarray:
 
 def random_hadamard(n: int, seed: int) -> np.ndarray:
     """Orthogonal float32 [n, n] matrix (1/sqrt(n)) H_n D with a seeded random +-1 diagonal D."""
-    if n <= 0 or (n & (n - 1)) != 0:
-        raise ConfigError(f"Hadamard size must be a power of two, got {n}")
+    if not _is_int(n) or n <= 0 or (n & (n - 1)) != 0:
+        raise ConfigError(f"Hadamard size must be a power of two, got {n!r}")
     _check_seed(seed, "Hadamard")
     if n == 1:
         return np.ones((1, 1), np.float32)
@@ -1022,7 +843,7 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
                               f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
     codes, scales = codes.reshape(grid).copy(), scales.reshape(scales_grid).copy()
     if nvfp4:  # block scale codes above E4M3's top finite magnitude are NaN or negative
-        unproducible = (not (math.isfinite(g) and g >= 2.0**-126 and math.frexp(g)[0] == 0.5)  # as _pow2_global_scale
+        unproducible = (not (math.isfinite(g) and g >= 2.0**-126 and math.frexp(g)[0] == 0.5)  # as quant_encode picks
                         or (scales > _E4M3.top).any())
     else:
         unproducible = ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any() or ((codes & 0x7F) == 0x7F).any()

@@ -29,18 +29,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, NumericInputError, ShapeError, TokenIndexError
+from .errors import ContractError, KernelBuildError, NumericInputError, ShapeError, TokenIndexError
 
 # ---------------------------------------------------------------------------
-# Exact matmul kernels
+# Exact matmul kernel
 # ---------------------------------------------------------------------------
 #
 # BLAS reorders float32 sums (blocking, SIMD), which breaks bit-exact oracle
-# comparisons. Both kernels below give every output element the oracle's
+# comparisons. The kernel below gives every output element the oracle's
 # rounding sequence: start from +0, then for k = 0, 1, ... add a[i,k]*b[k,j],
 # rounding the product and then the sum to float32.
 #
-# The fast kernel is the C source in _MM_SOURCE. On first import the local
+# The kernel is the C source in _MM_SOURCE. On first import the local
 # `cc` compiles it into a shared library, which ctypes loads. It reads A and
 # B through element strides, so transposed and sliced views need no copy.
 # For each panel of 64 columns of B (32 or 16 when the panel is that narrow)
@@ -49,12 +49,13 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # for the narrow panels). A tile's sums stay in 24 (or 12) 16-float vectors,
 # registers under AVX-512, while k runs through the block and go back to
 # `out` after it; the next block resumes from `out`, so each sum still sees
-# k in increasing order with one product and one sum rounding per step. A tile that overhangs the
-# last rows or columns repeats the last row and pads the panel with zeros,
-# and only its real rows and columns are stored. Two flag rules protect
-# the bits: -ffp-contract=off stops the compiler fusing a multiply and an
-# add into one FMA (one rounding instead of two), and -ffast-math/-Ofast are
-# never used, since they reassociate sums and flush subnormals to zero.
+# k in increasing order with one product and one sum rounding per step. A
+# tile that overhangs the last rows or columns repeats the last row and pads
+# the panel with zeros, and only its real rows and columns are stored. Two
+# flag rules protect the bits: -ffp-contract=off stops the compiler fusing a
+# multiply and an add into one FMA (one rounding instead of two), and
+# -ffast-math/-Ofast are never used, since they reassociate sums and flush
+# subnormals to zero.
 # -fno-trapping-math lets the compiler assume that floating-point
 # operations do not trap, which it needs to vectorize conditional selects
 # such as the quantizers' (quant.py); it changes no rounding, and the
@@ -70,12 +71,11 @@ from .errors import ContractError, NumericInputError, ShapeError, TokenIndexErro
 # $XDG_CACHE_HOME/hybridlm (default ~/.cache/hybridlm), or in
 # <tempdir>/hybridlm-<uid> when that directory is not writable. Its file
 # name hashes the source, the flags and `cc --version`, so a changed kernel
-# or compiler builds afresh. Each build
-# goes to a temporary file that os.replace moves into place, so processes
-# importing concurrently are safe. A directory that another user owns or
+# or compiler builds afresh. Each build goes to a temporary file that
+# os.replace moves into place, so processes importing concurrently are safe. A directory that another user owns or
 # can write to is skipped, since a library planted there would be loaded.
-# With no compiler or no usable cache directory, _mm_kernel is the numpy
-# k-loop instead: slower, same bits.
+# With no working compiler or no usable cache directory the import raises
+# KernelBuildError: there is no slower path to fall back to.
 
 _MM_SOURCE = r"""
 #include <stddef.h>
@@ -188,32 +188,41 @@ def _compile(cc: str, lib: Path, source: str) -> None:
 
 def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM_SOURCE,
                    entry: str = "mm_exact_f32", prototype=_MM_PROTOTYPE):
-    """Return the ctypes function ``entry`` of the C ``source``, typed by ``prototype``, or None.
+    """Return the ctypes function ``entry`` of the C ``source``, typed by ``prototype``.
 
     Reuses a build cached in the first usable directory of ``cache_dirs``,
-    or compiles one into it. None means ``cc`` is missing or fails, or no
-    directory is usable. Entry points of one source share one library.
+    or compiles one into it. Entry points of one source share one library.
+    Raises KernelBuildError, naming ``cc`` and every directory tried, when
+    ``cc`` is missing or fails or no directory is usable.
     """
+    dirs = [Path(d) for d in cache_dirs]
+
+    def error(why: str) -> KernelBuildError:
+        return KernelBuildError(f"cannot build the C kernels with compiler {cc!r} in cache directories "
+                                f"{', '.join(map(str, dirs))}: {why}")
+
     try:
         version = subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
-    except (OSError, subprocess.CalledProcessError):
-        return None
+    except (OSError, subprocess.CalledProcessError) as e:
+        raise error(f"the compiler does not run ({e})") from e
     key = hashlib.sha256("\0".join((source, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
-    for d in map(Path, cache_dirs):
+    skipped = []
+    for d in dirs:
         lib = d / f"hybridlm-{key}.so"
         try:
             d.mkdir(mode=0o700, parents=True, exist_ok=True)
             st = d.stat()
             if st.st_uid != os.getuid() or st.st_mode & 0o022:
+                skipped.append(f"{d} is another user's or writable by others")
                 continue
             if not lib.exists():
                 _compile(cc, lib, source)
             return prototype((entry, ctypes.CDLL(str(lib))))
-        except subprocess.CalledProcessError:
-            return None
-        except OSError:
-            continue  # directory not writable, or the library cannot be loaded from it
-    return None
+        except subprocess.CalledProcessError as e:
+            raise error(f"the compiler failed: {e.stderr.strip()}") from e
+        except OSError as e:  # directory not writable, or the library cannot be loaded from it
+            skipped.append(f"{d}: {e}")
+    raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
 _C_KERNEL = _load_c_kernel(_cache_dirs())
@@ -225,19 +234,10 @@ _C_KERNEL = _load_c_kernel(_cache_dirs())
 # kernel adds a @ b into ``out`` in the oracle's order and returns it.
 
 
-def _mm_kernel_c(a, b, out):
+def _mm_kernel(a, b, out):
     _C_KERNEL(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
               *(s // 4 for s in a.strides + b.strides))
     return out
-
-
-def _mm_kernel_numpy(a, b, out):
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    return out
-
-
-_mm_kernel = _mm_kernel_numpy if _C_KERNEL is None else _mm_kernel_c
 
 
 def _kernel_operand(x: np.ndarray) -> np.ndarray:

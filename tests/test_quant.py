@@ -1,12 +1,13 @@
 """Quantizer checks against independent oracles.
 
-The rounding oracle is the sorted-grid search the encoders used before they
-rounded on float32 bits; the decode tables are checked against the OCP
-Microscaling Formats (MX) v1.0 values.
+The C kernels are checked against a numpy oracle built here from the
+sorted-grid search that the encoders used before they rounded on float32
+bits, the formats' scale rules in float64 and numpy's own Philox draws.
+The decode tables are checked against the OCP Microscaling Formats (MX)
+v1.0 values.
 """
 
 import hashlib
-import math
 import struct
 from contextlib import contextmanager
 from dataclasses import replace
@@ -23,7 +24,7 @@ import hybridlm.tensor as T
 from hybridlm.errors import CheckpointError, ConfigError, NumericInputError, ShapeError
 
 # ---------------------------------------------------------------------------
-# oracle: OCP MX v1.0 element values and searchsorted rounding
+# oracle: OCP MX v1.0 element values, searchsorted rounding, float64 scale rules
 # ---------------------------------------------------------------------------
 
 OCP_E2M1 = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
@@ -40,7 +41,10 @@ def ocp_e4m3(code: int) -> float:
 
 E2M1_GRID = np.array(OCP_E2M1, np.float32)
 E4M3_GRID = np.array([ocp_e4m3(c) for c in range(127)], np.float32)
-GRIDS = {"e2m1": (E2M1_GRID, 3, Q.encode_e2m1), "e4m3": (E4M3_GRID, 7, Q.encode_e4m3)}
+E2M1_VALUES = np.concatenate([E2M1_GRID, -E2M1_GRID])  # every code's value; code 8 is -0.0
+E4M3_VALUES = np.array([ocp_e4m3(c) for c in range(256)], np.float32)
+GRIDS = {"e2m1": (E2M1_GRID, 3), "e4m3": (E4M3_GRID, 7)}
+FLT_MAX = np.finfo(np.float32).max
 
 
 def oracle_nearest_even(mag, grid):
@@ -63,28 +67,122 @@ def oracle_round_up(mag, grid):
     return np.clip(np.searchsorted(grid, mag, side="left"), 0, len(grid) - 1)
 
 
-def oracle_encode(x, grid, sign_bit, how, seed=0):
+def oracle_encode(x, grid, sign_bit, how, u=None):
+    """Sign-magnitude codes of ``x`` rounded on ``grid`` "nearest", "up", or "stochastic" under uniforms ``u``."""
     arr = np.asarray(x, np.float32)
     mag = np.abs(arr)
     if how == "up":
         idx = oracle_round_up(mag, grid)
     elif how == "stochastic":
-        u = Q.stochastic(seed).uniforms(arr.shape)
         idx = oracle_stochastic(np.minimum(mag, grid[-1]), grid, u)
     else:
         idx = oracle_nearest_even(mag, grid)
     return ((np.signbit(arr).astype(np.uint8) << sign_bit) | idx.astype(np.uint8)).astype(np.uint8)
 
 
-def encode(name, x, how, seed=0):
-    enc = GRIDS[name][2]
-    if how == "up":
-        return enc(x, round_up=True)
-    return enc(x, Q.stochastic(seed) if how == "stochastic" else Q.NEAREST_EVEN)
+def philox_uniforms(seed, shape):
+    """The stochastic-rounding draws over a code grid of ``shape``, one per code, as RoundingMode defines them."""
+    return np.random.Generator(np.random.Philox(key=seed)).random(shape)
+
+
+def pow2_exponent(amax, limit):
+    """The smallest integers e with amax <= limit * 2^e, which float64 tests exactly; amax > 0."""
+    e = np.ceil(np.log2(amax / limit)).astype(np.int64)
+    e += amax > np.ldexp(limit, e)
+    return e - (amax <= np.ldexp(limit, e - 1))
+
+
+def oracle_encode_blocks(fmt, data, mode):
+    """The encode kernel's contract, from the format's scale rules in float64 and the searchsorted oracles:
+    (codes, scales, global scale or None), or status 1 for a non-finite input and 2 for a code that
+    decodes past float32's maximum."""
+    grid, (nr, nb) = Q._grids(fmt, data.shape)
+    if not np.isfinite(data).all():
+        return 1
+    (bh, bw), (rows, cols) = Q._BLOCK[fmt], Q._matrix(data.shape)
+    x = np.zeros((nr * bh, nb * bw), np.float32)
+    x[:rows, :cols] = data.reshape(rows, cols)
+    x = x.reshape(nr, bh, nb, bw)
+    amax = np.abs(x).max(axis=(1, 3), initial=0.0).astype(np.float64)
+    live = np.where(amax > 0, amax, 2.0**-200)  # a block of zeros takes the smallest exponent
+    g = None
+    if fmt == Q.Format.MXFP8:  # 2^e with amax <= 448 * 2^e, e in E8M0's [-127, 127]
+        scales = np.clip(pow2_exponent(live, 448.0), -127, 127).astype(np.int16)
+        elem, sign_bit, eff = E4M3_GRID, 7, np.ldexp(np.float32(1), scales.astype(np.int32))
+    else:  # a power of two g >= 2^-126 with amax <= 6 * 448 * g, and E4M3 amax / (6 g) rounded up per block
+        g = np.float32(2.0 ** max(int(pow2_exponent(live.max(initial=2.0**-200), 6 * 448.0)), -126))
+        scales = oracle_round_up((amax / (6 * np.float64(g))).astype(np.float32), E4M3_GRID).astype(np.uint8)
+        elem, sign_bit, eff = E2M1_GRID, 3, E4M3_GRID[scales] * g
+    eff = eff[:, None, :, None]
+    scaled = x / np.where(eff > 0, eff, np.float32(1))
+    u = philox_uniforms(mode.seed, grid).reshape(x.shape) if mode.kind == "stochastic" else None
+    codes = np.where(eff > 0, oracle_encode(scaled, elem, sign_bit, mode.kind, u), 0).astype(np.uint8)
+    if (elem[codes & ((1 << sign_bit) - 1)] * eff.astype(np.float64) > FLT_MAX).any():
+        return 2
+    return codes.reshape(grid), scales, g
+
+
+def oracle_decode_blocks(fmt, shape, codes, scales, g):
+    """The decode kernel's contract, from the OCP values in float32: None for a NaN E4M3 code."""
+    codes, scales = np.asarray(codes), np.asarray(scales)
+    if np.isnan(E4M3_VALUES[codes if fmt == Q.Format.MXFP8 else scales]).any():
+        return None
+    if fmt == Q.Format.MXFP8:
+        vals, eff = E4M3_VALUES[codes], np.ldexp(np.float32(1), scales.astype(np.int32))
+    else:
+        vals, eff = E2M1_VALUES[codes], E4M3_VALUES[scales] * np.float32(g)
+    (bh, bw), (nr, nb), (rows, cols) = Q._BLOCK[fmt], scales.shape, Q._matrix(shape)
+    out = (vals.reshape(nr, bh, nb, bw) * eff[:, None, :, None]).reshape(nr * bh, nb * bw)
+    return np.ascontiguousarray(out[:rows, :cols]).reshape(shape)
 
 
 HOWS = [("e2m1", "nearest"), ("e2m1", "stochastic"), ("e4m3", "nearest"), ("e4m3", "stochastic"),
         ("e4m3", "up")]
+
+
+def encode_at_unit_scale(name, how, vals, seed=0):
+    """Round ``vals`` on grid ``name`` as ``how`` does, through the C quantizer at unit scale.
+
+    Nearest and stochastic: the values no larger than the grid's top, 15 (E2M1, NVFP4 blocks) or 31
+    (E4M3, MXFP8 blocks) to a row after a leading top value, which sets every block scale to one. Up:
+    the distinct magnitudes v up to 448 as NVFP4 block maxima 6v, whose block scales round (6v) / 6
+    up in E4M3 under the global scale one that a first block of 6 * 448 sets. Returns the codes, the values
+    the C encoder rounded, and the uniforms their codes drew (None unless stochastic)."""
+    vals = np.asarray(vals, np.float32).reshape(-1)
+    if how == "up":
+        mags = np.unique(np.abs(vals))
+        amax = (mags[mags <= 448].astype(np.float64) * 6).astype(np.float32)
+        x = np.zeros((amax.size + 1, 16), np.float32)
+        x[0, 0], x[1:, 0] = 6 * 448.0, amax
+        q = Q.quantize_nvfp4(x)
+        assert q.global_scale == 1.0
+        return q.block_scales[1:, 0], (amax.astype(np.float64) / 6).astype(np.float32), None
+    top, fmt, block = (6.0, Q.Format.NVFP4, 16) if name == "e2m1" else (448.0, Q.Format.MXFP8, 32)
+    vals = vals[np.abs(vals) <= top]
+    x = unit_scale_rows(vals, top, block)
+    mode = Q.stochastic(seed) if how == "stochastic" else Q.NEAREST_EVEN
+    q = quantize(fmt, x, mode)
+    assert_unit_scale(q)
+
+    def body(grid_values):
+        return grid_values.reshape(x.shape)[:, 1:].reshape(-1)[:vals.size]
+
+    return body(q.codes), vals, body(philox_uniforms(seed, q.codes.shape)) if how == "stochastic" else None
+
+
+def unit_scale_rows(vals, top, block):
+    """``vals``, block - 1 to a row after a leading ``top``, which sets the scale of each row's blocks to one."""
+    rows = -(-vals.size // (block - 1))
+    body = np.zeros((rows, block - 1), np.float32)
+    body.reshape(-1)[:vals.size] = vals
+    return np.concatenate([np.full((rows, 1), top, np.float32), body], axis=1)
+
+
+def assert_unit_scale(q):
+    if isinstance(q, Q.QuantizedTensorMXFP8):
+        assert (q.scale_exps == 0).all()
+    else:
+        assert (E4M3_GRID[q.block_scales] * q.global_scale == 1.0).all()
 
 
 def sweep_inputs() -> np.ndarray:
@@ -102,9 +200,10 @@ def sweep_inputs() -> np.ndarray:
 
 @pytest.mark.parametrize("name,how", HOWS)
 def test_rounding_matches_searchsorted_oracle_on_sweep(name, how):
-    grid, sign_bit, _ = GRIDS[name]
-    x = sweep_inputs()
-    assert np.array_equal(encode(name, x, how, seed=5), oracle_encode(x, grid, sign_bit, how, seed=5))
+    grid, sign_bit = GRIDS[name]
+    codes, vals, u = encode_at_unit_scale(name, how, sweep_inputs(), seed=5)
+    assert vals.size > 1000
+    assert np.array_equal(codes, oracle_encode(vals, grid, sign_bit, how, u))
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,21 +212,9 @@ def test_rounding_matches_searchsorted_oracle_on_sweep(name, how):
        st.integers(0, 2**32 - 1))
 def test_rounding_matches_searchsorted_oracle_property(x, seed):
     for name, how in HOWS:
-        grid, sign_bit, _ = GRIDS[name]
-        expected = oracle_encode(x, grid, sign_bit, how, seed)
-        assert np.array_equal(encode(name, x, how, seed), expected), (name, how)
-
-
-def test_encoders_keep_shape_of_scalars_and_matrices():
-    assert Q.encode_e2m1(1.4).shape == () and Q.encode_e2m1(1.4) == 3
-    assert Q.encode_e4m3(np.ones((2, 3)), Q.stochastic(1)).shape == (2, 3)
-
-
-def test_encoders_reject_non_finite_input():
-    with pytest.raises(NumericInputError):
-        Q.encode_e2m1([1.0, np.nan])
-    with pytest.raises(NumericInputError):
-        Q.encode_e4m3([np.inf])
+        grid, sign_bit = GRIDS[name]
+        codes, vals, u = encode_at_unit_scale(name, how, x, seed)
+        assert np.array_equal(codes, oracle_encode(vals, grid, sign_bit, how, u)), (name, how)
 
 
 # ---------------------------------------------------------------------------
@@ -136,46 +223,40 @@ def test_encoders_reject_non_finite_input():
 
 
 def test_e2m1_table_matches_ocp_values():
-    expected = np.array(OCP_E2M1 + [-v for v in OCP_E2M1], np.float32)
     assert Q.E2M1_TABLE.dtype == np.float32
-    assert Q.E2M1_TABLE.tobytes() == expected.tobytes()  # code 8 is -0.0
-    assert Q.decode_e2m1(np.arange(16, dtype=np.uint8)).tobytes() == expected.tobytes()
+    assert Q.E2M1_TABLE.tobytes() == E2M1_VALUES.tobytes()  # code 8 is -0.0
 
 
 def test_e4m3_table_matches_ocp_values():
-    expected = np.array([ocp_e4m3(c) for c in range(256)], np.float32)
-    nan = np.isnan(expected)
+    nan = np.isnan(E4M3_VALUES)
     assert list(np.flatnonzero(nan)) == [0x7F, 0xFF]
     assert np.isnan(Q.E4M3_TABLE[nan]).all()
-    assert Q.E4M3_TABLE[~nan].tobytes() == expected[~nan].tobytes()
+    assert Q.E4M3_TABLE[~nan].tobytes() == E4M3_VALUES[~nan].tobytes()
     assert (Q.E4M3_TABLE[0x7E], Q.E4M3_TABLE[0x01], Q.E4M3_TABLE[0x08], Q.E4M3_TABLE[0xFE]) == (
         448.0, 2.0 ** -9, 2.0 ** -6, -448.0)
-    with pytest.raises(NumericInputError):
-        Q.decode_e4m3([0x7F])
 
 
 @pytest.mark.parametrize("name", ["e2m1", "e4m3"])
 def test_ties_round_to_the_even_code(name):
-    grid, sign_bit, enc = GRIDS[name]
+    grid, sign_bit = GRIDS[name]
     g = grid.astype(np.float64)
     mids = ((g[1:] + g[:-1]) / 2).astype(np.float32)
     assert np.array_equal(mids.astype(np.float64), (g[1:] + g[:-1]) / 2)  # exact midpoints
-    codes = enc(mids)
+    codes = encode_at_unit_scale(name, "nearest", mids)[0]
     assert (codes % 2 == 0).all()
     lower = np.arange(len(mids))
     assert np.array_equal(codes, lower + lower % 2)
-    assert np.array_equal(enc(-mids), codes | (1 << sign_bit))
+    assert np.array_equal(encode_at_unit_scale(name, "nearest", -mids)[0], codes | (1 << sign_bit))
     if name == "e2m1":
-        assert list(enc([0.25, 0.75, 1.25, 2.5, 3.5, 5.0])) == [0, 2, 2, 4, 6, 6]
+        assert list(encode_at_unit_scale(name, "nearest", [0.25, 0.75, 1.25, 2.5, 3.5, 5.0])[0]) == [0, 2, 2, 4, 6, 6]
 
 
 @pytest.mark.parametrize("name,x", [("e2m1", 0.1), ("e2m1", 2.3), ("e2m1", 5.9),
                                     ("e4m3", 0.0011), ("e4m3", 300.0)])
 def test_stochastic_rounding_is_unbiased(name, x):
     n = 200_000
-    grid, _, enc = GRIDS[name]
-    decode = Q.decode_e2m1 if name == "e2m1" else Q.decode_e4m3
-    vals = decode(enc(np.full(n, x, np.float32), Q.stochastic(20251217))).astype(np.float64)
+    grid, _ = GRIDS[name]
+    vals = grid[encode_at_unit_scale(name, "stochastic", np.full(n, x), seed=20251217)[0]].astype(np.float64)
     lo = grid[grid <= np.float32(x)].max()
     hi = grid[grid > np.float32(x)].min()
     assert set(np.unique(vals)) == {lo, hi}
@@ -247,7 +328,7 @@ def test_round_up_block_scales_never_make_the_element_encoder_clamp(x):
     amax_2d = padded.reshape(rows // 16, 16, cols // 16, 16).max(axis=(1, 3))
     for layout, amax in [(Q.Layout.BLOCK_1D, amax_1d), (Q.Layout.BLOCK_2D, amax_2d)]:
         q = Q.quantize_nvfp4(x, layout)
-        eff = Q.decode_e4m3(q.block_scales).astype(np.float64) * q.global_scale
+        eff = E4M3_GRID[q.block_scales].astype(np.float64) * q.global_scale
         # a block whose scale underflows E4M3 flushes to zero rather than clamping
         assert (amax <= 6 * eff)[eff > 0].all()
 
@@ -371,13 +452,13 @@ def test_serialization_takes_only_global_scales_a_quantizer_makes():
     for g in (2.0**-126, 1.0, 2.0**64):
         back = Q.quantized_from_bytes(Q.quantized_to_bytes(replace(nvfp4, global_scale=np.float32(g))))
         assert back.global_scale == g
-        exact = Q.decode_e2m1(back.codes) * (Q.decode_e4m3(back.block_scales)[:, :, None] * np.float64(g))
+        exact = E2M1_VALUES[back.codes] * (E4M3_GRID[back.block_scales][:, :, None] * np.float64(g))
         assert np.array_equal(back.dequantize(), exact.reshape(2, 16))
 
 
 def test_serialization_rejects_records_that_decode_past_float32_max():
     mxfp8 = Q.quantize_mxfp8(np.ones((1, 32), np.float32))
-    assert (Q.decode_e4m3(mxfp8.codes) == 256).all() and mxfp8.scale_exps.tolist() == [[-8]]
+    assert (E4M3_VALUES[mxfp8.codes] == 256).all() and mxfp8.scale_exps.tolist() == [[-8]]
     nvfp4 = Q.quantize_nvfp4(np.ones((1, 16), np.float32))
     top_scale = np.full_like(nvfp4.block_scales, 0x7E)  # 448
     damaged = [replace(mxfp8, scale_exps=np.full_like(mxfp8.scale_exps, 127)),  # 256 * 2^127
@@ -527,20 +608,23 @@ def test_quantized_linear_rejects_unknown_formats():
 
 
 # ---------------------------------------------------------------------------
-# both encode/decode paths: the C kernels and the numpy fallback
+# the C kernels against the numpy oracle
 # ---------------------------------------------------------------------------
 
-# The C path is skipped only where it was not built; test_mm_kernel_build.py
-# fails when a compiler is present and the C kernels were not selected.
-needs_c = pytest.mark.skipif(Q._C_ENCODE is None, reason="C kernels not built")
-PATHS = [pytest.param("c", marks=needs_c), "numpy"]
+# The "c" path runs the library's kernels; the "numpy" path puts this file's
+# oracles in their place, so that each assertion below holds for the oracle
+# too: it reproduces the golden hashes and raises where the kernels raise.
+PATHS = ["c", "numpy"]
 FORMATS = [Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.MXFP8]
 
 
 @contextmanager
 def on_path(path):
-    with mock.patch.object(Q, "_encode_kernel", getattr(Q, f"_encode_kernel_{path}")), \
-            mock.patch.object(Q, "_decode_kernel", getattr(Q, f"_decode_kernel_{path}")):
+    if path == "c":
+        yield
+        return
+    with mock.patch.object(Q, "_encode_kernel_c", oracle_encode_blocks), \
+            mock.patch.object(Q, "_decode_kernel_c", oracle_decode_blocks):
         yield
 
 
@@ -561,9 +645,9 @@ def assert_same_codes(q, r):
 
 
 def on_both_paths(fmt, x, mode):
-    """Quantize and dequantize ``x`` on the C and the numpy path, check that both give the same codes
-    and the same dequantized bits (so the sign of zero counts), and return the C path's pair. If
-    either path raises NumericInputError, both must raise it with the same message; that is re-raised."""
+    """Quantize and dequantize ``x`` with the C kernels and with the oracle, check that both give the
+    same codes and the same dequantized bits (so the sign of zero counts), and return the C pair. If
+    either raises NumericInputError, both must raise it with the same message; that is re-raised."""
     results = []
     for path in ("c", "numpy"):
         with on_path(path):
@@ -602,23 +686,11 @@ def test_golden_linear_hashes_on_each_path(path, name, shape):
 @pytest.mark.parametrize("path", PATHS)
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_stochastic_rounding_draws_one_uniform_per_code_on_each_path(path, fmt):
-    """The numpy encoder draws ``RoundingMode.uniforms`` once over the padded code grid; the C
-    encoder computes the same draws from the Philox key, never calls it, and gives numpy's codes."""
+    """A key gives the same codes every time, and the C encoder, which computes each code's draw from
+    the key, gives the codes of the oracle, which draws one uniform per code over the padded grid."""
     x = golden_input()[:17, :33]
-    shapes = []
-    real = Q.RoundingMode.uniforms
-
-    def spy(mode, shape):
-        shapes.append(shape)
-        return real(mode, shape)
-
-    with on_path(path), mock.patch.object(Q.RoundingMode, "uniforms", spy):
+    with on_path(path):
         q = quantize(fmt, x, Q.stochastic(9))
-        quantize(fmt, x)  # nearest draws nothing
-        if path == "numpy":
-            assert len(shapes) == 1 and math.prod(shapes[0]) == q.codes.size
-        else:
-            assert shapes == []
         again = quantize(fmt, x, Q.stochastic(9))
     assert_same_codes(q, again)
     with on_path("numpy"):
@@ -633,7 +705,6 @@ ALIGNMENT_SHAPES = [(Q.Format.NVFP4, (2, 3, 40)), (Q.Format.NVFP4, (5, 100)), (Q
                     (Q.Format.MXFP8, (2, 3, 40)), (Q.Format.MXFP8, (5, 100))]
 
 
-@needs_c
 @pytest.mark.parametrize("seed", KEY_SEEDS, ids=repr)
 @pytest.mark.parametrize("fmt,shape", ALIGNMENT_SHAPES)
 def test_c_stochastic_draws_line_up_with_the_code_grid(fmt, shape, seed):
@@ -667,7 +738,6 @@ EDGE_CASES = [((), 1.0), ((0, 16), 1.0), ((16, 0), 1.0), ((17, 33), 1.0), ((33, 
               ((3, 1064), 1.0), ((2, 3, 40), 1e-45), ((67, 128), 1.0), ((256, 8), 3.0)]
 
 
-@needs_c
 @pytest.mark.parametrize("mode", [Q.NEAREST_EVEN, Q.stochastic(4)], ids=["nearest", "stochastic"])
 @pytest.mark.parametrize("fmt,shape,scale", [(fmt, shape, scale) for fmt in FORMATS for shape, scale in EDGE_CASES
                                              if fmt != Q.Format.NVFP4_2D or len(shape) == 2])
@@ -678,7 +748,6 @@ def test_c_and_numpy_paths_agree_on_edge_shapes(fmt, mode, shape, scale):
     on_both_paths(fmt, x, mode)
 
 
-@needs_c
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("mode", [Q.NEAREST_EVEN, Q.stochastic(4)], ids=["nearest", "stochastic"])
 def test_c_and_numpy_paths_agree_on_signed_zeros_and_subnormals(fmt, mode):
@@ -696,34 +765,26 @@ def test_c_and_numpy_paths_agree_on_signed_zeros_and_subnormals(fmt, mode):
 TIE_KEY = 3278259
 
 
-@needs_c
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_c_and_numpy_paths_agree_on_grid_ties(fmt):
     """The sweep's grid points, midpoints and neighbours at unit block scale, which a leading 6 or 448
-    in every block sets, rounded to nearest on both paths, and on the numpy path stochastically with
-    every uniform 0.5, which ties with the fraction at each midpoint, as the searchsorted oracle does.
-    The C path computes its own uniforms, so both paths tie on TIE_KEY's first uniform instead."""
+    in every block sets, rounded to nearest and stochastically by the C kernels and the oracle, and
+    stochastically also by the element oracle under the same draws. A midpoint ties with its uniform
+    only on a draw of exactly 0.5, so a real draw ties instead: TIE_KEY's first uniform is a float32."""
     top, block = (448.0, 32) if fmt == Q.Format.MXFP8 else (6.0, 16)
-    elem, table, sign_bit, grid = ((Q._E4M3, Q.E4M3_TABLE, 7, E4M3_GRID) if fmt == Q.Format.MXFP8
-                                   else (Q._E2M1, Q.E2M1_TABLE, 3, E2M1_GRID))
+    table, sign_bit, grid = (E4M3_VALUES, 7, E4M3_GRID) if fmt == Q.Format.MXFP8 else (E2M1_VALUES, 3, E2M1_GRID)
     vals = sweep_inputs()
-    vals = vals[np.abs(vals) <= top]
-    body = np.zeros(-(-vals.size // (block - 1)) * (block - 1), np.float32)
-    body[:vals.size] = vals
-    x = np.concatenate([np.full((body.size // (block - 1), 1), top, np.float32), body.reshape(-1, block - 1)], axis=1)
+    x = unit_scale_rows(vals[np.abs(vals) <= top], top, block)
     q, _ = on_both_paths(fmt, x, Q.NEAREST_EVEN)
-    if fmt == Q.Format.MXFP8:
-        assert (q.scale_exps == 0).all()
-    else:
-        assert (Q.decode_e4m3(q.block_scales) * q.global_scale == 1.0).all()
-    with on_path("numpy"), mock.patch.object(Q.RoundingMode, "uniforms", lambda mode, shape: np.full(shape, 0.5)):
-        out = quantize(fmt, x, Q.stochastic(0)).dequantize()
-        expected = table.take(oracle_encode(x, grid, sign_bit, "stochastic"))
+    assert_unit_scale(q)
+    q, out = on_both_paths(fmt, x, Q.stochastic(TIE_KEY))
+    u = philox_uniforms(TIE_KEY, q.codes.shape).reshape(-1)[:x.size].reshape(x.shape)
+    expected = table[oracle_encode(x, grid, sign_bit, "stochastic", u)]
     assert np.array_equal(out.view(np.uint32), expected.view(np.uint32))
-    u = Q.stochastic(TIE_KEY).uniforms(1)[0]
+    u = philox_uniforms(TIE_KEY, 1)[0]
     assert u == np.float32(u) and u == 0.00264154770411551
     tie = np.zeros((16, 2 * block), np.float32)
-    tie[0, 0], tie[0, 1] = u * 2.0 ** (elem.emin - elem.mb), top
+    tie[0, 0], tie[0, 1] = u * grid[1], top  # the subnormal step times u: its fraction is u
     q, out = on_both_paths(fmt, tie, Q.stochastic(TIE_KEY))
     assert q.codes.reshape(-1)[0] == 0 and out[0, 0] == 0.0  # u < fraction fails at the tie
 
@@ -750,7 +811,6 @@ def test_non_finite_input_raises_ahead_of_codes_past_float32_max_on_each_path(pa
 
 
 PAST_MAX = "input rounds to a code that decodes past float32's maximum"
-FLT_MAX = np.finfo(np.float32).max
 # The largest inputs whose codes decode finite when rounded to nearest. NVFP4: above
 # 2688 * 2^116 the global scale is 2^117, a block maximum past 320 * 6 * 2^117 gets block
 # scale 352 (rounded up), and its code, 6, decodes to 2112 * 2^117 > 2^128. MXFP8: above
@@ -826,7 +886,6 @@ def test_codes_or_scales_off_their_grid_do_not_decode_on_each_path(path):
             q.dequantize()
 
 
-@needs_c
 @settings(max_examples=150, deadline=None)
 @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=1, max_dims=2, max_side=40),
                   elements=st.floats(width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)),

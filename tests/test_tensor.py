@@ -74,20 +74,6 @@ def test_matmul_exact_casts_other_dtypes_to_float32(dtype):
     assert np.array_equal(out, T.matmul_oracle(a.astype(np.float32), b.astype(np.float32)))
 
 
-# Every exactness check below runs on both kernels through matmul_exact. The
-# C kernel is skipped only where it was not built; test_mm_kernel_build.py
-# fails when a compiler is present and the C kernel was not selected.
-KERNELS = [
-    pytest.param("_mm_kernel_c", marks=pytest.mark.skipif(T._C_KERNEL is None, reason="C kernel not built")),
-    "_mm_kernel_numpy",
-]
-
-
-def _mm(kernel, a, b):
-    with mock.patch.object(T, "_mm_kernel", getattr(T, kernel)):
-        return T.matmul_exact(a, b)
-
-
 def _assert_same_bits(x, y):
     """Equal bit for bit, except that any NaN matches any NaN."""
     assert x.shape == y.shape and x.dtype == y.dtype == np.float32
@@ -110,8 +96,7 @@ def _transposed_layout(x):
     return np.ascontiguousarray(x.T).T
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_matches_oracle_on_edge_shapes(kernel):
+def test_kernel_matches_oracle_on_edge_shapes():
     # m covers the 6- and 12-row tiles and their leftovers; n covers the
     # 16-, 32- and 64-column panels and their zero-padded tails; k = 300
     # spans three 128-deep blocks that resume from the stored partial sums;
@@ -122,13 +107,12 @@ def test_kernel_matches_oracle_on_edge_shapes(kernel):
         want = _sequential_sum(a, b)
         at, bt = _transposed_layout(a), _transposed_layout(b)
         for x, y in ((a, b), (at, b), (a, bt), (at, bt)):
-            _assert_same_bits(_mm(kernel, x, y), want)
+            _assert_same_bits(T.matmul_exact(x, y), want)
     a, b = _rand((13, 17), 1), _rand((17, 65), 2)  # the vectorized sum is the oracle's
     _assert_same_bits(_sequential_sum(a, b), T.matmul_oracle(a, b))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_matches_oracle_on_views(kernel):
+def test_kernel_matches_oracle_on_views():
     big, big2 = _rand((12, 40), 21), _rand((20, 40), 22)
     views = [
         (big[1:8, 3:20], big2[2:19, 5:38]),  # offset slices
@@ -136,40 +120,37 @@ def test_kernel_matches_oracle_on_views(kernel):
         (big[::-2, ::3], big2[13::-1, ::-2]),  # negative and non-unit strides
     ]
     for a, b in views:
-        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(np.ascontiguousarray(a), np.ascontiguousarray(b)))
+        _assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(np.ascontiguousarray(a), np.ascontiguousarray(b)))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_keeps_subnormals(kernel):
+def test_kernel_keeps_subnormals():
     tiny = np.finfo(np.float32).tiny
     a = _rand((6, 9), 31) * np.float32(1e-20)  # products of normals land below tiny
     b = _rand((9, 35), 32) * np.float32(1e-20)
     a[0] = _rand(9, 33) * np.float32(tiny / 8)  # subnormal operands
-    out = _mm(kernel, a, b)
+    out = T.matmul_exact(a, b)
     _assert_same_bits(out, T.matmul_oracle(a, b))
     assert np.any((out != 0) & (np.abs(out) < tiny))  # flush-to-zero would fail here
-    _assert_same_bits(_mm(kernel, np.full((5, 1), tiny / 4, np.float32), np.full((1, 17), 2.0, np.float32)),
+    _assert_same_bits(T.matmul_exact(np.full((5, 1), tiny / 4, np.float32), np.full((1, 17), 2.0, np.float32)),
                       np.full((5, 17), tiny / 2, np.float32))
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_signed_zeros(kernel):
+def test_kernel_signed_zeros():
     a = np.array([[-0.0, -0.0], [-0.0, 0.0], [1.0, -1.0], [-1.0, 0.0], [0.0, 0.0]], np.float32)
     b = np.array([[1.0, -1.0, 0.0, -0.0, 2.0], [1.0, 1.0, -0.0, -0.0, -2.0]], np.float32)
-    out = _mm(kernel, a, b)
+    out = T.matmul_exact(a, b)
     _assert_same_bits(out, T.matmul_oracle(a, b))
     assert not np.any(np.signbit(out[out == 0]))  # accumulation starts from +0
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_propagates_inf_and_nan(kernel):
+def test_kernel_propagates_inf_and_nan():
     big = np.finfo(np.float32).max
     a = _rand((7, 5), 41)
     b = _rand((5, 19), 42)
     a[0, 1], a[1, 2], a[2, 3], a[3, 0] = np.inf, -np.inf, np.nan, big
     b[1, 4], b[2, 5], b[0, 6] = 0.0, np.inf, big  # inf*0, inf-inf, overflow
     with np.errstate(all="ignore"):
-        out, want = _mm(kernel, a, b), T.matmul_oracle(a, b)
+        out, want = T.matmul_exact(a, b), T.matmul_oracle(a, b)
     _assert_same_bits(out, want)
     assert np.isnan(out).any() and np.isinf(out).any()
 
@@ -188,15 +169,14 @@ def _operand(draw, shape):
     return base[1 : 1 + shape[0] * step[0] : step[0], 2 : 2 + shape[1] * step[1] : step[1]]
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_kernel_matches_oracle_property(kernel, data):
+def test_kernel_matches_oracle_property(data):
     # up to 14 rows and 70 columns: tails of both tile heights and of the 64-column panel
     m, k, n = data.draw(st.integers(0, 14)), data.draw(st.integers(0, 12)), data.draw(st.integers(0, 70))
     a, b = data.draw(_operand((m, k))), data.draw(_operand((k, n)))
     with np.errstate(all="ignore"):
-        _assert_same_bits(_mm(kernel, a, b), T.matmul_oracle(a, b))
+        _assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
 
 
 def test_matmul_exact_hands_views_to_the_kernel_without_copies():
@@ -218,10 +198,9 @@ def test_matmul_exact_hands_views_to_the_kernel_without_copies():
         assert np.shares_memory(seen[-1][1], w)
 
 
-@pytest.mark.skipif(T._C_KERNEL is None, reason="C kernel not built")
 def test_kernels_agree_at_256x512x512():
     a, b = _rand((256, 512), 51), _rand((512, 512), 52)
-    _assert_same_bits(_mm("_mm_kernel_c", a, b), _mm("_mm_kernel_numpy", a, b))
+    _assert_same_bits(T._mm_kernel(a, b, np.zeros((256, 512), np.float32)), _sequential_sum(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +746,13 @@ TYPED_ERRORS = {
     "rounding_kind_misspelt": (ConfigError, lambda: Q.RoundingMode("stocastic", 3)),
     "rounding_seed_negative": (ConfigError, lambda: Q.stochastic(-1)),
     "rounding_seed_past_philox_key": (ConfigError, lambda: Q.stochastic(2**128)),
+    "rounding_seed_bool": (ConfigError, lambda: Q.stochastic(True)),
     "hadamard_seed_negative": (ConfigError, lambda: Q.random_hadamard(16, -1)),
     "hadamard_seed_float": (ConfigError, lambda: Q.random_hadamard(16, 1.5)),
     "hadamard_seed_past_philox_key": (ConfigError, lambda: Q.random_hadamard(16, 2**128)),
+    "hadamard_seed_bool": (ConfigError, lambda: Q.random_hadamard(16, True)),
+    "hadamard_size_float": (ConfigError, lambda: Q.random_hadamard(16.0, 1)),
+    "hadamard_size_str": (ConfigError, lambda: Q.random_hadamard("16", 1)),
     "dequantize_codes_off_grid": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
         (2, 20), Q.Layout.BLOCK_1D, np.zeros((2, 1, 16), np.uint8), np.zeros((2, 1), np.uint8), 1.0).dequantize()),
     "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
