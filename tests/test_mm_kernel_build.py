@@ -111,15 +111,15 @@ def test_unusable_directories_fall_through_to_next(tmp_path):
     assert np.array_equal(_run_kernel(fn, a, b), T.matmul_oracle(a, b))
 
 
-def test_import_without_compiler_raises_kernel_build_error(tmp_path):
+@pytest.mark.parametrize("module", ["hybridlm.tensor", "hybridlm.quant"])
+def test_import_without_compiler_raises_kernel_build_error(tmp_path, module):
     (tmp_path / "empty").mkdir()
     env = dict(os.environ, PATH=str(tmp_path / "empty"), PYTHONPATH=SRC, XDG_CACHE_HOME=str(tmp_path / "cache"))
-    for module in ("hybridlm.tensor", "hybridlm.quant"):
-        result = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True,
-                                timeout=120)
-        assert result.returncode != 0
-        assert "hybridlm.errors.KernelBuildError: cannot build the C kernels with compiler 'cc'" in result.stderr
-        assert str(tmp_path / "cache" / "hybridlm") in result.stderr
+    result = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True,
+                            timeout=120)
+    assert result.returncode != 0
+    assert "hybridlm.errors.KernelBuildError: cannot build the C kernels with compiler 'cc'" in result.stderr
+    assert str(tmp_path / "cache" / "hybridlm") in result.stderr
     assert not (tmp_path / "cache").exists()
 
 
