@@ -19,6 +19,7 @@ Independent tapes may run concurrently; there is no shared mutable state.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import subprocess
@@ -66,14 +67,17 @@ from .errors import ContractError, KernelBuildError, NumericInputError, ShapeErr
 # over two threads gave no reliable end-to-end gain on a 2-vCPU host whose
 # cores also serve numpy's BLAS calls.
 #
-# _load_c_kernel builds any C source this way; quant.py's encode/decode
-# kernels come from the same loader. A library is cached in
+# _load_c_kernel builds every C source this way. There are three: _MM_SOURCE
+# here, _SCAN_SOURCE (mamba_scan's recurrence, below) and quant.py's
+# _QUANT_SOURCE (the quantizers' encode/decode). A library is cached in
 # $XDG_CACHE_HOME/hybridlm (default ~/.cache/hybridlm), or in
 # <tempdir>/hybridlm-<uid> when that directory is not writable. Its file
 # name hashes the source, the flags and `cc --version`, so a changed kernel
 # or compiler builds afresh. Each build goes to a temporary file that
 # os.replace moves into place, so processes importing concurrently are safe. A directory that another user owns or
 # can write to is skipped, since a library planted there would be loaded.
+# A process runs `cc --version` once per compiler and opens each library
+# once, however many entry points it loads from it.
 # With no working compiler or no usable cache directory the import raises
 # KernelBuildError: there is no slower path to fall back to.
 
@@ -186,6 +190,17 @@ def _compile(cc: str, lib: Path, source: str) -> None:
             os.unlink(tmp)
 
 
+@functools.cache
+def _cc_version(cc: str) -> str:
+    """``cc --version``, run once per compiler; a failure raises and is not cached."""
+    return subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
+
+
+@functools.cache
+def _open_library(path: str) -> ctypes.CDLL:
+    return ctypes.CDLL(path)
+
+
 def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM_SOURCE,
                    entry: str = "mm_exact_f32", prototype=_MM_PROTOTYPE):
     """Return the ctypes function ``entry`` of the C ``source``, typed by ``prototype``.
@@ -202,7 +217,7 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
                                 f"{', '.join(map(str, dirs))}: {why}")
 
     try:
-        version = subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
+        version = _cc_version(cc)
     except (OSError, subprocess.CalledProcessError) as e:
         raise error(f"the compiler does not run ({e})") from e
     key = hashlib.sha256("\0".join((source, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
@@ -217,7 +232,7 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
                 continue
             if not lib.exists():
                 _compile(cc, lib, source)
-            return prototype((entry, ctypes.CDLL(str(lib))))
+            return prototype((entry, _open_library(str(lib))))
         except subprocess.CalledProcessError as e:
             raise error(f"the compiler failed: {e.stderr.strip()}") from e
         except OSError as e:  # directory not writable, or the library cannot be loaded from it
@@ -749,7 +764,9 @@ def causal_softmax(scores: Tensor) -> Tensor:
     mask = np.tril(np.ones((t, t), dtype=bool))
     z = scores.data
     zmax = np.where(mask, z, -np.inf).max(axis=1, keepdims=True)
-    e = np.where(mask, np.exp(z - zmax), 0.0).astype(z.dtype)
+    # masked-out entries become exp(0) before the mask zeroes them, so a large
+    # score above the diagonal cannot overflow
+    e = np.exp(np.where(mask, z, zmax) - zmax) * mask
     y = e / e.sum(axis=1, keepdims=True)
 
     def bwd(dout):
@@ -789,14 +806,217 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     return _make(out, (x, w, bias), bwd)
 
 
-# Chunked (SSD) form of the scan: Dao & Gu, "Transformers are SSMs" (arXiv
-# 2405.21060), section 6. Within a chunk of _SCAN_CHUNK steps the work is
-# batched matmuls; only the [H, P, N] state moves from chunk to chunk, and
-# backward keeps the chunk-boundary states instead of one state per step.
-# The work inside a chunk grows with its length, and the longer a chunk, the
-# more of its decay factors exp(lam_s - lam_r) fall into float32's slow
-# subnormal range; 16 and 32 measured fastest, and 16 is the more accurate.
+# mamba_scan runs the recurrence step by step in the C source _SCAN_SOURCE,
+# built by _load_c_kernel like the GEMM. On one core the plain recurrence
+# does less work than the chunked SSD form of Dao & Gu (arXiv 2405.21060),
+# whose point is to turn it into matmuls for tensor cores. Backward keeps no
+# state per step: as in Mamba's scan (Gu & Dao, arXiv 2312.00752, section
+# 3.3), the forward saves the state entering every _SCAN_CHUNK-th step and
+# the backward walks those segments in reverse, recomputing each segment's
+# states. The lanes of the state are independent except in the sums for
+# db and dc, so the backward runs a segment one block of LP lanes at a
+# time, and the block's (_SCAN_CHUNK + 1) x N recomputed state vectors, 35 KB
+# at N = 32, stay in the L1 cache. On an AVX-512 Xeon with a 48 KB L1 data
+# cache, a checkpoint every 16 steps measured faster than every 8 or 32.
+#
+# Kernel contract. The state is held as [N, MP]: row n, lane j = h * P + p
+# for the M = H * P lanes, then zero lanes up to MP, the next multiple of
+# _SCAN_LANES (LP in the source), so every inner loop runs over whole
+# vectors of contiguous lanes: 64 in the long stack, 512 in the wide one.
+# numpy computes decay = exp(dt * a) as [T, H], so the source needs no libm;
+# every other array is C-contiguous in the scan's dtype, float32 or float64,
+# and one source text serves both. scan_fwd writes y and leaves the final
+# state in `state`, with the state entering step s * seg in ckpt[s]. scan_bwd
+# takes the upstream gradient g [T, H, P] and writes dx, db and dc, dd, and
+# per (t, h) the sums ex = sum_p e x and dq = sum_(p,n) dh_t s_(t-1), where e =
+# sum_n dh_t b_t is the gradient of dt x; numpy turns dq into the gradients of
+# dt and a. A sum over the lanes (db, dc) adds each block's LP lanes by a
+# fixed tree and then the blocks in increasing order; sums over N run in
+# increasing n. The order is thus the same in every target_clones variant,
+# and the loops vectorize without reassociating. Python passes every
+# scratch buffer.
 _SCAN_CHUNK = 16
+_SCAN_LANES = 16
+_SCAN_TYPED = r"""
+typedef REAL vec_SFX __attribute__((vector_size(LP * sizeof(REAL)), aligned(sizeof(REAL))));
+typedef IDX idx_SFX __attribute__((vector_size(LP * sizeof(REAL))));
+
+/* acc[r] += the sum of the LP lanes of rows[r], for LP rows, each summed by one tree: lane l plus
+   lane l + 8, then l + 4, l + 2 and l + 1. Each level packs the halved lanes of two vectors into one. */
+static inline __attribute__((always_inline)) void add_sums_SFX(const vec_SFX *rows, REAL *acc)
+{
+    const idx_SFX lo8 = {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23};
+    const idx_SFX lo4 = {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27};
+    const idx_SFX lo2 = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29};
+    const idx_SFX lo1 = {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30};
+    vec_SFX v8[8], v4[4], v2[2];
+    for (int i = 0; i < 8; i++)
+        v8[i] = __builtin_shuffle(rows[2 * i], rows[2 * i + 1], lo8) + __builtin_shuffle(rows[2 * i], rows[2 * i + 1], lo8 + 8);
+    for (int i = 0; i < 4; i++)
+        v4[i] = __builtin_shuffle(v8[2 * i], v8[2 * i + 1], lo4) + __builtin_shuffle(v8[2 * i], v8[2 * i + 1], lo4 + 4);
+    for (int i = 0; i < 2; i++)
+        v2[i] = __builtin_shuffle(v4[2 * i], v4[2 * i + 1], lo2) + __builtin_shuffle(v4[2 * i], v4[2 * i + 1], lo2 + 2);
+    *(vec_SFX *)acc += __builtin_shuffle(v2[0], v2[1], lo1) + __builtin_shuffle(v2[0], v2[1], lo1 + 1);
+}
+
+/* One step's lanes j = i p + k (head i): decay dl and input ul = dt x, then zeros up to mp. */
+static inline __attribute__((always_inline)) void lanes_SFX(ptrdiff_t h, ptrdiff_t p, ptrdiff_t mp,
+                                                             const REAL *restrict x, const REAL *restrict dt,
+                                                             const REAL *restrict decay, REAL *restrict dl,
+                                                             REAL *restrict ul)
+{
+    for (ptrdiff_t i = 0; i < h; i++)
+        for (ptrdiff_t k = 0; k < p; k++) {
+            dl[i * p + k] = decay[i];
+            ul[i * p + k] = dt[i] * x[i * p + k];
+        }
+    for (ptrdiff_t j = h * p; j < mp; j++) dl[j] = ul[j] = 0;
+}
+
+/* y [t_len, h, p] of the scan from `state` [n, mp], which ends as the final state; the state
+   entering step s seg goes to ckpt[s]. Scratch: lanes 3 mp. */
+CLONES void scan_fwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
+                         const REAL *restrict x, const REAL *restrict dt, const REAL *restrict decay,
+                         const REAL *restrict d, const REAL *restrict b, const REAL *restrict c,
+                         REAL *restrict lanes, REAL *restrict state, REAL *restrict ckpt, REAL *restrict y)
+{
+    const ptrdiff_t m = h * p, nm = n * mp;
+    REAL *dl = lanes, *ul = lanes + mp, *yl = lanes + 2 * mp;
+    for (ptrdiff_t t = 0; t < t_len; t++) {
+        if (t % seg == 0) memcpy(ckpt + t / seg * nm, state, (size_t)nm * sizeof *state);
+        lanes_SFX(h, p, mp, x + t * m, dt + t * h, decay + t * h, dl, ul);
+        const REAL *bt = b + t * n, *ct = c + t * n;
+        for (ptrdiff_t j = 0; j < mp; j += LP) {
+            const vec_SFX dv = *(const vec_SFX *)(dl + j), uv = *(const vec_SFX *)(ul + j);
+            vec_SFX yv = {0};
+            for (ptrdiff_t k = 0; k < n; k++) {
+                vec_SFX *s = (vec_SFX *)(state + k * mp + j);
+                *s = dv * *s + uv * bt[k];
+                yv += *s * ct[k];
+            }
+            *(vec_SFX *)(yl + j) = yv;
+        }
+        for (ptrdiff_t i = 0; i < h; i++)
+            for (ptrdiff_t k = 0; k < p; k++)
+                y[t * m + i * p + k] = yl[i * p + k] + d[i] * x[t * m + i * p + k];
+    }
+}
+
+/* The gradients of scan_fwd for upstream g [t_len, h, p], from its checkpoints: dx [t_len, h, p],
+   ex and dq [t_len, h], dd [h], db and dc [t_len, n]. Scratch: lanes 5 seg mp, rows 2 np LP and
+   sums 2 seg np (np: n rounded up to a multiple of LP), dh n mp, st (seg + 1) n LP. */
+CLONES void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
+                         const REAL *restrict x, const REAL *restrict dt, const REAL *restrict decay,
+                         const REAL *restrict d, const REAL *restrict b, const REAL *restrict c,
+                         const REAL *restrict g, const REAL *restrict ckpt, REAL *restrict lanes,
+                         REAL *restrict rows, REAL *restrict sums, REAL *restrict dh, REAL *restrict st,
+                         REAL *restrict dx, REAL *restrict ex, REAL *restrict dq, REAL *restrict dd,
+                         REAL *restrict db, REAL *restrict dc)
+{
+    const ptrdiff_t m = h * p, nm = n * mp, np = (n + LP - 1) / LP * LP, sm = seg * mp;
+    REAL *dl = lanes, *ul = dl + sm, *gl = ul + sm, *el = gl + sm, *ql = el + sm;  /* per step of a segment */
+    vec_SFX *rc = (vec_SFX *)rows, *rb = rc + np;  /* one block's lanes of the terms of dc and db */
+    REAL *sc = sums, *sb = sums + seg * np;        /* dc and db over the blocks so far */
+    vec_SFX *sv = (vec_SFX *)st;                   /* one block's states through the segment */
+    memset(rows, 0, (size_t)(2 * np) * sizeof *rc);
+    memset(dh, 0, (size_t)nm * sizeof *dh);  /* the gradient of the state after the step at hand */
+    memset(dd, 0, (size_t)h * sizeof *dd);
+    for (ptrdiff_t sg = (t_len + seg - 1) / seg; sg-- > 0;) {
+        const ptrdiff_t t0 = sg * seg, len = t_len - t0 < seg ? t_len - t0 : seg;
+        for (ptrdiff_t i = 0, t = t0; i < len; i++, t++) {
+            lanes_SFX(h, p, mp, x + t * m, dt + t * h, decay + t * h, dl + i * mp, ul + i * mp);
+            memcpy(gl + i * mp, g + t * m, (size_t)m * sizeof *gl);
+            for (ptrdiff_t j = m; j < mp; j++) gl[i * mp + j] = 0;
+        }
+        memset(sums, 0, (size_t)(2 * seg * np) * sizeof *sums);
+        for (ptrdiff_t j = 0; j < mp; j += LP) {
+            for (ptrdiff_t k = 0; k < n; k++) sv[k] = *(const vec_SFX *)(ckpt + sg * nm + k * mp + j);
+            for (ptrdiff_t i = 0; i < len; i++) {
+                const vec_SFX dv = *(const vec_SFX *)(dl + i * mp + j), uv = *(const vec_SFX *)(ul + i * mp + j);
+                const REAL *bt = b + (t0 + i) * n;
+                for (ptrdiff_t k = 0; k < n; k++) sv[(i + 1) * n + k] = dv * sv[i * n + k] + uv * bt[k];
+            }
+            for (ptrdiff_t i = len; i-- > 0;) {
+                const ptrdiff_t t = t0 + i;
+                const REAL *bt = b + t * n, *ct = c + t * n;
+                const vec_SFX *s0 = sv + i * n, *s1 = s0 + n;
+                const vec_SFX gv = *(const vec_SFX *)(gl + i * mp + j), uv = *(const vec_SFX *)(ul + i * mp + j);
+                const vec_SFX dv = *(const vec_SFX *)(dl + i * mp + j);
+                vec_SFX ev = {0}, qv = {0};
+                for (ptrdiff_t k = 0; k < n; k++) {
+                    vec_SFX *dk = (vec_SFX *)(dh + k * mp + j);
+                    const vec_SFX dht = *dk + gv * ct[k];  /* plus this step's output */
+                    rc[k] = gv * s1[k];
+                    rb[k] = dht * uv;
+                    ev += dht * bt[k];
+                    qv += dht * s0[k];
+                    *dk = dv * dht;
+                }
+                *(vec_SFX *)(el + i * mp + j) = ev;
+                *(vec_SFX *)(ql + i * mp + j) = qv;
+                for (ptrdiff_t k = 0; k < n; k += LP) {
+                    add_sums_SFX(rc + k, sc + i * np + k);
+                    add_sums_SFX(rb + k, sb + i * np + k);
+                }
+            }
+        }
+        for (ptrdiff_t i = 0, t = t0; i < len; i++, t++) {
+            memcpy(dc + t * n, sc + i * np, (size_t)n * sizeof *dc);
+            memcpy(db + t * n, sb + i * np, (size_t)n * sizeof *db);
+            const REAL *e = el + i * mp, *q = ql + i * mp, *gi = gl + i * mp;
+            for (ptrdiff_t hi = 0; hi < h; hi++) {
+                REAL es = 0, qs = 0, ds = 0;
+                for (ptrdiff_t k = 0; k < p; k++) {
+                    const ptrdiff_t j = hi * p + k;
+                    dx[t * m + j] = dt[t * h + hi] * e[j] + d[hi] * gi[j];
+                    es += e[j] * x[t * m + j];
+                    qs += q[j];
+                    ds += gi[j] * x[t * m + j];
+                }
+                ex[t * h + hi] = es;
+                dq[t * h + hi] = qs;
+                dd[hi] += ds;
+            }
+        }
+    }
+}
+"""
+_SCAN_SOURCE = r"""
+#include <stddef.h>
+#include <string.h>
+
+#if defined(__x86_64__)
+#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define CLONES
+#endif
+
+enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES */
+""" + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx)
+              for real, idx, sfx in (("float", "int", "f32"), ("double", "long long", "f64")))
+_SCAN_PROTOTYPES = {"fwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 10),
+                    "bwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 19)}
+_C_SCAN = {np.dtype(dtype): {way: _load_c_kernel(_cache_dirs(), source=_SCAN_SOURCE, entry=f"scan_{way}_{sfx}",
+                                                 prototype=proto) for way, proto in _SCAN_PROTOTYPES.items()}
+           for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64"))}
+
+
+def _aligned(shape, dtype) -> np.ndarray:
+    """An uninitialised C-contiguous array whose data starts on a 64-byte boundary.
+
+    On the 16-byte alignment numpy gives, the scan's 64-byte vector loads
+    and stores split across two cache lines; its backward ran about a fifth
+    slower so on an AVX-512 Xeon.
+    """
+    size, item = int(np.prod(shape)), np.dtype(dtype).itemsize
+    buf = np.empty(size + 64 // item, dtype)
+    start = -buf.ctypes.data % 64 // item
+    return buf[start:start + size].reshape(shape)
+
+
+def _ptrs(*arrays: np.ndarray) -> list[int]:
+    """Data addresses for a kernel call; the caller keeps the arrays alive until it returns."""
+    return [a.ctypes.data for a in arrays]
 
 
 def mamba_scan(
@@ -808,7 +1028,7 @@ def mamba_scan(
     d_skip: Tensor,
     h0: np.ndarray | None = None,
 ) -> tuple[Tensor, np.ndarray]:
-    """Chunked (SSD) selective-state-space scan with per-head scalar decay.
+    """Selective-state-space scan with per-head scalar decay, step by step in C.
 
     Shapes: x [T, H, P], dt [T, H], a_coef [H] (negative), b_in [T, N],
     c_out [T, N], d_skip [H]. Per step t and head h it computes
@@ -817,23 +1037,15 @@ def mamba_scan(
         state   = decay_t * state + dt[t,h] * (x_t outer b_t)
         y[t,h,p] = sum_n c_t[n] * state[h,p,n] + d_skip[h] * x[t,h,p]
 
-    but not step by step: T is zero-padded (dt = 0 leaves the state alone)
-    to chunks of L = _SCAN_CHUNK steps. With lam = cumsum(dt * a) and
-    U = dt * X inside a chunk, and per head,
+    Backward recomputes the states from checkpoints taken every
+    ``_SCAN_CHUNK`` steps instead of keeping one per step.
 
-        Y     = (mask * exp(lam_s - lam_r) * C B^T) U + exp(lam_s) * (C H_in^T)
-        H_out = exp(lam_last) H_in + U^T diag(exp(lam_last - lam)) B
-
-    where the mask keeps r <= s, so only the loop over chunks is sequential.
-    Backward is the same algebra in reverse, with a reverse loop over chunks
-    for the state gradient, and keeps only the chunk-boundary states.
-
-    Contract: not bit-exact. Chunking reassociates the sums, and the chunk
-    products use numpy's BLAS ``@``: the fixed-order ``matmul_exact``
+    Contract: not bit-exact. The kernel's sums over the state and the lanes
+    have their own fixed order, and the fixed-order ``matmul_exact``
     contract covers the linear layers' GEMMs, not the scan. Results differ
-    from the step-by-step recurrence in the last bits, and tests compare
-    them with that recurrence run in float64. Repeated calls on the same
-    inputs in one process give the same bits.
+    from the recurrence run another way in the last bits, and tests compare
+    them with the recurrence run in float64. Repeated calls on the same
+    inputs give the same bits.
 
     Returns the output [T, H, P] and the final state [H, P, N] as a plain
     array (states are inference bookkeeping, not differentiated through).
@@ -849,89 +1061,35 @@ def mamba_scan(
     if bad:
         raise ShapeError(f"mamba_scan shapes for x {x.shape}: " + ", ".join(bad))
     dtype = np.result_type(x.data, dt.data, a_coef.data, b_in.data, c_out.data, d_skip.data)
-    el = _SCAN_CHUNK
-    nc = max(1, -(-t_len // el))
+    kernel = _C_SCAN[dtype]
+    # the stack passes b_in, c_out and dt as column slices of one projection
+    xs, dts, a, bs, cs, d = (np.ascontiguousarray(v.data, dtype) for v in (x, dt, a_coef, b_in, c_out, d_skip))
+    seg, m, lp = _SCAN_CHUNK, h * p, _SCAN_LANES
+    mp = -(-m // lp) * lp
+    decay = np.exp(dts * a)
+    state = _aligned((n, mp), dtype)
+    state[...] = 0
+    if h0 is not None:
+        state[:, :m] = np.asarray(h0, dtype).reshape(m, n).T
+    ckpt = _aligned((-(-t_len // seg), n, mp), dtype)
+    y = np.empty((t_len, h, p), dtype)
+    lanes = _aligned(3 * mp, dtype)
+    kernel["fwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, lanes, state, ckpt, y))
 
-    def chunks(v: np.ndarray) -> np.ndarray:
-        """[T, ...] zero-padded to [nc, L, ...]."""
-        out = np.zeros((nc * el,) + v.shape[1:], dtype)
-        out[:t_len] = v
-        return out.reshape((nc, el) + v.shape[1:])
-
-    def unchunk(v: np.ndarray) -> np.ndarray:
-        """[nc, L, ...] back to [T, ...]."""
-        return v.reshape((nc * el,) + v.shape[2:])[:t_len]
-
-    xc = np.ascontiguousarray(chunks(x.data).transpose(0, 2, 1, 3))  # [nc, H, L, P]
-    dtc = np.ascontiguousarray(chunks(dt.data).transpose(0, 2, 1))  # [nc, H, L]
-    bc = chunks(b_in.data)[:, None]  # [nc, 1, L, N]
-    cc = chunks(c_out.data)[:, None]
-    a = a_coef.data.astype(dtype)
-    u = xc * dtc[..., None]  # the injected input dt_r x_r
-    lam = np.cumsum(dtc * a[:, None], axis=-1)  # [nc, H, L]
-    # decay[s, r] = exp(lam_s - lam_r) for r <= s, else 0. Above the diagonal
-    # the difference is positive and exp could overflow, so it is sent to -inf
-    # before exp.
-    above = np.triu(np.full((el, el), -np.inf, dtype), 1)
-    decay = np.exp(lam[..., :, None] - lam[..., None, :] + above)  # [nc, H, L(s), L(r)]
-    cb = cc @ bc.swapaxes(-1, -2)  # [nc, 1, L, L]
-    mix = decay * cb
-    carry = np.exp(lam[..., -1:])[..., None]  # [nc, H, 1, 1]: decay across a whole chunk
-    to_end = np.exp(lam[..., -1:] - lam)[..., None]  # [nc, H, L, 1]: decay from step r to chunk end
-    inject = (u * to_end).swapaxes(-1, -2) @ bc  # [nc, H, P, N]
-    hs = np.empty((nc + 1, h, p, n), dtype)  # state entering each chunk, then the final state
-    hs[0] = 0 if h0 is None else np.asarray(h0, dtype)
-    for k in range(nc):
-        np.multiply(hs[k], carry[k], out=hs[k + 1])
-        hs[k + 1] += inject[k]
-    h_in = hs[:-1]
-    grow = np.exp(lam)[..., None]  # [nc, H, L, 1]: decay from chunk start to step s
-    from_state = grow * (cc @ h_in.swapaxes(-1, -2))  # [nc, H, L, P]
-    yc = mix @ u + from_state
-    y = unchunk(yc.transpose(0, 2, 1, 3)) + d_skip.data[:, None] * x.data
-
-    # einsum does the product-and-sum reductions: over these short axes it is
-    # several times faster than (v * w).sum(axis).
     def bwd(dout):
-        g = np.ascontiguousarray(chunks(dout).transpose(0, 2, 1, 3))  # [nc, H, L, P]
-        dd = np.einsum("thp,thp->h", dout, x.data)
-        # between chunks, in reverse: gradient of the state leaving each chunk
-        g_state = g * grow  # gradient of cc @ h_in^T
-        dh_y = g_state.swapaxes(-1, -2) @ cc  # [nc, H, P, N]
-        dh_out = np.empty_like(dh_y)
-        dh_out[-1] = 0
-        for k in range(nc - 1, 0, -1):
-            np.multiply(dh_out[k], carry[k], out=dh_out[k - 1])
-            dh_out[k - 1] += dh_y[k]
-        # y = mix u + from_state, state out = carry * h_in + (u * to_end)^T b
-        bdh = bc @ dh_out.swapaxes(-1, -2)  # [nc, H, L, P]
-        du = mix.swapaxes(-1, -2) @ g + to_end * bdh
-        dmix = g @ u.swapaxes(-1, -2)
-        dcb = np.einsum("chsr,chsr->csr", dmix, decay)[:, None]  # [nc, 1, L, L]
-        dc = dcb @ bc + (g_state @ h_in).sum(axis=1, keepdims=True)
-        db = dcb.swapaxes(-1, -2) @ cc + ((u * to_end) @ dh_out).sum(axis=1, keepdims=True)
-        # lam enters through decay, from_state, carry and to_end. Terms that
-        # cancel exactly (decay's diagonal, to_end's last step) are left out:
-        # under strong decay the rest is tiny, and rounding in a cancelled
-        # O(1) pair would swamp it.
-        q = dmix * mix
-        diag = np.arange(el)
-        q[..., diag, diag] = 0
-        dlam = np.einsum("chsr->chs", q) - np.einsum("chsr->chr", q)
-        dlam += np.einsum("chsp,chsp->chs", g, from_state)
-        dlam[..., -1] += np.einsum("chpn,chpn->ch", dh_out, h_in) * carry[..., 0, 0]
-        de = np.einsum("chlp,chlp->chl", u[..., :-1, :], bdh[..., :-1, :]) * to_end[..., :-1, 0]
-        dlam[..., :-1] -= de
-        dlam[..., -1] += de.sum(axis=-1)
-        # lam = a * cumsum(dt), u = dt * x
-        dcum = np.flip(np.cumsum(np.flip(dlam, -1), axis=-1), -1)
-        ddt = np.einsum("chlp,chlp->chl", du, xc) + a[:, None] * dcum
-        da = np.einsum("chl,chl->h", dcum, dtc)
-        dx = unchunk((du * dtc[..., None]).transpose(0, 2, 1, 3)) + d_skip.data[:, None] * dout
-        return dx, unchunk(ddt.transpose(0, 2, 1)), da, unchunk(db[:, 0]), unchunk(dc[:, 0]), dd
+        g = np.ascontiguousarray(dout, dtype)
+        dx, ex, dq, dd = np.empty_like(y), np.empty((t_len, h), dtype), np.empty((t_len, h), dtype), np.empty(h, dtype)
+        db, dc = np.empty((t_len, n), dtype), np.empty((t_len, n), dtype)
+        np_ = -(-n // lp) * lp
+        lanes, rows, sums = _aligned(5 * seg * mp, dtype), _aligned(2 * np_ * lp, dtype), _aligned(2 * seg * np_, dtype)
+        dh, st = _aligned(n * mp, dtype), _aligned((seg + 1) * n * lp, dtype)
+        kernel["bwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, g, ckpt, lanes, rows, sums, dh, st,
+                                                      dx, ex, dq, dd, db, dc))
+        dexp = dq * decay  # the gradient of the exponent dt * a
+        return dx, ex + a * dexp, (dexp * dts).sum(axis=0), db, dc, dd
 
     out = _make(y, (x, dt, a_coef, b_in, c_out, d_skip), bwd)
-    return out, hs[nc].copy()
+    return out, np.ascontiguousarray(state[:, :m].T.reshape(h, p, n))
 
 
 # ---------------------------------------------------------------------------

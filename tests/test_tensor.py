@@ -513,6 +513,31 @@ def test_causal_softmax_rows_sum_to_one_and_are_causal():
     assert np.array_equal(y[np.triu_indices(5, k=1)], np.zeros(10, np.float32))
 
 
+def _causal_softmax_exp_everywhere(z):
+    """causal_softmax's formula when it exponentiated every entry and masked afterwards."""
+    mask = np.tril(np.ones(z.shape, dtype=bool))
+    zmax = np.where(mask, z, -np.inf).max(axis=1, keepdims=True)
+    e = np.where(mask, np.exp(z - zmax), 0.0).astype(z.dtype)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_softmax_bits_match_masking_after_exp(dtype):
+    z = _rand((9, 9), 35, std=3.0).astype(dtype)
+    y = T.causal_softmax(T.Tensor(z)).data
+    assert y.dtype == dtype and y.tobytes() == _causal_softmax_exp_everywhere(z).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_causal_softmax_ignores_huge_scores_above_the_diagonal(dtype):
+    # exp(1000) overflows float32 and float64 alike
+    z = _rand((6, 6), 36).astype(dtype)
+    future = np.triu(np.ones((6, 6), dtype=bool), 1)
+    with np.errstate(all="raise"):
+        y = T.causal_softmax(T.Tensor(np.where(future, z.max() + 1000, z))).data
+    assert y.tobytes() == T.causal_softmax(T.Tensor(z)).data.tobytes()
+
+
 def test_grad_check_sequence_ops():
     # composite through causal softmax, conv, and gathers
     w = T.Tensor(_rand((3, 4), 26, std=0.5))
@@ -576,8 +601,9 @@ def test_grad_check_mamba_scan():
     assert T.grad_check(f_d, d) < 1e-3
 
 
-# mamba_scan runs in chunks (SSD form) and is not bit-exact; the oracle is the
-# step-by-step recurrence, forward and backward, carried in float64.
+# mamba_scan is not bit-exact: its C kernel sums over the state and the lanes
+# in an order of its own. The oracle is the step-by-step recurrence, forward
+# and backward, carried in float64.
 
 
 def _scan_oracle(x, dt, a, b, c, d, h0, dout):
@@ -635,7 +661,7 @@ def _rel_err(got, want):
 SCAN_OUTPUTS = ("y", "state", "dx", "ddt", "da", "db", "dc", "dd")
 
 
-@pytest.mark.parametrize("shape", [(37, 3, 4, 5), (256, 4, 16, 32), (1, 2, 3, 4)])
+@pytest.mark.parametrize("shape", [(37, 3, 4, 5), (256, 4, 16, 32), (1, 2, 3, 4), (256, 8, 64, 16), (2048, 4, 16, 32)])
 @pytest.mark.parametrize("with_h0", [False, True])
 def test_mamba_scan_float32_matches_float64_oracle(shape, with_h0):
     args, h0, dout = _scan_inputs(*shape, seed=sum(shape))
@@ -697,6 +723,48 @@ def test_mamba_scan_repeats_bit_for_bit():
     first, second = _scan_fwd_bwd(args, h0, dout), _scan_fwd_bwd(args, h0, dout)
     for g1, g2 in zip(first, second):
         _assert_same_bits(g1, g2)
+
+
+def test_mamba_scan_reads_strided_operands():
+    # the stack passes b_in, c_out and dt as column slices of one [T, W] projection
+    args, h0, dout = _scan_inputs(40, 4, 16, 8, seed=55)
+    x, dt, a, b, c, d = args
+    proj = np.concatenate([np.ones((40, 3), np.float32), b, c, dt], axis=1)
+    b_v, c_v, dt_v = proj[:, 3:11], proj[:, 11:19], proj[:, 19:23]
+    x_v = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert not any(v.flags.c_contiguous for v in (x_v, b_v, c_v, dt_v))
+    strided = _scan_fwd_bwd([x_v, dt_v, a, b_v, c_v, d], h0, dout)
+    for g1, g2 in zip(strided, _scan_fwd_bwd(args, h0, dout)):
+        _assert_same_bits(g1, g2)
+
+
+def test_mamba_scan_writes_its_scratch_before_reading_it(monkeypatch):
+    # scratch buffers come uninitialised; NaN in them must not reach an output,
+    # including through the padding lanes (H * P = 12 pads to 16)
+    args, h0, dout = _scan_inputs(37, 3, 4, 5, seed=57)
+    want = _scan_fwd_bwd(args, h0, dout)
+    aligned = T._aligned
+
+    def nan_filled(shape, dtype):
+        out = aligned(shape, dtype)
+        out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(T, "_aligned", nan_filled)
+    for g1, g2 in zip(_scan_fwd_bwd(args, h0, dout), want):
+        _assert_same_bits(g1, g2)
+
+
+def test_mamba_scan_leaves_h0_alone_and_returns_its_own_state():
+    args, h0, _ = _scan_inputs(20, 2, 3, 4, seed=56)
+    kept = h0.copy()
+    y, state = T.mamba_scan(*map(T.Tensor, args), h0=h0)
+    _assert_same_bits(h0, kept)
+    first = state.copy()
+    state[...] = 7.0
+    y2, state2 = T.mamba_scan(*map(T.Tensor, args), h0=h0)
+    _assert_same_bits(y2.data, y.data)
+    _assert_same_bits(state2, first)
 
 
 # ---------------------------------------------------------------------------
