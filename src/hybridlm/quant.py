@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError
-from .tensor import Tensor, _cache_dirs, _load_c_kernel, _make, matmul_exact
+from .tensor import Tensor, _cache_dirs, _load_library, _make, matmul_exact
 
 # ---------------------------------------------------------------------------
 # Rounding modes
@@ -247,12 +247,6 @@ _QUANT_SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
 #include <string.h>
-
-#if defined(__x86_64__)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define CLONES
-#endif
 
 enum { NVFP4_1D, NVFP4_2D, MXFP8 };
 /* rows and columns of a format's blocks, as _BLOCK */
@@ -477,11 +471,11 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
 }
 """
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
-_C_ENCODE = _load_c_kernel(_cache_dirs(), source=_QUANT_SOURCE, entry="quant_encode", prototype=ctypes.CFUNCTYPE(
-    ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t, *[ctypes.c_void_p] * 4))
-_C_DECODE = _load_c_kernel(_cache_dirs(), source=_QUANT_SOURCE, entry="quant_decode", prototype=ctypes.CFUNCTYPE(
-    ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float, ctypes.c_ssize_t, ctypes.c_ssize_t,
-    ctypes.c_void_p))
+_QUANT_LIBRARY = _load_library(_cache_dirs(), _QUANT_SOURCE)
+_C_ENCODE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                             *[ctypes.c_void_p] * 4)(("quant_encode", _QUANT_LIBRARY))
+_C_DECODE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float,
+                             ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)(("quant_decode", _QUANT_LIBRARY))
 
 
 def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):

@@ -60,26 +60,36 @@ from .errors import ContractError, KernelBuildError, NumericInputError, ShapeErr
 # -fno-trapping-math lets the compiler assume that floating-point
 # operations do not trap, which it needs to vectorize conditional selects
 # such as the quantizers' (quant.py); it changes no rounding, and the
-# GEMM's machine code is the same with or without it. On
-# x86-64, target_clones builds avx512f, avx2 and baseline variants and picks
-# one when the library loads, so a cached build stays portable where
-# -march=native would not. The kernel is single-threaded: splitting rows
-# over two threads gave no reliable end-to-end gain on a 2-vCPU host whose
-# cores also serve numpy's BLAS calls.
+# GEMM's machine code is the same with or without it. -Wall changes no code
+# either; the build tests require it to print nothing. The kernel is
+# single-threaded: splitting rows over two threads gave no reliable
+# end-to-end gain on a 2-vCPU host whose cores also serve numpy's BLAS calls.
 #
-# _load_c_kernel builds every C source this way. There are three: _MM_SOURCE
-# here, _SCAN_SOURCE (mamba_scan's recurrence, below) and quant.py's
-# _QUANT_SOURCE (the quantizers' encode/decode). A library is cached in
-# $XDG_CACHE_HOME/hybridlm (default ~/.cache/hybridlm), or in
-# <tempdir>/hybridlm-<uid> when that directory is not writable. Its file
-# name hashes the source, the flags and `cc --version`, so a changed kernel
+# One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
+# (mamba_scan's recurrence, below) and quant.py's _QUANT_SOURCE (the
+# quantizers' encode/decode). _load_library compiles a source with _C_FLAGS
+# after a line that defines the macro CLONES, which marks each exported
+# function. On x86-64 that is the attribute CLONES below: GCC builds an
+# avx512f body and a baseline x86-64 one, and the dynamic loader picks one
+# when the library loads. Elsewhere the macro is empty. There is no AVX2
+# clone: GCC gives the kernels' 64-byte vectors no register mode under AVX2
+# and moves them through the stack. On a 2-vCPU AVX-512 Xeon an AVX2 build
+# ran the GEMM at 256x1064x256 in 40-42 ms, no faster than the baseline
+# build's 37-42 ms (avx512f: 2 ms), and the scan forward at the long layer
+# in 3.8-4.0 ms against the baseline's 1.6-2.1 ms.
+#
+# A library is cached in $XDG_CACHE_HOME/hybridlm (default
+# ~/.cache/hybridlm), or in <tempdir>/hybridlm-<uid> when that directory is
+# not writable. Its file name hashes the source with the CLONES definition
+# ahead of it, the flags and `cc --version`, so a changed kernel, clone list
 # or compiler builds afresh. Each build goes to a temporary file that
-# os.replace moves into place, so processes importing concurrently are safe. A directory that another user owns or
-# can write to is skipped, since a library planted there would be loaded.
-# A process runs `cc --version` once per compiler and opens each library
-# once, however many entry points it loads from it.
-# With no working compiler or no usable cache directory the import raises
-# KernelBuildError: there is no slower path to fall back to.
+# os.replace moves into place, so processes importing concurrently are safe.
+# A directory that another user owns or can write to is skipped, since a
+# library planted there would be loaded. A process runs `cc --version` once
+# per compiler, and each module loads each of its sources once and types the
+# entry points it calls. With no working compiler or no usable cache
+# directory the import raises KernelBuildError: there is no slower path to
+# fall back to.
 
 _MM_SOURCE = r"""
 #include <stddef.h>
@@ -136,12 +146,9 @@ mm_tile(const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, c
                 out[r * n + j] = t[r * NP + j];
 }
 
-#if defined(__x86_64__)
-__attribute__((target_clones("avx512f", "avx2", "default")))
-#endif
-void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
-                  ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
-                  ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
+CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
+                         ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+                         ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
     float bp[KC * NP] __attribute__((aligned(64)));
     for (ptrdiff_t j0 = 0; j0 < n; j0 += NP) {
@@ -169,8 +176,8 @@ void mm_exact_f32(const float *restrict a, const float *restrict b, float *restr
     }
 }
 """
-_MM_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC", "-shared")
-_MM_PROTOTYPE = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)
+CLONES = '__attribute__((target_clones("avx512f", "default")))'
+_C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-Wall", "-fPIC", "-shared")
 
 
 def _cache_dirs() -> list[Path]:
@@ -178,11 +185,11 @@ def _cache_dirs() -> list[Path]:
     return [Path(base) / "hybridlm", Path(tempfile.gettempdir()) / f"hybridlm-{os.getuid()}"]
 
 
-def _compile(cc: str, lib: Path, source: str) -> None:
+def _compile(cc: str, lib: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
     os.close(fd)
     try:
-        subprocess.run([cc, *_MM_FLAGS, "-x", "c", "-", "-o", tmp], input=source, text=True,
+        subprocess.run([cc, *_C_FLAGS, "-x", "c", "-", "-o", tmp], input=text, text=True,
                        capture_output=True, check=True)
         os.replace(tmp, lib)
     finally:
@@ -196,19 +203,13 @@ def _cc_version(cc: str) -> str:
     return subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
 
 
-@functools.cache
-def _open_library(path: str) -> ctypes.CDLL:
-    return ctypes.CDLL(path)
-
-
-def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM_SOURCE,
-                   entry: str = "mm_exact_f32", prototype=_MM_PROTOTYPE):
-    """Return the ctypes function ``entry`` of the C ``source``, typed by ``prototype``.
+def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ctypes.CDLL:
+    """The library built from the C ``source``, whose exported functions are marked CLONES.
 
     Reuses a build cached in the first usable directory of ``cache_dirs``,
-    or compiles one into it. Entry points of one source share one library.
-    Raises KernelBuildError, naming ``cc`` and every directory tried, when
-    ``cc`` is missing or fails or no directory is usable.
+    or compiles one into it. Raises KernelBuildError, naming ``cc`` and
+    every directory tried, when ``cc`` is missing or fails or no directory
+    is usable.
     """
     dirs = [Path(d) for d in cache_dirs]
 
@@ -220,7 +221,8 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
         version = _cc_version(cc)
     except (OSError, subprocess.CalledProcessError) as e:
         raise error(f"the compiler does not run ({e})") from e
-    key = hashlib.sha256("\0".join((source, *_MM_FLAGS, version)).encode()).hexdigest()[:16]
+    text = f"#if defined(__x86_64__)\n#define CLONES {CLONES}\n#else\n#define CLONES\n#endif\n{source}"
+    key = hashlib.sha256("\0".join((text, *_C_FLAGS, version)).encode()).hexdigest()[:16]
     skipped = []
     for d in dirs:
         lib = d / f"hybridlm-{key}.so"
@@ -231,8 +233,8 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
                 skipped.append(f"{d} is another user's or writable by others")
                 continue
             if not lib.exists():
-                _compile(cc, lib, source)
-            return prototype((entry, _open_library(str(lib))))
+                _compile(cc, lib, text)
+            return ctypes.CDLL(str(lib))
         except subprocess.CalledProcessError as e:
             raise error(f"the compiler failed: {e.stderr.strip()}") from e
         except OSError as e:  # directory not writable, or the library cannot be loaded from it
@@ -240,7 +242,8 @@ def _load_c_kernel(cache_dirs: Sequence[Path], cc: str = "cc", source: str = _MM
     raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
-_C_KERNEL = _load_c_kernel(_cache_dirs())
+_C_KERNEL = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)(
+    ("mm_exact_f32", _load_library(_cache_dirs(), _MM_SOURCE)))
 
 
 # Kernel contract: ``a`` (m, k) and ``b`` (k, n) are float32 arrays whose
@@ -807,7 +810,7 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 
 # mamba_scan runs the recurrence step by step in the C source _SCAN_SOURCE,
-# built by _load_c_kernel like the GEMM. On one core the plain recurrence
+# built by _load_library like the GEMM. On one core the plain recurrence
 # does less work than the chunked SSD form of Dao & Gu (arXiv 2405.21060),
 # whose point is to turn it into matmuls for tensor cores. Backward keeps no
 # state per step: as in Mamba's scan (Gu & Dao, arXiv 2312.00752, section
@@ -832,8 +835,8 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # sum_n dh_t b_t is the gradient of dt x; numpy turns dq into the gradients of
 # dt and a. A sum over the lanes (db, dc) adds each block's LP lanes by a
 # fixed tree and then the blocks in increasing order; sums over N run in
-# increasing n. The order is thus the same in every target_clones variant,
-# and the loops vectorize without reassociating. Python passes every
+# increasing n. The order is thus the same in every clone, and the loops
+# vectorize without reassociating. Python passes every
 # scratch buffer.
 _SCAN_CHUNK = 16
 _SCAN_LANES = 16
@@ -985,19 +988,13 @@ _SCAN_SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 
-#if defined(__x86_64__)
-#define CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
-#else
-#define CLONES
-#endif
-
 enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES */
 """ + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx)
               for real, idx, sfx in (("float", "int", "f32"), ("double", "long long", "f64")))
 _SCAN_PROTOTYPES = {"fwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 10),
                     "bwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 19)}
-_C_SCAN = {np.dtype(dtype): {way: _load_c_kernel(_cache_dirs(), source=_SCAN_SOURCE, entry=f"scan_{way}_{sfx}",
-                                                 prototype=proto) for way, proto in _SCAN_PROTOTYPES.items()}
+_SCAN_LIBRARY = _load_library(_cache_dirs(), _SCAN_SOURCE)
+_C_SCAN = {np.dtype(dtype): {way: proto((f"scan_{way}_{sfx}", _SCAN_LIBRARY)) for way, proto in _SCAN_PROTOTYPES.items()}
            for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64"))}
 
 

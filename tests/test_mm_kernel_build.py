@@ -1,14 +1,18 @@
 """Build and load checks for the compiled kernels: the exact GEMM, the
-Mamba scan and the quantizers' encode/decode, built by one loader from their
-C sources.
+Mamba scan and the quantizers' encode/decode, each built by one loader from
+its C source into one library.
 
 Each build test calls the loader directly with its own ``tmp_path`` cache,
-so none depends on what the user's cache holds. The tests of the loader's
-caching, directories and concurrency build a few-line source, which compiles
-in a fraction of the time the kernels take.
+so none depends on what the user's cache holds. Each source is built once
+with its shipped clones, which checks the flags and the warnings, and once
+with the clone list empty, which gives baseline x86-64 code and must give
+the shipped build's bits. The tests of the loader's caching, directories
+and concurrency build a few-line source, which compiles in a fraction of
+the time the kernels take.
 """
 
 import ctypes
+import json
 import os
 import re
 import subprocess
@@ -20,92 +24,152 @@ import pytest
 
 import hybridlm.quant as Q
 import hybridlm.tensor as T
+import test_quant
+import test_tensor
 from hybridlm.errors import KernelBuildError
 
 SRC = str(Path(T.__file__).resolve().parents[1])
+SOURCES = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}
 
 
-def _run_kernel(fn, a, b):
-    out = np.zeros((a.shape[0], b.shape[1]), np.float32)
-    fn(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
-       *(s // 4 for s in a.strides + b.strides))
-    return out
+def _entry_points(name, lib):
+    """The module attributes that hold source ``name``'s entry points, typed as they are but read from ``lib``."""
+    if name == "mm":
+        return T, {"_C_KERNEL": type(T._C_KERNEL)(("mm_exact_f32", lib))}
+    if name == "quant":
+        return Q, {"_C_ENCODE": type(Q._C_ENCODE)(("quant_encode", lib)),
+                   "_C_DECODE": type(Q._C_DECODE)(("quant_decode", lib))}
+    return T, {"_C_SCAN": {dtype: {way: type(fn)((f"scan_{way}_f{8 * dtype.itemsize}", lib)) for way, fn in ways.items()}
+                           for dtype, ways in T._C_SCAN.items()}}
 
 
-def _operands():
-    rng = np.random.default_rng(7)
-    return rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
+TINY_SOURCE = "long twice(long v) { return 2 * v; }\n"
 
 
-TINY_SOURCE = "long twice(long v) { return 2 * v; }\nlong thrice(long v) { return 3 * v; }\n"
-TINY = dict(source=TINY_SOURCE, entry="twice", prototype=ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long))
+def _twice(lib):
+    return ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long)(("twice", lib))
 
 
 def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
-    T._load_c_kernel([tmp_path], **TINY)
+    T._load_library([tmp_path], TINY_SOURCE)
     assert len(list(tmp_path.glob("*.so"))) == 1
 
     def no_compile(*args):
         raise AssertionError("cached library was rebuilt")
 
     monkeypatch.setattr(T, "_compile", no_compile)
-    second = T._load_c_kernel([tmp_path], **TINY)
-    assert second(21) == 42
+    assert _twice(T._load_library([tmp_path], TINY_SOURCE))(21) == 42
 
 
-def test_another_entry_point_of_a_loaded_library_starts_no_process(tmp_path, monkeypatch):
-    T._load_c_kernel([tmp_path], **TINY)
-    started, opened = [], []
-    real_run, real_cdll = subprocess.run, ctypes.CDLL
-    monkeypatch.setattr(subprocess, "run", lambda *a, **k: started.append(a) or real_run(*a, **k))
-    monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: opened.append(a) or real_cdll(*a, **k))
-    thrice = T._load_c_kernel([tmp_path], **dict(TINY, entry="thrice"))
-    assert thrice(5) == 15
-    assert started == [] and opened == []
+def test_import_runs_the_compiler_once_and_opens_each_library_once():
+    script = ("import ctypes, json, subprocess\n"
+              "runs, opened = [], []\n"
+              "run, cdll = subprocess.run, ctypes.CDLL\n"
+              "subprocess.run = lambda cmd, *a, **k: runs.append(cmd) or run(cmd, *a, **k)\n"
+              "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or cdll(name, *a, **k)\n"
+              "import hybridlm.quant\n"
+              "print(json.dumps([runs, opened]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+                            check=True)
+    runs, opened = json.loads(result.stdout)
+    assert [cmd for cmd in runs if "-shared" not in cmd] == [["cc", "--version"]]
+    assert len(opened) == len(set(opened)) == 3
+    assert all(Path(name).name.startswith("hybridlm-") for name in opened)
 
 
-def test_compile_flags_protect_the_bits(tmp_path, monkeypatch):
-    commands = []
-    real_run = subprocess.run
-
-    def spy(cmd, *args, **kwargs):
-        commands.append(list(cmd))
-        return real_run(cmd, *args, **kwargs)
-
-    monkeypatch.setattr(subprocess, "run", spy)
-    a, b = _operands()
-    assert np.array_equal(_run_kernel(T._load_c_kernel([tmp_path]), a, b), T.matmul_oracle(a, b))
-    compiles = [c for c in commands if "-shared" in c]
-    assert len(compiles) == 1
-    assert "-ffp-contract=off" in compiles[0]
-    assert "-ffast-math" not in compiles[0] and "-Ofast" not in compiles[0]
-    # the quantizer source builds with the same flags into its own library
-    T._load_c_kernel([tmp_path], source=Q._QUANT_SOURCE, entry="quant_encode")
-    compiles = [c for c in commands if "-shared" in c]
-    assert len(compiles) == 2 and len(list(tmp_path.glob("*.so"))) == 2
-    # none of these may change a rounding: fused multiply-adds, reassociation,
-    # reciprocals, flushed subnormals or dropped signs of zero
-    unsafe = {"-ffast-math", "-Ofast", "-ffp-contract=fast", "-freciprocal-math", "-fassociative-math",
-              "-ffinite-math-only", "-fno-signed-zeros", "-funsafe-math-optimizations", "-ffp-contract=on"}
-    for cmd in compiles:
-        assert cmd[1:1 + len(T._MM_FLAGS)] == list(T._MM_FLAGS)
-        assert "-ffp-contract=off" in cmd and not unsafe & set(cmd)
+# none of these may change a rounding: fused multiply-adds, reassociation,
+# reciprocals, flushed subnormals or dropped signs of zero
+UNSAFE_FLAGS = {"-ffast-math", "-Ofast", "-ffp-contract=fast", "-freciprocal-math", "-fassociative-math",
+                "-ffinite-math-only", "-fno-signed-zeros", "-funsafe-math-optimizations", "-ffp-contract=on"}
 
 
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
-def test_c_sources_compile_without_warnings(tmp_path, name):
-    # -Wextra is left out: it flags the GRID parameters that a function leaves unused
-    source = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}[name]
-    cmd = ["cc", *T._MM_FLAGS, "-Wall", "-Werror", "-x", "c", "-", "-o", str(tmp_path / f"{name}.so")]
-    result = subprocess.run(cmd, input=source, text=True, capture_output=True)
-    assert result.returncode == 0, result.stderr
+def test_c_sources_compile_without_warnings(tmp_path, monkeypatch, name):
+    """The loader builds each source once, with the shared flags and nothing else; the compiler,
+    run with -Wall, prints nothing, and the library has every entry point the modules call."""
+    runs = []
+    real_run = subprocess.run
+
+    def spy(cmd, *args, **kwargs):
+        result = real_run(cmd, *args, **kwargs)
+        runs.append((list(cmd), result))
+        return result
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    lib = T._load_library([tmp_path], SOURCES[name])
+    [(cmd, result)] = [(cmd, result) for cmd, result in runs if "-shared" in cmd]
+    assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, "-x", "-", "-o"]
+    assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
+    assert result.stderr == ""
+    _, kernels = _entry_points(name, lib)  # a missing entry point raises AttributeError
+    if name == "mm":
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
+        monkeypatch.setattr(T, "_C_KERNEL", kernels["_C_KERNEL"])
+        test_tensor._assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
+
+
+def _bits(values):
+    """Each value's dtype, shape and raw bytes, so that equal lists hold the same bits."""
+    return [None if v is None else (np.asarray(v).dtype.str, np.shape(v), np.asarray(v).tobytes()) for v in values]
+
+
+def _quant_outputs():
+    """Codes, scales and global scale of each format and rounding on a few inputs, and their decodes."""
+    rng = np.random.default_rng(8)
+    wide = rng.standard_normal((37, 1064)).astype(np.float32)
+    wide *= (np.float32(2.0) ** rng.integers(-140, 120, (37, 1))).astype(np.float32)  # subnormal to near max
+    wide[3] = 0.0
+    vals = test_quant.sweep_inputs()
+    out = []
+    for fmt, (top, block) in zip(test_quant.FORMATS, ((6.0, 16), (6.0, 16), (448.0, 32))):
+        ties = test_quant.unit_scale_rows(vals[np.abs(vals) <= top], top, block)
+        for x in (wide, ties, test_quant.signed_zero_and_subnormal_input()):
+            for mode in (Q.NEAREST_EVEN, Q.stochastic(5)):
+                codes, scales, g = Q._encode_kernel_c(fmt, x, mode)
+                out += [codes, scales, g, Q._decode_kernel_c(fmt, x.shape, codes, scales, g)]
+    return out
+
+
+def _scan_outputs():
+    """mamba_scan's output, final state and gradients in float32 and float64, with and without h0."""
+    out = []
+    for shape, dtype, with_h0 in (((37, 3, 4, 5), np.float32, True), ((37, 3, 4, 5), np.float64, False),
+                                  ((256, 4, 16, 32), np.float32, False), ((64, 8, 64, 16), np.float64, True)):
+        args, h0, dout = test_tensor._scan_inputs(*shape, seed=sum(shape), dtype=dtype)
+        out += test_tensor._scan_fwd_bwd(args, h0 if with_h0 else None, dout)
+    return out
+
+
+# what the baseline build must reproduce bit for bit; its GEMM is checked against the oracle instead
+SHIPPED_OUTPUTS = {"quant": _quant_outputs, "scan": _scan_outputs}
+
+
+@pytest.mark.parametrize("name", ["mm", "quant", "scan"])
+def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
+    """With no clone list the loader builds the baseline x86-64 code that a host without AVX-512 runs.
+    Its GEMM matches the oracle bit for bit, and its quantizers and scan give the shipped build's bits."""
+    want = SHIPPED_OUTPUTS[name]() if name in SHIPPED_OUTPUTS else None
+    monkeypatch.setattr(T, "CLONES", "")
+    lib = T._load_library([tmp_path], SOURCES[name])
+    [path] = tmp_path.glob("*.so")
+    assert b".avx512f" not in path.read_bytes()  # no clone: the code that runs is the baseline
+    module, kernels = _entry_points(name, lib)
+    for attr, value in kernels.items():
+        monkeypatch.setattr(module, attr, value)
+    if want is None:
+        test_tensor.test_kernel_matches_oracle_on_edge_shapes()
+        test_tensor.test_kernel_matches_oracle_on_views()
+    else:
+        assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
 
 
 def test_missing_compiler_raises_kernel_build_error(tmp_path):
     cc = str(tmp_path / "no-such-cc")
     for _ in range(2):  # the failure is not cached
         with pytest.raises(KernelBuildError, match=re.escape(f"compiler '{cc}' in cache directories {tmp_path}:")):
-            T._load_c_kernel([tmp_path], cc=cc)
+            T._load_library([tmp_path], TINY_SOURCE, cc=cc)
     assert not list(tmp_path.iterdir())
 
 
@@ -115,7 +179,7 @@ def test_unwritable_directory_raises_kernel_build_error(tmp_path):
     dirs = [blocker / "hybridlm", blocker / "tmp"]
     named = re.escape(f"compiler 'cc' in cache directories {dirs[0]}, {dirs[1]}: no directory is usable")
     with pytest.raises(KernelBuildError, match=named):
-        T._load_c_kernel(dirs)
+        T._load_library(dirs, TINY_SOURCE)
 
 
 def test_unusable_directories_fall_through_to_next(tmp_path):
@@ -124,10 +188,10 @@ def test_unusable_directories_fall_through_to_next(tmp_path):
     shared = tmp_path / "shared"
     shared.mkdir()
     shared.chmod(0o777)  # others could plant a library here
-    fn = T._load_c_kernel([blocker / "hybridlm", shared, tmp_path / "fallback"], **TINY)
+    lib = T._load_library([blocker / "hybridlm", shared, tmp_path / "fallback"], TINY_SOURCE)
     assert not list(shared.iterdir())
     assert len(list((tmp_path / "fallback").glob("*.so"))) == 1
-    assert fn(4) == 8
+    assert _twice(lib)(4) == 8
 
 
 @pytest.mark.parametrize("module", ["hybridlm.tensor", "hybridlm.quant"])
@@ -144,9 +208,8 @@ def test_import_without_compiler_raises_kernel_build_error(tmp_path, module):
 
 def test_concurrent_first_builds_share_one_library(tmp_path):
     script = ("import ctypes, hybridlm.tensor as T\n"
-              f"fn = T._load_c_kernel([{str(tmp_path)!r}], source={TINY_SOURCE!r}, entry='twice', "
-              "prototype=ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long))\n"
-              "assert fn(21) == 42\n")
+              f"lib = T._load_library([{str(tmp_path)!r}], {TINY_SOURCE!r})\n"
+              "assert ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long)(('twice', lib))(21) == 42\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     procs = [subprocess.Popen([sys.executable, "-c", script], env=env) for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]
