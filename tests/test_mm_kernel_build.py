@@ -84,30 +84,55 @@ UNSAFE_FLAGS = {"-ffast-math", "-Ofast", "-ffp-contract=fast", "-freciprocal-mat
                 "-ffinite-math-only", "-fno-signed-zeros", "-funsafe-math-optimizations", "-ffp-contract=on"}
 
 
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """Builds source ``name`` once through the loader, the first time a test asks for it, and returns the
+    compile command, its result and the library, so the flag and warning tests share one build per source."""
+    cache, cache_dir = {}, tmp_path_factory.mktemp("kernels")
+
+    def build(name):
+        if name not in cache:
+            runs = []
+            real_run = subprocess.run
+
+            def spy(cmd, *args, **kwargs):
+                result = real_run(cmd, *args, **kwargs)
+                runs.append((list(cmd), result))
+                return result
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(subprocess, "run", spy)
+                lib = T._load_library([cache_dir], SOURCES[name])
+            [(cmd, result)] = [(cmd, result) for cmd, result in runs if "-shared" in cmd]
+            cache[name] = cmd, result, lib
+        return cache[name]
+
+    build.cache_dir = cache_dir
+    return build
+
+
+def test_compile_flags_protect_the_bits(built, monkeypatch):
+    """Each source builds once, into its own library, with exactly the shared flags: contraction off and
+    no flag that may change a rounding. The GEMM so built matches the oracle bit for bit."""
+    builds = {name: built(name) for name in SOURCES}
+    assert len(list(built.cache_dir.glob("*.so"))) == len(SOURCES)
+    for cmd, _, _ in builds.values():
+        assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, "-x", "-", "-o"]
+        assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
+    _, kernels = _entry_points("mm", builds["mm"][2])
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
+    monkeypatch.setattr(T, "_C_KERNEL", kernels["_C_KERNEL"])
+    test_tensor._assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
+
+
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
-def test_c_sources_compile_without_warnings(tmp_path, monkeypatch, name):
-    """The loader builds each source once, with the shared flags and nothing else; the compiler,
-    run with -Wall, prints nothing, and the library has every entry point the modules call."""
-    runs = []
-    real_run = subprocess.run
-
-    def spy(cmd, *args, **kwargs):
-        result = real_run(cmd, *args, **kwargs)
-        runs.append((list(cmd), result))
-        return result
-
-    monkeypatch.setattr(subprocess, "run", spy)
-    lib = T._load_library([tmp_path], SOURCES[name])
-    [(cmd, result)] = [(cmd, result) for cmd, result in runs if "-shared" in cmd]
-    assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, "-x", "-", "-o"]
-    assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
+def test_c_sources_compile_without_warnings(built, name):
+    """The compiler, run by the loader with -Wall, prints nothing, and the library has every entry point
+    the modules call."""
+    _, result, lib = built(name)
     assert result.stderr == ""
-    _, kernels = _entry_points(name, lib)  # a missing entry point raises AttributeError
-    if name == "mm":
-        rng = np.random.default_rng(7)
-        a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
-        monkeypatch.setattr(T, "_C_KERNEL", kernels["_C_KERNEL"])
-        test_tensor._assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
+    _entry_points(name, lib)  # a missing entry point raises AttributeError
 
 
 def _bits(values):
