@@ -9,8 +9,10 @@ oracle instead of with tolerances.
 
 Gradients are recorded on an explicit :class:`Tape`. Ops only record when
 a tape is active and some input requires gradients, so inference code
-pays no bookkeeping cost. Gradients accumulate into ``Tensor.grad``; the
-training loop is responsible for zeroing them.
+pays no bookkeeping cost. A backward sweep accumulates gradients into the
+``grad`` of leaf tensors, those no recorded op produced, and releases every
+other tensor's gradient once its op has consumed it; the training loop is
+responsible for zeroing leaf gradients.
 
 Threading: a tape and the tensors recorded on it belong to one thread.
 Independent tapes may run concurrently; there is no shared mutable state.
@@ -31,6 +33,27 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ContractError, KernelBuildError, NumericInputError, ShapeError, TokenIndexError
+
+# A training step allocates and frees the same arrays, up to a few MB each,
+# every step. With glibc's defaults an allocation above the mmap threshold
+# (128 KiB, raised only to the largest mapping freed so far) gets its own
+# mapping, unmapped when freed, and free memory above the trim threshold at
+# the top of the heap goes back to the kernel, so the next step faults every
+# page in again: in a loop of long-stack steps (T 2048) each step took about
+# 12,700 minor faults and spent a quarter of its time in the kernel. Arrays
+# up to 32 MiB (glibc's largest mmap threshold on 64-bit) therefore come from
+# the heap, which keeps up to 256 MiB free for reuse. Setting either value
+# stops glibc adjusting both, so both are set. ctypes.pythonapi resolves
+# mallopt among the symbols the process already has, so no library is
+# opened; a C library without mallopt is left as is.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+try:
+    _mallopt = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int)(("mallopt", ctypes.pythonapi))
+except AttributeError:
+    pass
+else:
+    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 # ---------------------------------------------------------------------------
 # Exact matmul kernel
@@ -326,12 +349,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -393,21 +410,69 @@ def _make(out_data, inputs: Sequence[Tensor], backward: Callable) -> Tensor:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Populate ``grad`` for every tensor reachable from ``loss``.
+    """Add the gradient of ``loss`` into ``grad`` of every leaf reachable from it.
 
-    Gradients accumulate across fan-out and across repeated calls; callers
-    zero parameter grads explicitly between steps.
+    A leaf is a tensor that no op on ``tape`` produced. Gradients accumulate
+    across fan-out and across repeated calls; callers zero leaf grads
+    between steps. Every other tensor's ``grad`` is released as soon as its
+    op's closure has consumed it, so after the sweep only leaves keep one.
+
+    Closure contract: a closure receives its output's gradient ``dout`` and
+    returns, per input, None, a new array, a view of ``dout``, or a
+    ``(key, values)`` part meaning an array of zeros with ``values`` at
+    ``[key]``; it never writes into ``dout``. Every live gradient array
+    belongs to one tensor: the sweep takes a returned array without a copy
+    (casting it if its dtype differs) and copies only a second view of
+    ``dout`` handed out by the same closure.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    loss.accumulate_grad(np.ones_like(loss.data))
+    seed = np.ones_like(loss.data)
+    loss.grad = seed if loss.grad is None else loss.grad + seed
     for out, inputs, bwd in reversed(tape._nodes):
-        if out.grad is None:
+        dout = out.grad
+        if dout is None:
             continue  # not reachable from the loss
-        grads = bwd(out.grad)
+        grads = bwd(dout)
+        out.grad = None
+        taken = False  # whether an input already holds a view of dout
         for t, g in zip(inputs, grads):
-            if g is not None:
-                t.accumulate_grad(g)
+            if g is None:
+                continue
+            if isinstance(g, tuple):
+                _add_part(t, *g)
+            elif t.grad is not None:
+                t.grad += g
+            else:
+                g = np.asarray(g, t.data.dtype)  # g itself when it is an array of that dtype
+                if np.may_share_memory(g, dout):
+                    g = g.copy() if taken else g
+                    taken = True
+                t.grad = g
+
+
+def _add_part(t: Tensor, key, values: np.ndarray) -> None:
+    """Add the part ``(key, values)``, zeros with ``values`` at ``[key]``, into ``t.grad``.
+
+    A basic-slice key is assigned into a new gradient and added in place
+    into an existing one. An index-array key adds by ``np.add.at``, which
+    sums repeated indices in index order; into an existing gradient it goes
+    through a zero temporary, so each element still gets one sum of the
+    part's contributions added to it.
+    """
+    sliced = isinstance(key, tuple) and all(isinstance(k, slice) for k in key)
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+        if sliced:
+            t.grad[key] = values
+        else:
+            np.add.at(t.grad, key, values)
+    elif sliced:
+        t.grad[key] += values
+    else:
+        part = np.zeros_like(t.grad)
+        np.add.at(part, key, values)
+        t.grad += part
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +739,7 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     out = x.data[:, start:stop]
 
     def bwd(dout):
-        dx = np.zeros_like(x.data)
-        dx[:, start:stop] = dout
-        return (dx,)
+        return ((np.s_[:, start:stop], dout),)
 
     return _make(out, (x,), bwd)
 
@@ -712,9 +775,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     out = x.data[idx]
 
     def bwd(dout):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, idx, dout)
-        return (dx,)
+        return ((idx, dout),)
 
     return _make(out, (x,), bwd)
 
@@ -743,9 +804,7 @@ def take_elems(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     out = x.data[rows, cols]
 
     def bwd(dout):
-        dx = np.zeros_like(x.data)
-        np.add.at(dx, (rows, cols), dout)
-        return (dx,)
+        return (((rows, cols), dout),)
 
     return _make(out, (x,), bwd)
 

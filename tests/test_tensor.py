@@ -1,7 +1,12 @@
 """Tensor and autodiff checks against independent oracles."""
 
+import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -358,6 +363,47 @@ def test_backward_fanout_accumulates():
     assert x.grad[0] == 2.0
 
 
+def test_backward_twice_over_one_tape_adds_the_gradient_twice():
+    x = T.Tensor([1.0, 2.0], requires_grad=True)
+    with T.Tape() as tape:
+        y = T.scale(x, 3.0)
+        loss = T.sum_all(T.mul(y, y))
+    T.backward(tape, loss)
+    assert x.grad.tolist() == [18.0, 36.0]
+    assert y.grad is None and loss.grad is None  # only leaves keep a gradient
+    T.backward(tape, loss)
+    assert x.grad.tolist() == [36.0, 72.0]
+
+
+def test_backward_gives_each_leaf_its_own_gradient_array():
+    # add, reshape and concat_cols hand out views of their upstream gradient
+    x, y, z = (T.Tensor(_rand((2, 3), s), requires_grad=True) for s in (60, 61, 62))
+    with T.Tape() as tape:
+        both = T.concat_cols([T.add(x, y), T.reshape(T.reshape(z, (3, 2)), (2, 3)), x])
+        loss = T.sum_all(T.mul(both, T.Tensor(_rand((2, 9), 63))))
+    T.backward(tape, loss)
+    grads = [x.grad, y.grad, z.grad]
+    assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(grads, 2))
+
+
+def test_import_keeps_freed_heap_for_reuse():
+    # 32 live arrays of 1 MiB, freed, then again: with glibc's default thresholds each
+    # array is its own mapping, unmapped when freed, and every page faults in again
+    script = ("import resource, numpy as np, hybridlm.tensor\n"
+              "def faults():\n"
+              "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+              "    arrays = [np.ones(1 << 17) for _ in range(32)]\n"
+              "    del arrays\n"
+              "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+              "print(faults(), faults())\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(T.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+                            check=True)
+    first, second = map(int, result.stdout.split())
+    assert first >= 32 * 256 * 0.9  # every page of the first round is new
+    assert second < 0.05 * first
+
+
 def test_backward_requires_scalar_loss():
     x = T.Tensor(_rand((2, 2), 12), requires_grad=True)
     with T.Tape() as tape:
@@ -372,6 +418,66 @@ def test_no_recording_without_tape():
     assert y.requires_grad  # flag propagates
     tape = T.Tape()
     assert len(tape) == 0
+
+
+class _ContractTape(T.Tape):
+    """A tape whose closures get a read-only ``dout`` and whose gradients are checked against
+    the closure contract: each shares memory with ``dout`` or with no tensor's data or grad."""
+
+    def __init__(self):
+        super().__init__()
+        self.tensors, self.ran, self.broken = [], set(), []
+
+    def record(self, out, inputs, backward):
+        self.tensors += [out, *inputs]
+        name = backward.__qualname__.split(".", 1)[0]
+
+        def checked(dout):
+            dout.flags.writeable = False  # a closure that writes into dout raises
+            grads = backward(dout)
+            self.ran.add(name)
+            arrays = [a for t in self.tensors for a in (t.data, t.grad) if a is not None]
+            for g in grads:
+                values = g[1] if isinstance(g, tuple) else g
+                if g is not None and not np.may_share_memory(values, dout) and any(
+                        np.may_share_memory(values, a) for a in arrays):
+                    self.broken.append(name)
+            # the sweep accumulates in place, which read-only views of dout would refuse
+            return tuple(None if g is None else (g[0], g[1].copy()) if isinstance(g, tuple) else g.copy()
+                         for g in grads)
+
+        super().record(out, inputs, checked)
+
+
+def test_every_closure_leaves_dout_alone_and_returns_unshared_gradients():
+    rng = np.random.default_rng(64)
+
+    def leaf(*shape):
+        return T.Tensor((rng.standard_normal(shape) * 0.4).astype(np.float32), requires_grad=True)
+
+    emb, norm_w, w = leaf(10, 8), leaf(8), leaf(8, 8)
+    conv_w, conv_b, a_log, d_skip = leaf(4, 8), leaf(8), leaf(2), leaf(2)
+    recipes = (Q.REFERENCE_LINEAR, Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed=5),
+               Q.LinearPrecision(Q.Format.MXFP8, Q.Format.MXFP8, Q.Format.MXFP8, seed=5))
+    with _ContractTape() as tape:
+        h = T.rms_norm(T.embedding(emb, rng.integers(0, 10, 6)), norm_w)
+        for prec in recipes:
+            h = Q.quantized_linear(h, w, prec)
+        conv = T.silu(T.causal_conv1d(h, conv_w, conv_b))
+        y, _ = T.mamba_scan(T.reshape(T.slice_cols(conv, 0, 4), (6, 2, 2)), T.softplus(T.slice_cols(h, 4, 6)),
+                            T.scale(T.exp(a_log), -1.0), T.slice_cols(h, 0, 3), T.slice_cols(h, 3, 6), d_skip)
+        y = T.reshape(y, (6, 4))
+        v = T.matmul(T.causal_softmax(T.matmul(y, T.transpose2d(y))), y)
+        s = T.sigmoid(v)
+        probs = T.softmax(T.concat_cols([v, T.sub(T.clamp(s, 0.2, 0.8), s)]))
+        gate = T.gather_cols(probs, np.argsort(-probs.data, axis=1)[:, :2])
+        mixed = T.mul(T.add(probs, T.scatter_rows(T.take_rows(probs, [0, 2, 2]), [1, 1, 3], 6)), h)
+        loss = T.add(T.cross_entropy(mixed, rng.integers(0, 8, 6)),
+                     T.add(T.mean_all(gate), T.sum_all(T.take_elems(gate, [0, 0, 5], [1, 1, 0]))))
+    T.backward(tape, loss)
+    recorded = {name for name, f in vars(T).items() if inspect.isfunction(f) and "_make" in f.__code__.co_names}
+    assert tape.ran == recorded | {"quantized_linear"}
+    assert tape.broken == []
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +566,50 @@ def test_row_gather_matches_loop_oracle(op):
         want_dx[r] = want_dx[r] + g[i]
     _assert_same_bits(out, np.stack([x[r] for r in idx]))
     _assert_same_bits(dx, want_dx)
+
+
+def test_rows_gathered_twice_match_loop_oracle():
+    # the stack embeds ids[:t] and, for multi-token prediction, ids[1:t+1] from one table
+    x, rng = _rand((6, 5), 44), np.random.default_rng(44)
+    first, second = rng.integers(0, 6, 24), rng.integers(0, 6, 24)
+    g1, g2 = _rand((24, 5), 45), _rand((24, 5), 46)
+    xt = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.add(T.sum_all(T.mul(T.embedding(xt, first), T.Tensor(g1))),
+                     T.sum_all(T.mul(T.embedding(xt, second), T.Tensor(g2))))
+    T.backward(tape, loss)
+    sums = []
+    for idx, g in ((second, g2), (first, g1)):  # the sweep meets the later gather first
+        want = np.zeros_like(x)
+        for i, r in enumerate(idx):
+            want[r] = want[r] + g[i]
+        sums.append(want)
+    _assert_same_bits(xt.grad, sums[0] + sums[1])
+
+
+def test_overlapping_column_slices_match_the_dense_formula():
+    x = T.Tensor(_rand((4, 10), 47), requires_grad=True)
+    spans = [(0, 6), (4, 10), (2, 5)]
+    g0, gs = _rand((4, 10), 48), [_rand((4, b - a), 49 + i) for i, (a, b) in enumerate(spans)]
+    # column 2: -0.0 from the direct use and from the slices [0, 6) and [2, 5), outside [4, 10)
+    g0[:, 2] = gs[0][:, 2] = gs[2][:, 0] = -0.0
+    with T.Tape() as tape:
+        loss = T.sum_all(T.mul(x, T.Tensor(g0)))
+        for (a, b), g in zip(spans, gs):
+            loss = T.add(loss, T.sum_all(T.mul(T.slice_cols(x, a, b), T.Tensor(g))))
+    T.backward(tape, loss)
+    # the dense formula the sweep replaced: a zero-filled gradient per slice, added
+    # in reverse recording order, then the direct use
+    dense = []
+    for (a, b), g in zip(spans, gs):
+        dx = np.zeros_like(x.data)
+        dx[:, a:b] = g
+        dense.append(dx)
+    want = dense[2] + dense[1] + dense[0] + g0
+    # The one permitted difference is the sign of a zero: the dense formula adds
+    # +0.0 outside each later slice's columns, which turns a -0.0 into +0.0.
+    assert np.array_equal(x.grad, want)  # value equality: +0.0 == -0.0, nonzero bits equal
+    assert np.signbit(x.grad[:, 2]).all() and not np.signbit(want[:, 2]).any()
 
 
 def test_gather_cols_matches_loop_oracle():
