@@ -23,6 +23,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import subprocess
 import tempfile
@@ -83,18 +84,26 @@ else:
 # -fno-trapping-math lets the compiler assume that floating-point
 # operations do not trap, which it needs to vectorize conditional selects
 # such as the quantizers' (quant.py); it changes no rounding, and the
-# GEMM's machine code is the same with or without it. -Wall changes no code
-# either; the build tests require it to print nothing. The kernel is
-# single-threaded: splitting rows over two threads gave no reliable
-# end-to-end gain on a 2-vCPU host whose cores also serve numpy's BLAS calls.
+# GEMM's machine code is the same with or without it. -fno-math-errno makes
+# a square root the one instruction, without a call into libm to set errno
+# on a negative argument, so no library needs libm; it changes no result.
+# -Wall changes no code either; the build tests require it to print nothing.
+# The kernel is single-threaded: splitting rows over two threads gave no
+# reliable end-to-end gain on a 2-vCPU host whose cores also serve numpy's
+# BLAS calls.
 #
 # One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
-# (mamba_scan's recurrence, below) and quant.py's _QUANT_SOURCE (the
-# quantizers' encode/decode). _load_library compiles a source with _C_FLAGS
+# (mamba_scan's recurrence and the rms_norm, causal_conv1d and scatter-add
+# kernels, below) and quant.py's _QUANT_SOURCE (the quantizers'
+# encode/decode). _load_library compiles a source with _C_FLAGS
 # after a line that defines the macro CLONES, which marks each exported
 # function. On x86-64 that is the attribute CLONES below: GCC builds an
 # avx512f body and a baseline x86-64 one, and the dynamic loader picks one
-# when the library loads. Elsewhere the macro is empty. There is no AVX2
+# when the library loads. Elsewhere the macro is empty. Every helper that a
+# CLONES function calls is always_inline: GCC clones only the marked
+# functions, so an out-of-line helper runs its one baseline body in every
+# clone. rms_norm's forward at 2048x32 took 460-630 us with its pairwise sum
+# out of line, against 45-100 us inlined (numpy: 200-230 us). There is no AVX2
 # clone: GCC gives the kernels' 64-byte vectors no register mode under AVX2
 # and moves them through the stack. On a 2-vCPU AVX-512 Xeon an AVX2 build
 # ran the GEMM at 256x1064x256 in 40-42 ms, no faster than the baseline
@@ -200,7 +209,7 @@ CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float
 }
 """
 CLONES = '__attribute__((target_clones("avx512f", "default")))'
-_C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-Wall", "-fPIC", "-shared")
+_C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fno-math-errno", "-Wall", "-fPIC", "-shared")
 
 
 def _cache_dirs() -> list[Path]:
@@ -455,24 +464,46 @@ def _add_part(t: Tensor, key, values: np.ndarray) -> None:
     """Add the part ``(key, values)``, zeros with ``values`` at ``[key]``, into ``t.grad``.
 
     A basic-slice key is assigned into a new gradient and added in place
-    into an existing one. An index-array key adds by ``np.add.at``, which
-    sums repeated indices in index order; into an existing gradient it goes
+    into an existing one. An index-array key, rows ``idx`` or elements
+    ``(rows, cols)`` over the first two axes, adds by ``_scatter_add``, which sums
+    repeated indices in index order; into an existing gradient it goes
     through a zero temporary, so each element still gets one sum of the
     part's contributions added to it.
     """
     sliced = isinstance(key, tuple) and all(isinstance(k, slice) for k in key)
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-        if sliced:
+    if sliced:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
             t.grad[key] = values
         else:
-            np.add.at(t.grad, key, values)
-    elif sliced:
-        t.grad[key] += values
+            t.grad[key] += values
+        return
+    part = np.zeros(t.data.shape, t.data.dtype)  # C order, whatever the layout of t.data
+    if isinstance(key, tuple):  # elements (rows, cols), as rows of the first two axes merged
+        rows, cols = key
+        flat = part.reshape((part.shape[0] * part.shape[1],) + part.shape[2:])
+        _scatter_add(flat, np.asarray(rows, np.intp) * part.shape[1] + cols, values)
     else:
-        part = np.zeros_like(t.grad)
-        np.add.at(part, key, values)
+        _scatter_add(part, key, values)
+    if t.grad is None:
+        t.grad = part
+    else:
         t.grad += part
+
+
+def _scatter_add(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+    """Add the rows of ``values`` into the rows ``idx`` of C-contiguous ``out`` in index order, as
+    ``np.add.at(out, idx, values)`` does; a 1-D ``out`` has rows of one value. The indices are in range.
+
+    ``values`` must have the shape ``idx.shape + out.shape[1:]``: nothing is broadcast.
+    """
+    idx = np.asarray(idx)
+    if not out.flags.c_contiguous:
+        raise ValueError("scatter-add needs a C-contiguous output")
+    if values.shape != idx.shape + out.shape[1:]:
+        raise ShapeError(f"scatter-add of values {values.shape} at indices {idx.shape} into {out.shape}")
+    idx, vals = np.ascontiguousarray(idx, np.intp), np.ascontiguousarray(values, out.dtype)
+    _C_SCAN[out.dtype]["scatter_add"](idx.size, math.prod(out.shape[1:]), *_ptrs(idx, vals, out))
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +603,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-z))).astype(z.dtype)
+    return (1.0 / (1.0 + np.exp(-z))).astype(z.dtype, copy=False)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -608,7 +639,7 @@ def exp(x: Tensor) -> Tensor:
 def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow for large x."""
     out = np.where(x.data > 30.0, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
-    out = out.astype(x.data.dtype)
+    out = out.astype(x.data.dtype, copy=False)
     s = _sigmoid(x.data)
 
     def bwd(dout):
@@ -643,23 +674,34 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
-    """x / sqrt(mean(x^2) + eps) * weight over the trailing axis."""
+    """x / sqrt(mean(x^2) + eps) * weight over the trailing axis.
+
+    Runs in C (``rms_fwd``/``rms_bwd`` in _SCAN_SOURCE) in the wider dtype
+    of ``x`` and ``weight``, with the bits of the numpy expression
+    ``r = 1 / sqrt(mean(x**2) + eps); x * r * weight`` and of its gradients
+    ``dx = dout w r - x r**3 sum(dout w x) / d`` and ``dw = sum(dout x r)``
+    down the rows, all evaluated in that dtype. ``r ** 3`` is numpy's, on the
+    column of ``r``: its power function rounds neither as ``powf`` nor as
+    ``r * r * r``. So a float32 ``x`` with a float64 ``weight`` is normalised
+    as ``x`` cast to float64, mean and ``r`` included, not with a float32 ``r``
+    as numpy's own type promotion of that expression would give; the
+    gradient for ``x`` is then rounded to float32.
+    """
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(f"rms_norm trailing dim {x.shape[-1]} != weight dim {weight.shape[0]}")
     d = x.shape[-1]
-    ms = np.mean(np.square(x.data), axis=-1, keepdims=True)
-    r = 1.0 / np.sqrt(ms + eps)
-    r = r.astype(x.data.dtype)
-    xn = x.data * r
-    out = xn * weight.data
+    dtype = np.result_type(x.data, weight.data)
+    kernel = _C_SCAN[dtype]
+    xs, w = np.ascontiguousarray(x.data, dtype), np.ascontiguousarray(weight.data, dtype)
+    rows = math.prod(x.shape[:-1])
+    r, out = np.empty(x.shape[:-1] + (1,), dtype), np.empty(x.shape, dtype)
+    kernel["rms_fwd"](rows, d, eps, *_ptrs(xs, w, r, out))
 
     def bwd(dout):
-        dx = None
-        if x.requires_grad:
-            inner = (dout * weight.data * x.data).sum(axis=-1, keepdims=True)
-            dx = dout * weight.data * r - x.data * (r ** 3) * inner / d
-        dw = (dout * xn).reshape(-1, d).sum(axis=0) if weight.requires_grad else None
-        return dx, dw
+        g, r3 = np.ascontiguousarray(dout, dtype), r ** 3
+        dx, dw = np.empty_like(out), np.empty(d, dtype)
+        kernel["rms_bwd"](rows, d, *_ptrs(xs, w, r, r3, g, dx, dw))
+        return dx if x.requires_grad else None, dw if weight.requires_grad else None
 
     return _make(out, (x, weight), bwd)
 
@@ -759,12 +801,15 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _checked_index(op: str, idx, size: int) -> np.ndarray:
-    """``idx`` as an array, or TokenIndexError if any entry is outside [0, size).
+    """``idx`` as an array, or TokenIndexError if any entry is outside [0, size)
+    or it is not an integer array (a boolean mask included).
 
     numpy would wrap a negative index to the end of the axis and raise a bare
     IndexError past it.
     """
     idx = np.asarray(idx)
+    if idx.dtype.kind not in "iu":
+        raise TokenIndexError(f"{op}: indices must be integers, got {idx.dtype}")
     if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise TokenIndexError(f"{op}: indices span [{idx.min()}, {idx.max()}], outside an axis of size {size}")
     return idx
@@ -784,7 +829,7 @@ def scatter_rows(vals: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     """Rows of ``vals`` added into a zero [num_rows, d] matrix at ``idx``."""
     idx = _checked_index("scatter_rows", idx, num_rows)
     out = np.zeros((num_rows, vals.shape[1]), dtype=vals.data.dtype)
-    np.add.at(out, idx, vals.data)
+    _scatter_add(out, idx, vals.data)
 
     def bwd(dout):
         return (dout[idx],)
@@ -843,27 +888,25 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
     x: [T, C], w: [K, C], bias: [C]. Output[t, c] = bias[c] +
     sum_tau w[tau, c] * x[t - K + 1 + tau, c], zero-padded on the left.
+    Runs in C (``conv_fwd``/``conv_bwd`` in _SCAN_SOURCE) with the bits of
+    numpy adding bias and then each tau's products over the padded input.
     """
     t, c = x.shape
     k = w.shape[0]
     if w.shape[1] != c or bias.shape[0] != c:
         raise ShapeError(f"conv channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
     dtype = np.result_type(x.data, w.data, bias.data)
-    xp = np.concatenate([np.zeros((k - 1, c), dtype), x.data.astype(dtype, copy=False)], axis=0)
-    out = np.broadcast_to(bias.data, (t, c)).astype(dtype).copy()
-    for tau in range(k):
-        out += w.data[tau] * xp[tau : tau + t]
+    kernel = _C_SCAN[dtype]
+    xs, ws, b = (np.ascontiguousarray(v.data, dtype) for v in (x, w, bias))
+    out = np.empty((t, c), dtype)
+    kernel["conv_fwd"](t, c, k, *_ptrs(xs, ws, b, out))
 
     def bwd(dout):
-        dx = np.zeros_like(xp) if x.requires_grad else None
-        dw = np.zeros_like(w.data) if w.requires_grad else None
-        for tau in range(k):
-            if dw is not None:
-                dw[tau] = (dout * xp[tau : tau + t]).sum(axis=0)
-            if dx is not None:
-                dx[tau : tau + t] += dout * w.data[tau]
-        db = dout.sum(axis=0) if bias.requires_grad else None
-        return (dx[k - 1 :] if dx is not None else None, dw, db)
+        g = np.ascontiguousarray(dout, dtype)
+        dx, dw, db = np.empty_like(out), np.empty_like(ws), np.empty(c, dtype)
+        kernel["conv_bwd"](t, c, k, *_ptrs(xs, ws, g, dx, dw, db))
+        return (dx if x.requires_grad else None, dw.astype(w.data.dtype, copy=False) if w.requires_grad else None,
+                db if bias.requires_grad else None)
 
     return _make(out, (x, w, bias), bwd)
 
@@ -897,6 +940,12 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # increasing n. The order is thus the same in every clone, and the loops
 # vectorize without reassociating. Python passes every
 # scratch buffer.
+#
+# The same template holds the kernels of rms_norm, causal_conv1d and the
+# index scatter-add (_scatter_add). Each gives the bits of the numpy code it
+# replaced, which tests/test_tensor.py keeps as its oracle: it sums in
+# numpy's orders, pairwise along a row (pairwise_SFX) and in row order down
+# the rows.
 _SCAN_CHUNK = 16
 _SCAN_LANES = 16
 _SCAN_TYPED = r"""
@@ -1042,18 +1091,165 @@ CLONES void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n,
         }
     }
 }
+
+/* numpy's pairwise sum of a[0:n] (np.add.reduce over a contiguous axis): a block of up to 128 values
+   goes to 8 partial sums, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the values
+   past the last multiple of 8 one by one; fewer than 8 values are added one by one from -0. A longer
+   span splits at n / 2 rounded down to a multiple of 8 and adds its halves' sums. The recursion runs
+   on an explicit stack of split spans: the start and end of the right half, which is -1 once the left
+   half's sum is in `left`. */
+static inline __attribute__((always_inline)) REAL pairwise_block_SFX(const REAL *a, ptrdiff_t n)
+{
+    REAL res = -0.0;
+    ptrdiff_t i = 0;
+    if (n >= 8) {
+        REAL r[8];
+        for (int k = 0; k < 8; k++) r[k] = a[k];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++) r[k] += a[i + k];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++) res += a[i];
+    return res;
+}
+
+static inline __attribute__((always_inline)) REAL pairwise_SFX(const REAL *a, ptrdiff_t n)
+{
+    ptrdiff_t mid[64], hi[64], lo = 0, end = n;
+    REAL left[64];
+    int sp = 0;
+    for (;;) {
+        while (end - lo > 128) {
+            const ptrdiff_t half = (end - lo) / 2 - (end - lo) / 2 % 8;
+            mid[sp] = lo + half, hi[sp++] = end;
+            end = lo + half;
+        }
+        REAL s = pairwise_block_SFX(a + lo, end - lo);
+        while (sp > 0 && mid[sp - 1] < 0) s = left[--sp] + s;
+        if (sp == 0) return s;
+        left[sp - 1] = s, lo = mid[sp - 1], end = hi[sp - 1], mid[sp - 1] = -1;
+    }
+}
+
+/* rms_norm over rows of d: r[i] = 1 / sqrt(mean(x_i^2) + eps) and out_i = x_i r[i] w. The mean is
+   numpy's: +0 plus the pairwise sum of the squares, divided by d in double and rounded. */
+CLONES void rms_fwd_SFX(ptrdiff_t rows, ptrdiff_t d, double eps, const REAL *restrict x, const REAL *restrict w,
+                        REAL *restrict r, REAL *restrict out)
+{
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const REAL *xi = x + i * d;
+        REAL *oi = out + i * d;
+        for (ptrdiff_t j = 0; j < d; j++) oi[j] = xi[j] * xi[j];
+        const REAL ms = (REAL)((double)((REAL)0 + pairwise_SFX(oi, d)) / (double)d);
+        const REAL ri = 1 / SQRT(ms + (REAL)eps);
+        r[i] = ri;
+        for (ptrdiff_t j = 0; j < d; j++) oi[j] = xi[j] * ri * w[j];
+    }
+}
+
+/* The gradients of rms_fwd for upstream g, given r and r3 = r^3 per row: dx = g w r - x r3 inner / d
+   with inner = +0 plus the pairwise sum of g w x over the row, and dw = the sum of g x r down the rows,
+   in row order from +0 or, when d is 1 and so the column is contiguous, pairwise. */
+CLONES void rms_bwd_SFX(ptrdiff_t rows, ptrdiff_t d, const REAL *restrict x, const REAL *restrict w,
+                        const REAL *restrict r, const REAL *restrict r3, const REAL *restrict g,
+                        REAL *restrict dx, REAL *restrict dw)
+{
+    const REAL dd = (REAL)d;
+    if (d == 1) {
+        for (ptrdiff_t i = 0; i < rows; i++) dx[i] = g[i] * (x[i] * r[i]);  /* dx is scratch here */
+        dw[0] = (REAL)0 + pairwise_SFX(dx, rows);
+    } else {
+        for (ptrdiff_t j = 0; j < d; j++) dw[j] = 0;
+        for (ptrdiff_t i = 0; i < rows; i++)
+            for (ptrdiff_t j = 0; j < d; j++) dw[j] += g[i * d + j] * (x[i * d + j] * r[i]);
+    }
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const REAL *xi = x + i * d, *gi = g + i * d;
+        REAL *di = dx + i * d;
+        for (ptrdiff_t j = 0; j < d; j++) di[j] = gi[j] * w[j] * xi[j];
+        const REAL inner = (REAL)0 + pairwise_SFX(di, d), ri = r[i], r3i = r3[i];
+        for (ptrdiff_t j = 0; j < d; j++) di[j] = gi[j] * w[j] * ri - xi[j] * r3i * inner / dd;
+    }
+}
+
+/* Depthwise causal conv of x [t, c] by w [k, c]: out[u] = b + w[0] xp[u] + ... + w[k - 1] xp[u + k - 1]
+   in that order, where xp is x after k - 1 zero rows. The zero rows' products are added too, so a
+   -0 bias or an infinite weight gives numpy's bits. */
+CLONES void conv_fwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
+                         const REAL *restrict b, REAL *restrict out)
+{
+    const REAL zero = 0;
+    for (ptrdiff_t u = 0; u < t; u++) {
+        REAL *o = out + u * c;
+        for (ptrdiff_t ch = 0; ch < c; ch++) o[ch] = b[ch];
+        for (ptrdiff_t tau = 0, s = u - k + 1; tau < k; tau++, s++)
+            for (ptrdiff_t ch = 0; ch < c; ch++) o[ch] += w[tau * c + ch] * (s < 0 ? zero : x[s * c + ch]);
+    }
+}
+
+/* The gradients of conv_fwd for upstream g [t, c]. dw[tau] sums g[v] xp[tau + v] and db sums g[v] over v
+   in order from +0, or pairwise when c is 1 and so the column is contiguous; the zero rows of xp add
+   their products. dx[u] adds g[v] w[tau] for v = u + k - 1 - tau in [0, t), in increasing tau from +0. */
+CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
+                         const REAL *restrict g, REAL *restrict dx, REAL *restrict dw, REAL *restrict db)
+{
+    const REAL zero = 0;
+    if (c == 1) {
+        for (ptrdiff_t tau = 0; tau < k; tau++) {
+            for (ptrdiff_t v = 0, s = tau - k + 1; v < t; v++, s++) dx[v] = g[v] * (s < 0 ? zero : x[s]);  /* scratch */
+            dw[tau] = (REAL)0 + pairwise_SFX(dx, t);
+        }
+        db[0] = (REAL)0 + pairwise_SFX(g, t);
+    } else {
+        for (ptrdiff_t j = 0; j < k * c; j++) dw[j] = 0;
+        for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] = 0;
+        for (ptrdiff_t v = 0; v < t; v++) {
+            const REAL *gv = g + v * c;
+            for (ptrdiff_t tau = 0, s = v - k + 1; tau < k; tau++, s++)
+                for (ptrdiff_t ch = 0; ch < c; ch++) dw[tau * c + ch] += gv[ch] * (s < 0 ? zero : x[s * c + ch]);
+            for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] += gv[ch];
+        }
+    }
+    for (ptrdiff_t u = 0; u < t; u++) {
+        REAL *du = dx + u * c;
+        for (ptrdiff_t ch = 0; ch < c; ch++) du[ch] = 0;
+        for (ptrdiff_t tau = u + k - t > 0 ? u + k - t : 0; tau < k; tau++) {
+            const REAL *gv = g + (u + k - 1 - tau) * c, *wt = w + tau * c;
+            for (ptrdiff_t ch = 0; ch < c; ch++) du[ch] += gv[ch] * wt[ch];
+        }
+    }
+}
+
+/* out[idx[i] d + j] += vals[i d + j] for i in increasing order, as np.add.at adds. */
+CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, const ptrdiff_t *restrict idx, const REAL *restrict vals,
+                            REAL *restrict out)
+{
+    for (ptrdiff_t i = 0; i < count; i++) {
+        REAL *o = out + idx[i] * d;
+        const REAL *v = vals + i * d;
+        for (ptrdiff_t j = 0; j < d; j++) o[j] += v[j];
+    }
+}
 """
 _SCAN_SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 
 enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES */
-""" + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx)
-              for real, idx, sfx in (("float", "int", "f32"), ("double", "long long", "f64")))
-_SCAN_PROTOTYPES = {"fwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 10),
-                    "bwd": ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * 6, *[ctypes.c_void_p] * 19)}
+""" + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx).replace("SQRT", sqrt)
+              for real, idx, sfx, sqrt in (("float", "int", "f32", "__builtin_sqrtf"),
+                                           ("double", "long long", "f64", "__builtin_sqrt")))
+
+
+def _prototype(ints: int, pointers: int, *, eps: bool = False):
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * ints, *[ctypes.c_double] * eps, *[ctypes.c_void_p] * pointers)
+
+
+_SCAN_PROTOTYPES = {"scan_fwd": _prototype(6, 10), "scan_bwd": _prototype(6, 19),
+                    "rms_fwd": _prototype(2, 4, eps=True), "rms_bwd": _prototype(2, 7),
+                    "conv_fwd": _prototype(3, 4), "conv_bwd": _prototype(3, 6), "scatter_add": _prototype(2, 3)}
 _SCAN_LIBRARY = _load_library(_cache_dirs(), _SCAN_SOURCE)
-_C_SCAN = {np.dtype(dtype): {way: proto((f"scan_{way}_{sfx}", _SCAN_LIBRARY)) for way, proto in _SCAN_PROTOTYPES.items()}
+_C_SCAN = {np.dtype(dtype): {name: proto((f"{name}_{sfx}", _SCAN_LIBRARY)) for name, proto in _SCAN_PROTOTYPES.items()}
            for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64"))}
 
 
@@ -1130,7 +1326,7 @@ def mamba_scan(
     ckpt = _aligned((-(-t_len // seg), n, mp), dtype)
     y = np.empty((t_len, h, p), dtype)
     lanes = _aligned(3 * mp, dtype)
-    kernel["fwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, lanes, state, ckpt, y))
+    kernel["scan_fwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, lanes, state, ckpt, y))
 
     def bwd(dout):
         g = np.ascontiguousarray(dout, dtype)
@@ -1139,7 +1335,7 @@ def mamba_scan(
         np_ = -(-n // lp) * lp
         lanes, rows, sums = _aligned(5 * seg * mp, dtype), _aligned(2 * np_ * lp, dtype), _aligned(2 * seg * np_, dtype)
         dh, st = _aligned(n * mp, dtype), _aligned((seg + 1) * n * lp, dtype)
-        kernel["bwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, g, ckpt, lanes, rows, sums, dh, st,
+        kernel["scan_bwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, g, ckpt, lanes, rows, sums, dh, st,
                                                       dx, ex, dq, dd, db, dc))
         dexp = dq * decay  # the gradient of the exponent dt * a
         return dx, ex + a * dexp, (dexp * dts).sum(axis=0), db, dc, dd

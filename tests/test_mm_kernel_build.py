@@ -39,8 +39,8 @@ def _entry_points(name, lib):
     if name == "quant":
         return Q, {"_C_ENCODE": type(Q._C_ENCODE)(("quant_encode", lib)),
                    "_C_DECODE": type(Q._C_DECODE)(("quant_decode", lib))}
-    return T, {"_C_SCAN": {dtype: {way: type(fn)((f"scan_{way}_f{8 * dtype.itemsize}", lib)) for way, fn in ways.items()}
-                           for dtype, ways in T._C_SCAN.items()}}
+    return T, {"_C_SCAN": {dtype: {name: type(fn)((f"{name}_f{8 * dtype.itemsize}", lib)) for name, fn in kernels.items()}
+                           for dtype, kernels in T._C_SCAN.items()}}
 
 
 TINY_SOURCE = "long twice(long v) { return 2 * v; }\n"
@@ -158,12 +158,19 @@ def _quant_outputs():
 
 
 def _scan_outputs():
-    """mamba_scan's output, final state and gradients in float32 and float64, with and without h0."""
+    """The outputs and gradients of every kernel in the scan source, in float32 and float64: mamba_scan with
+    and without h0, rms_norm and causal_conv1d on each oracle case, and the index scatter-adds."""
     out = []
     for shape, dtype, with_h0 in (((37, 3, 4, 5), np.float32, True), ((37, 3, 4, 5), np.float64, False),
                                   ((256, 4, 16, 32), np.float32, False), ((64, 8, 64, 16), np.float64, True)):
         args, h0, dout = test_tensor._scan_inputs(*shape, seed=sum(shape), dtype=dtype)
         out += test_tensor._scan_fwd_bwd(args, h0 if with_h0 else None, dout)
+    for case in test_tensor.RMS_NORM_CASES:
+        out += test_tensor._op_fwd_bwd(T.rms_norm, *test_tensor._rms_norm_inputs(*case))
+    for case in test_tensor.CONV_CASES:
+        out += test_tensor._op_fwd_bwd(T.causal_conv1d, *test_tensor._conv_inputs(*case))
+    for dtype in (np.float32, np.float64):
+        out += test_tensor._scatter_outputs(dtype)
     return out
 
 

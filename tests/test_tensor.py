@@ -79,12 +79,12 @@ def test_matmul_exact_casts_other_dtypes_to_float32(dtype):
     assert np.array_equal(out, T.matmul_oracle(a.astype(np.float32), b.astype(np.float32)))
 
 
-def _assert_same_bits(x, y):
+def _assert_same_bits(x, y, dtype=np.float32):
     """Equal bit for bit, except that any NaN matches any NaN."""
-    assert x.shape == y.shape and x.dtype == y.dtype == np.float32
+    assert x.shape == y.shape and x.dtype == y.dtype == dtype
     assert np.array_equal(np.isnan(x), np.isnan(y))
     keep = ~np.isnan(x)
-    assert np.array_equal(x[keep].view(np.uint32), y[keep].view(np.uint32))
+    assert x[keep].tobytes() == y[keep].tobytes()
 
 
 def _sequential_sum(a, b):
@@ -650,10 +650,224 @@ def test_causal_conv1d_matches_manual():
     b = _rand((3,), 24)
     out = T.causal_conv1d(T.Tensor(x), T.Tensor(w), T.Tensor(b)).data
     xp = np.concatenate([np.zeros((3, 3), np.float32), x], axis=0)
+    want = np.empty_like(out)
     for t in range(6):
         for c in range(3):
-            want = np.float32(b[c] + sum(w[tau, c] * xp[t + tau, c] for tau in range(4)))
-            assert out[t, c] == pytest.approx(want, rel=1e-6)
+            acc = b[c]  # the bias, then each tap's float32 product in increasing tau
+            for tau in range(4):
+                acc = np.float32(acc + np.float32(w[tau, c] * xp[t + tau, c]))
+            want[t, c] = acc
+    _assert_same_bits(out, want)
+
+
+# rms_norm, causal_conv1d and the index scatter-add run in C and keep the bits
+# of the numpy code they replaced, which stays here as their oracle. That code
+# follows these rules of numpy 2.4.6:
+# - Along a row (sum(axis=-1), mean): +0 plus numpy's pairwise sum of the row,
+#   8 partial sums per block of up to 128 values, added as
+#   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one by one;
+#   a longer row splits at n / 2 rounded down to a multiple of 8.
+# - mean: that sum divided by the count, an intp, in float64, then rounded.
+# - Down the rows (sum(axis=0)) of a C-contiguous matrix: each column in row
+#   order from +0. A single column is contiguous, so it is summed pairwise.
+# - ``r ** 3`` is numpy's power, which rounds as neither powf nor r * r * r.
+# - np.add.at adds repeated indices in index order.
+# - The conv keeps the products of its zero padding, so a -0 bias stays -0
+#   only where every product is -0, and an infinite weight makes a NaN there.
+
+
+def _rms_norm_numpy(x, w, dout, eps=1e-6):
+    """rms_norm's numpy body: the output, dx and dw."""
+    d = x.shape[-1]
+    r = (1.0 / np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)).astype(x.dtype)
+    xn = x * r
+    inner = (dout * w * x).sum(axis=-1, keepdims=True)
+    dx = dout * w * r - x * (r ** 3) * inner / d
+    return xn * w, dx, (dout * xn).reshape(-1, d).sum(axis=0)
+
+
+def _causal_conv1d_numpy(x, w, bias, dout):
+    """causal_conv1d's numpy body: the output, dx, dw and db."""
+    t, c = x.shape
+    k = w.shape[0]
+    xp = np.concatenate([np.zeros((k - 1, c), x.dtype), x], axis=0)
+    out = np.broadcast_to(bias, (t, c)).copy()
+    for tau in range(k):
+        out += w[tau] * xp[tau : tau + t]
+    dx, dw = np.zeros_like(xp), np.zeros_like(w)
+    for tau in range(k):
+        dw[tau] = (dout * xp[tau : tau + t]).sum(axis=0)
+        dx[tau : tau + t] += dout * w[tau]
+    return out, dx[k - 1 :], dw, dout.sum(axis=0)
+
+
+WIDTHS = (1, 5, 13, 32, 129, 256, 300, 1000)
+DTYPES = (np.float32, np.float64)
+# (shape of x, dtype, with -0, inf and NaN entries); 300 rows of one column split the pairwise sum down them
+RMS_NORM_CASES = ([((37, d), dtype, False) for d in WIDTHS for dtype in DTYPES]
+                  + [((300, 1), dtype, False) for dtype in DTYPES]
+                  + [((3, 7, 13), dtype, False) for dtype in DTYPES]
+                  + [((37, d), dtype, True) for d in (1, 32) for dtype in DTYPES])
+# (t, c, k, dtype, with a -0 bias, infinite weights and NaN, inf and -0 inputs)
+CONV_CASES = ([(37, c, 4, dtype, False) for c in WIDTHS for dtype in DTYPES]
+              + [(300, 1, 4, dtype, False) for dtype in DTYPES]
+              + [(3, c, 6, dtype, False) for c in (1, 13) for dtype in DTYPES]
+              + [(37, c, 4, dtype, True) for c in (1, 13) for dtype in DTYPES])
+
+
+def _special(a, rng, values):
+    """``a`` with each of ``values`` written at a few random entries."""
+    for v in values:
+        a.reshape(-1)[rng.integers(0, a.size, 3)] = v
+    return a
+
+
+def _rms_norm_inputs(shape, dtype, special):
+    """x, weight and the upstream gradient for an RMS_NORM_CASES entry."""
+    rng = np.random.default_rng(sum(shape))
+    x, w, dout = ((rng.standard_normal(s) * 3).astype(dtype) for s in (shape, shape[-1:], shape))
+    if special:
+        x[0], x[1], dout[2] = -0.0, 0.0, -0.0  # whole rows of zeros, of either sign
+        _special(x, rng, (-0.0, np.inf, np.nan))
+        _special(dout, rng, (-0.0, -np.inf))
+    return x, w, dout
+
+
+def _conv_inputs(t, c, k, dtype, special):
+    """x, w, bias and the upstream gradient for a CONV_CASES entry."""
+    rng = np.random.default_rng(t + c + k)
+    x, w, bias, dout = (rng.standard_normal(s).astype(dtype) for s in ((t, c), (k, c), (c,), (t, c)))
+    if special:
+        bias[:] = -0.0
+        w[0, 0], w[1, -1] = np.inf, -np.inf  # times the zero padding: NaN
+        x[5, 0], x[9, 0], x[20, -1] = -0.0, np.nan, np.inf
+        dout[0, -1], dout[8, 0] = np.inf, -0.0  # the first row meets the padding in dw
+    return x, w, bias, dout
+
+
+def _op_fwd_bwd(op, *arrays):
+    """The output of ``op`` on all but the last array, and each one's gradient for the last as upstream."""
+    *inputs, dout = arrays
+    ts = [T.Tensor(a, requires_grad=True) for a in inputs]
+    with T.Tape() as tape, np.errstate(invalid="ignore"):  # the loss of inf and NaN entries
+        y = op(*ts)
+        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(dout))))  # y's gradient is dout times one: dout
+    return [y.data] + [t.grad for t in ts]
+
+
+@pytest.mark.parametrize("case", RMS_NORM_CASES, ids=str)
+def test_rms_norm_matches_its_numpy_body(case):
+    x, w, dout = _rms_norm_inputs(*case)
+    with np.errstate(invalid="ignore"):  # NaN from inf - inf or inf * 0
+        want = _rms_norm_numpy(x, w, dout)
+    for g, v in zip(_op_fwd_bwd(T.rms_norm, x, w, dout), want):
+        _assert_same_bits(g, v, x.dtype)
+
+
+@pytest.mark.parametrize("case", CONV_CASES, ids=str)
+def test_causal_conv1d_matches_its_numpy_body(case):
+    x, w, bias, dout = _conv_inputs(*case)
+    with np.errstate(invalid="ignore"):
+        want = _causal_conv1d_numpy(x, w, bias, dout)
+    for g, v in zip(_op_fwd_bwd(T.causal_conv1d, x, w, bias, dout), want):
+        _assert_same_bits(g, v, x.dtype)
+
+
+def _scatter_cases(dtype):
+    """(out, idx, values) with many repeated indices: rows of a matrix, rows of a 3-D array under a 2-D
+    index, and single elements of a vector that starts with -0 and nonzero entries."""
+    rng = np.random.default_rng(50)
+
+    def rand(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    vec = rand(24)
+    vec[::5] = -0.0
+    return [(np.zeros((6, 5), dtype), rng.integers(0, 6, 40), rand(40, 5)),
+            (np.zeros((4, 2, 3), dtype), rng.integers(0, 4, (5, 2)), rand(5, 2, 2, 3)),
+            (vec, rng.integers(0, 24, 60), rand(60))]
+
+
+def _scatter_outputs(dtype):
+    """T._scatter_add's result on each of _scatter_cases."""
+    out = []
+    for dst, idx, values in _scatter_cases(dtype):
+        T._scatter_add(dst, idx, values)
+        out.append(dst)
+    return out
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_scatter_add_matches_np_add_at(dtype):
+    for (dst, idx, values), got in zip(_scatter_cases(dtype), _scatter_outputs(dtype)):
+        np.add.at(dst, idx, values)
+        _assert_same_bits(got, dst, dtype)
+
+
+def test_scatter_add_rejects_a_shape_it_would_misread():
+    out, idx = np.zeros((6, 5), np.float32), np.array([0, 2, 2])
+    for values in (np.ones((1, 5), np.float32), np.ones((4, 5), np.float32), np.ones(3, np.float32)):
+        with pytest.raises(ShapeError):  # np.add.at would broadcast one row; the kernel would read past it
+            T._scatter_add(out, idx, values)
+    with pytest.raises(ValueError):
+        T._scatter_add(np.zeros((5, 6), np.float32).T, idx, np.ones((3, 5), np.float32))
+    assert not out.any()
+
+
+def test_scatter_rows_needs_one_row_of_values_per_index():
+    idx = np.array([0, 2, 2])
+    for n in (1, 2, 4):
+        with pytest.raises(ShapeError):
+            T.scatter_rows(T.Tensor(np.ones((n, 5), np.float32)), idx, 6)
+
+
+def test_index_ops_need_integer_indices():
+    x = T.Tensor(_rand((3, 4), 54))
+    with pytest.raises(TokenIndexError):
+        T.take_rows(x, np.array([True, False, True]))
+    with pytest.raises(TokenIndexError):
+        T.take_elems(x, np.array([0, 1]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("via_transpose2d", [True, False], ids=["transpose2d", "transposed_leaf"])
+def test_index_grads_of_fortran_ordered_data_match_loop_oracle(via_transpose2d):
+    # transpose2d's output, and a leaf over a transposed array, hold Fortran-ordered data;
+    # the gradient parts are still written row-major
+    x, rng = _rand((5, 6), 51).T, np.random.default_rng(51)
+    idx, rows, cols = rng.integers(0, 6, 30), rng.integers(0, 6, 30), rng.integers(0, 5, 30)
+    for op, args, at in ((T.take_rows, (idx,), lambda i: idx[i]),
+                         (T.take_elems, (rows, cols), lambda i: (rows[i], cols[i]))):
+        if via_transpose2d:
+            _, dx, g = _fwd_bwd(lambda t, *a: op(T.transpose2d(t), *a), np.ascontiguousarray(x.T), *args)
+            dx = dx.T
+        else:
+            _, dx, g = _fwd_bwd(op, x, *args)
+        want_dx = np.zeros(x.shape, np.float32)
+        for i in range(30):
+            want_dx[at(i)] = want_dx[at(i)] + g[i]
+        _assert_same_bits(dx, want_dx)
+
+
+def test_take_elems_of_a_3d_tensor_matches_loop_oracle():
+    rng = np.random.default_rng(55)
+    x, rows, cols = _rand((4, 3, 2), 55), rng.integers(0, 4, 30), rng.integers(0, 3, 30)
+    out, dx, g = _fwd_bwd(T.take_elems, x, rows, cols)
+    want_dx = np.zeros_like(x)
+    for i, (r, c) in enumerate(zip(rows, cols)):
+        want_dx[r, c] = want_dx[r, c] + g[i]
+    _assert_same_bits(out, np.stack([x[r, c] for r, c in zip(rows, cols)]))
+    _assert_same_bits(dx, want_dx)
+
+
+def test_rms_norm_of_float32_x_with_float64_weight_runs_in_float64():
+    # numpy's promotion of the old body would take the mean and r in float32; the kernel takes x as float64
+    x, w, dout = _rms_norm_inputs((37, 13), np.float64, False)
+    x = x.astype(np.float32)
+    out, dx, dw = _op_fwd_bwd(T.rms_norm, x, w, dout)
+    want = _rms_norm_numpy(x.astype(np.float64), w, dout)
+    _assert_same_bits(out, want[0], np.float64)
+    _assert_same_bits(dx, want[1].astype(np.float32))
+    _assert_same_bits(dw, want[2], np.float64)
 
 
 def test_causal_softmax_rows_sum_to_one_and_are_causal():
