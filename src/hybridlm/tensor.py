@@ -73,14 +73,36 @@ else:
 # contiguous stack buffer, then sweeps the rows of A in tiles of 6 rows (12
 # for the narrow panels). A tile's sums stay in 24 (or 12) 16-float vectors,
 # registers under AVX-512, while k runs through the block and go back to
-# `out` after it; the next block resumes from `out`, so each sum still sees
-# k in increasing order with one product and one sum rounding per step. A
-# tile that overhangs the last rows or columns repeats the last row and pads
-# the panel with zeros, and only its real rows and columns are stored. Two
-# flag rules protect the bits: -ffp-contract=off stops the compiler fusing a
-# multiply and an add into one FMA (one rounding instead of two), and
-# -ffast-math/-Ofast are never used, since they reassociate sums and flush
-# subnormals to zero.
+# `out` after it. They start from +0 on the first block and the next block
+# resumes from `out`, so each sum still sees k in increasing order with one
+# product and one sum rounding per step, and `out` needs no zero fill; with
+# k = 0 the kernel writes the zeros itself. A tile that overhangs the last
+# rows or columns repeats the last row and pads the panel with zeros, and
+# only its real rows and columns are stored.
+#
+# Two flag rules protect the bits: -ffp-contract=off stops the compiler
+# fusing a multiply and an add into one FMA (one rounding instead of two),
+# and -ffast-math/-Ofast are never used, since they reassociate sums and
+# flush subnormals to zero. The one exception is the GEMM's fused body. The
+# tile and the panel loop are instantiated twice from _MM_TYPED, and only the
+# fused copy is marked fp-contract=fast. mm_exact_f32 runs it when
+# mm_products_exact finds every product exact: every nonzero element of both
+# operands is a normal float whose 12 low mantissa bits are zero, and either
+# an operand is all zero or the least and greatest biased exponents satisfy
+# min e(A) + min e(B) - 254 >= -126 and max e(A) + max e(B) - 254 <= 126.
+# Proof: two significands of at most 12 bits multiply to at most 24 bits,
+# and the bounds put every nonzero product in [2^-126, 2^128), the normal
+# range, so the float32 product is ab itself. Then fma(a, b, c) = round(ab +
+# c) = round(round(ab) + c), the separate multiply and add, for every c,
+# infinite or NaN included. Operands dequantized from NVFP4 (at most 6
+# significant bits) and MXFP8 (at most 4) pass: in one wide training step
+# all 60 quantized-linear GEMMs do, their products' exponents spanning -50
+# to 2, and none of the 135 others. The scan is vectorized, keeping per
+# element only the minimum of u - 1 over the magnitude bits u (a zero wraps
+# to the maximum), their maximum and their OR, and it stops after the first
+# row that fails, so a failing GEMM pays for one row. The baseline x86-64
+# clone has no FMA instruction and keeps a multiply and an add, which give
+# the same bits.
 # -fno-trapping-math lets the compiler assume that floating-point
 # operations do not trap, which it needs to vectorize conditional selects
 # such as the quantizers' (quant.py); it changes no rounding, and the
@@ -93,9 +115,9 @@ else:
 # BLAS calls.
 #
 # One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
-# (mamba_scan's recurrence and the rms_norm, causal_conv1d and scatter-add
-# kernels, below) and quant.py's _QUANT_SOURCE (the quantizers'
-# encode/decode). _load_library compiles a source with _C_FLAGS
+# (mamba_scan's recurrence and the rms_norm, causal_conv1d, causal_softmax
+# and scatter-add kernels, below) and quant.py's _QUANT_SOURCE (the
+# quantizers' encode/decode). _load_library compiles a source with _C_FLAGS
 # after a line that defines the macro CLONES, which marks each exported
 # function. On x86-64 that is the attribute CLONES below: GCC builds an
 # avx512f body and a baseline x86-64 one, and the dynamic loader picks one
@@ -103,7 +125,8 @@ else:
 # CLONES function calls is always_inline: GCC clones only the marked
 # functions, so an out-of-line helper runs its one baseline body in every
 # clone. rms_norm's forward at 2048x32 took 460-630 us with its pairwise sum
-# out of line, against 45-100 us inlined (numpy: 200-230 us). There is no AVX2
+# out of line, against 45-100 us inlined (numpy: 200-230 us), and a GEMM body
+# that was a static helper ran at 3.6 GFLOP/s. There is no AVX2
 # clone: GCC gives the kernels' 64-byte vectors no register mode under AVX2
 # and moves them through the stack. On a 2-vCPU AVX-512 Xeon an AVX2 build
 # ran the GEMM at 256x1064x256 in 40-42 ms, no faster than the baseline
@@ -123,25 +146,18 @@ else:
 # directory the import raises KernelBuildError: there is no slower path to
 # fall back to.
 
-_MM_SOURCE = r"""
-#include <stddef.h>
-
-typedef float vf __attribute__((vector_size(64)));
-typedef float vfu __attribute__((vector_size(64), aligned(4)));
-
-enum { VW = 16, KC = 128, NP = 64 };
-
-/* out[0:rows, 0:w] (row stride n) += a[0:rows, 0:kc] @ bp, in k order, for
-   an MR x NV*VW tile; bp is the packed panel, NV*VW floats per k. */
-static inline __attribute__((always_inline)) void
-mm_tile(const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, const float *restrict bp,
-        float *restrict out, ptrdiff_t n, ptrdiff_t w, ptrdiff_t kc, const int MR, const int NV)
+_MM_TYPED = r"""
+/* out[0:rows, 0:w] (row stride n) = s + a[0:rows, 0:kc] @ bp, in k order, for an MR x NV*VW tile,
+   where s is +0 on the first k block and out otherwise; bp is the packed panel, NV*VW floats per k. */
+static inline __attribute__((always_inline)) CONTRACT void mm_tile_SFX(
+    const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, const float *restrict bp, float *restrict out,
+    ptrdiff_t n, ptrdiff_t w, ptrdiff_t kc, int first, const int MR, const int NV)
 {
     const int full = rows == MR && w == NV * VW;
     const float *ar[12];
     vf acc[12][4], bv[4];
     float t[12 * NP] __attribute__((aligned(64)));
-    if (!full)
+    if (!full && !first)
         for (ptrdiff_t r = 0; r < MR; r++)
             for (ptrdiff_t j = 0; j < NV * VW; j++)
                 t[r * NP + j] = r < rows && j < w ? out[r * n + j] : 0.0f;
@@ -150,7 +166,7 @@ mm_tile(const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, c
         ar[r] = a + (r < rows ? r : rows - 1) * sa0;
 #pragma GCC unroll 4
         for (int v = 0; v < NV; v++)
-            acc[r][v] = full ? *(const vfu *)(out + r * n + v * VW) : *(const vf *)(t + r * NP + v * VW);
+            acc[r][v] = first ? (vf){0} : full ? *(const vfu *)(out + r * n + v * VW) : *(const vf *)(t + r * NP + v * VW);
     }
     for (ptrdiff_t k = 0; k < kc; k++) {
 #pragma GCC unroll 4
@@ -178,9 +194,10 @@ mm_tile(const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, c
                 out[r * n + j] = t[r * NP + j];
 }
 
-CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
-                         ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
-                         ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
+/* out = a @ b for kk > 0, tile by tile. */
+CLONES CONTRACT void mm_body_SFX(const float *restrict a, const float *restrict b, float *restrict out,
+                                 ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+                                 ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
     float bp[KC * NP] __attribute__((aligned(64)));
     for (ptrdiff_t j0 = 0; j0 < n; j0 += NP) {
@@ -198,14 +215,92 @@ CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float
                 const ptrdiff_t rows = m - i < mr ? m - i : mr;
                 float *o = out + i * n + j0;
                 if (pw == NP)
-                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 6, 4);
+                    mm_tile_SFX(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, k0 == 0, 6, 4);
                 else if (pw == NP / 2)
-                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 12, 2);
+                    mm_tile_SFX(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, k0 == 0, 12, 2);
                 else
-                    mm_tile(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, 12, 1);
+                    mm_tile_SFX(ak + i * sa0, sa0, sa1, rows, bp, o, n, w, kc, k0 == 0, 12, 1);
             }
         }
     }
+}
+"""
+_MM_SOURCE = r"""
+#include <stddef.h>
+#include <stdint.h>
+#include <string.h>
+
+typedef float vf __attribute__((vector_size(64)));
+typedef float vfu __attribute__((vector_size(64), aligned(4)));
+typedef uint32_t u32 __attribute__((may_alias));
+
+enum { VW = 16, KC = 128, NP = 64 };
+""" + "".join(_MM_TYPED.replace("SFX", sfx).replace("CONTRACT", contract)
+              for sfx, contract in (("separate", ""), ("fused", '__attribute__((optimize("fp-contract=fast")))'))) + r"""
+/* Folds the magnitude bits u of x[0:cols] (stride s) into lo, the least u - 1 (a zero wraps to the
+   greatest), hi, the greatest u, and bits, their OR. */
+static inline __attribute__((always_inline)) void
+mm_scan_row(const u32 *x, ptrdiff_t cols, ptrdiff_t s, uint32_t *lo, uint32_t *hi, uint32_t *bits)
+{
+    uint32_t mn = *lo, mx = *hi, ors = *bits;
+    for (ptrdiff_t j = 0; j < cols; j++) {
+        const uint32_t u = x[j * s] & 0x7fffffffu;
+        mn = u - 1 < mn ? u - 1 : mn;
+        mx = u > mx ? u : mx;
+        ors |= u;
+    }
+    *lo = mn, *hi = mx, *bits = ors;
+}
+
+/* mm_scan_row over the rows of x[0:rows, 0:cols] (strides s0, s1), or over its columns when those are
+   contiguous. Returns 0 after the first row that holds a nonzero element with any of its 12 low
+   mantissa bits set, a subnormal, an infinity or a NaN. */
+static inline __attribute__((always_inline)) int
+mm_scan(const float *x, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t s0, ptrdiff_t s1, uint32_t *lo, uint32_t *hi)
+{
+    uint32_t bits = 0;
+    *lo = UINT32_MAX, *hi = 0;
+    if (s1 != 1 && s0 == 1) {
+        const ptrdiff_t r = rows;
+        rows = cols, cols = r, s0 = s1, s1 = 1;
+    }
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        if (s1 == 1)
+            mm_scan_row((const u32 *)(x + i * s0), cols, 1, lo, hi, &bits);
+        else
+            mm_scan_row((const u32 *)(x + i * s0), cols, s1, lo, hi, &bits);
+        if (bits & 0xfffu || *hi >= 0x7f800000u || *lo < 0x007fffffu)
+            return 0;
+    }
+    return 1;
+}
+
+/* 1 when every product a[i,k] b[k,j] is exact in float32: an operand is all zero, or the nonzero
+   elements of both are normal with 12 low mantissa bits of zero and their biased exponents keep
+   every product in [2^-126, 2^128). */
+CLONES int mm_products_exact(const float *a, const float *b, ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+                             ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
+{
+    uint32_t alo, ahi, blo, bhi;
+    if (!mm_scan(a, m, kk, sa0, sa1, &alo, &ahi) || !mm_scan(b, kk, n, sb0, sb1, &blo, &bhi))
+        return 0;
+    if (alo == UINT32_MAX || blo == UINT32_MAX)
+        return 1;
+    const int emin = (int)((alo + 1) >> 23) + (int)((blo + 1) >> 23), emax = (int)(ahi >> 23) + (int)(bhi >> 23);
+    return emin - 254 >= -126 && emax - 254 <= 126;
+}
+
+/* out = a @ b in the oracle's order, by the fused body when every product is exact. */
+CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
+                         ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+                         ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
+{
+    if (kk == 0)
+        memset(out, 0, (size_t)(m * n) * sizeof *out);
+    else if (mm_products_exact(a, b, m, kk, n, sa0, sa1, sb0, sb1))
+        mm_body_fused(a, b, out, m, kk, n, sa0, sa1, sb0, sb1);
+    else
+        mm_body_separate(a, b, out, m, kk, n, sa0, sa1, sb0, sb1);
 }
 """
 CLONES = '__attribute__((target_clones("avx512f", "default")))'
@@ -274,14 +369,15 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ct
     raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
-_C_KERNEL = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)(
-    ("mm_exact_f32", _load_library(_cache_dirs(), _MM_SOURCE)))
+_MM_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE)
+_C_KERNEL = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)(("mm_exact_f32", _MM_LIBRARY))
 
 
 # Kernel contract: ``a`` (m, k) and ``b`` (k, n) are float32 arrays whose
 # strides are non-negative multiples of 4 bytes, so views such as ``x.T`` or
-# slices qualify; ``out`` (m, n) is C-contiguous float32 and zero-filled. The
-# kernel adds a @ b into ``out`` in the oracle's order and returns it.
+# slices qualify; ``out`` (m, n) is C-contiguous float32, its contents
+# ignored. The kernel writes a @ b into ``out`` in the oracle's order and
+# returns it.
 
 
 def _mm_kernel(a, b, out):
@@ -305,7 +401,7 @@ def matmul_exact(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # float64 path only serves verification oracles; order is irrelevant
         # there because the extra precision swamps reassociation effects.
         return np.asarray(a, np.float64) @ np.asarray(b, np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
     return _mm_kernel(_kernel_operand(a), _kernel_operand(b), out)
 
 
@@ -863,22 +959,30 @@ def causal_softmax(scores: Tensor) -> Tensor:
     """Row-wise softmax over the causal prefix: row t spans columns 0..t.
 
     Entries above the diagonal are exactly zero in the output and receive
-    zero gradient, so no -inf sentinel ever enters the arithmetic.
+    zero gradient, so no -inf sentinel ever enters the arithmetic. Runs in C
+    (``softmax_shift`` and ``softmax_norm`` around numpy's exp, and
+    ``softmax_bwd``, in _SCAN_SOURCE) with the bits of the numpy body
+    ``m = where(mask, z, -inf).max(axis=1)``, ``e = exp(where(mask, z, m) - m)
+    * mask``, ``y = e / e.sum(axis=1)`` in the scores' dtype, and of its
+    gradient ``y * (dout - (dout * y).sum(axis=1))`` in the wider dtype of
+    ``dout`` and ``y``.
     """
     t = scores.shape[0]
     if scores.shape != (t, t):
         raise ShapeError(f"causal_softmax needs square scores, got {scores.shape}")
-    mask = np.tril(np.ones((t, t), dtype=bool))
-    z = scores.data
-    zmax = np.where(mask, z, -np.inf).max(axis=1, keepdims=True)
-    # masked-out entries become exp(0) before the mask zeroes them, so a large
-    # score above the diagonal cannot overflow
-    e = np.exp(np.where(mask, z, zmax) - zmax) * mask
-    y = e / e.sum(axis=1, keepdims=True)
+    z = np.ascontiguousarray(scores.data)
+    kernel = _C_SCAN[z.dtype]
+    y = np.empty((t, t), z.dtype)
+    kernel["softmax_shift"](t, *_ptrs(z, y))
+    np.exp(y, out=y)  # above the diagonal m - m: 0, so a large score there cannot overflow
+    kernel["softmax_norm"](t, *_ptrs(y))
 
     def bwd(dout):
-        inner = (dout * y).sum(axis=1, keepdims=True)
-        return (y * (dout - inner),)
+        dtype = np.result_type(y, dout)
+        ys, g = np.ascontiguousarray(y, dtype), np.ascontiguousarray(dout, dtype)
+        dx = np.empty((t, t), dtype)
+        _C_SCAN[dtype]["softmax_bwd"](t, *_ptrs(ys, g, dx))
+        return (dx,)
 
     return _make(y, (scores,), bwd)
 
@@ -1220,6 +1324,50 @@ CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
     }
 }
 
+/* causal_softmax's forward around numpy's exp, on scores z [t, t]. Row i's max m over columns 0..i is
+   NaN if any of them is. softmax_shift writes e = z - m in columns 0..i and m - m past them; after
+   e = exp(e), softmax_norm multiplies the columns past i by 0 (those up to i by 1, which changes no
+   bit), and divides the row by +0 plus its pairwise sum. */
+CLONES void softmax_shift_SFX(ptrdiff_t t, const REAL *restrict z, REAL *restrict e)
+{
+    for (ptrdiff_t i = 0; i < t; i++) {
+        const REAL *zi = z + i * t;
+        REAL *ei = e + i * t, m = -(REAL)__builtin_inf();
+        int nan = 0;
+        for (ptrdiff_t j = 0; j <= i; j++) {
+            m = zi[j] > m ? zi[j] : m;
+            nan |= zi[j] != zi[j];
+        }
+        if (nan)
+            m = (REAL)__builtin_nan("");
+        for (ptrdiff_t j = 0; j <= i; j++) ei[j] = zi[j] - m;
+        for (ptrdiff_t j = i + 1; j < t; j++) ei[j] = m - m;
+    }
+}
+
+CLONES void softmax_norm_SFX(ptrdiff_t t, REAL *restrict e)
+{
+    for (ptrdiff_t i = 0; i < t; i++) {
+        REAL *ei = e + i * t;
+        for (ptrdiff_t j = i + 1; j < t; j++) ei[j] *= 0;
+        const REAL s = (REAL)0 + pairwise_SFX(ei, t);
+        for (ptrdiff_t j = 0; j < t; j++) ei[j] /= s;
+    }
+}
+
+/* The gradient of causal_softmax's output y [t, t] for upstream g: y (g - inner) with inner = +0 plus
+   the pairwise sum of g y over the row. */
+CLONES void softmax_bwd_SFX(ptrdiff_t t, const REAL *restrict y, const REAL *restrict g, REAL *restrict dx)
+{
+    for (ptrdiff_t i = 0; i < t; i++) {
+        const REAL *yi = y + i * t, *gi = g + i * t;
+        REAL *di = dx + i * t;
+        for (ptrdiff_t j = 0; j < t; j++) di[j] = gi[j] * yi[j];
+        const REAL inner = (REAL)0 + pairwise_SFX(di, t);
+        for (ptrdiff_t j = 0; j < t; j++) di[j] = yi[j] * (gi[j] - inner);
+    }
+}
+
 /* out[idx[i] d + j] += vals[i d + j] for i in increasing order, as np.add.at adds. */
 CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, const ptrdiff_t *restrict idx, const REAL *restrict vals,
                             REAL *restrict out)
@@ -1247,7 +1395,8 @@ def _prototype(ints: int, pointers: int, *, eps: bool = False):
 
 _SCAN_PROTOTYPES = {"scan_fwd": _prototype(6, 10), "scan_bwd": _prototype(6, 19),
                     "rms_fwd": _prototype(2, 4, eps=True), "rms_bwd": _prototype(2, 7),
-                    "conv_fwd": _prototype(3, 4), "conv_bwd": _prototype(3, 6), "scatter_add": _prototype(2, 3)}
+                    "conv_fwd": _prototype(3, 4), "conv_bwd": _prototype(3, 6), "scatter_add": _prototype(2, 3),
+                    "softmax_shift": _prototype(1, 2), "softmax_norm": _prototype(1, 1), "softmax_bwd": _prototype(1, 3)}
 _SCAN_LIBRARY = _load_library(_cache_dirs(), _SCAN_SOURCE)
 _C_SCAN = {np.dtype(dtype): {name: proto((f"{name}_{sfx}", _SCAN_LIBRARY)) for name, proto in _SCAN_PROTOTYPES.items()}
            for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64"))}
@@ -1343,44 +1492,3 @@ def mamba_scan(
     out = _make(y, (x, dt, a_coef, b_in, c_out, d_skip), bwd)
     return out, np.ascontiguousarray(state[:, :m].T.reshape(h, p, n))
 
-
-# ---------------------------------------------------------------------------
-# Gradient verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-3) -> float:
-    """Max relative error between autodiff and central differences.
-
-    The autodiff gradient is computed at float32, as the model runs. The
-    difference quotient (f(x+eps*e_i) - f(x-eps*e_i)) / 2eps is evaluated
-    with the network carried in float64, the same oracle precision used
-    elsewhere; float32 forward evaluations are too noisy for a
-    per-coordinate comparison. Coordinates where both gradients are below
-    1e-6 in magnitude are compared absolutely instead of relatively.
-    """
-    xg = Tensor(np.array(x.data, np.float32, copy=True), requires_grad=True)
-    with Tape() as tape:
-        out = f(xg)
-    if out.data.size != 1:
-        raise ContractError("grad_check requires a scalar-valued function")
-    backward(tape, out)
-    g_ad = xg.grad if xg.grad is not None else np.zeros_like(xg.data)
-
-    base = x.data.astype(np.float64)
-    flat = base.reshape(-1)
-    fd = np.zeros(flat.size, np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        fp = f(Tensor(base.reshape(x.shape))).item()
-        flat[i] = orig - eps
-        fm = f(Tensor(base.reshape(x.shape))).item()
-        flat[i] = orig
-        fd[i] = (fp - fm) / (2.0 * eps)
-
-    fd = fd.reshape(x.shape)
-    ad = g_ad.astype(np.float64)
-    mag = np.maximum(np.abs(fd), np.abs(ad))
-    err = np.where(mag < 1e-6, np.abs(fd - ad), np.abs(fd - ad) / np.maximum(mag, 1e-300))
-    return float(err.max()) if err.size else 0.0

@@ -14,6 +14,7 @@ the time the kernels take.
 import ctypes
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -34,8 +35,8 @@ SOURCES = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}
 
 def _entry_points(name, lib):
     """The module attributes that hold source ``name``'s entry points, typed as they are but read from ``lib``."""
-    if name == "mm":
-        return T, {"_C_KERNEL": type(T._C_KERNEL)(("mm_exact_f32", lib))}
+    if name == "mm":  # the tests type the GEMM's guard from _MM_LIBRARY
+        return T, {"_C_KERNEL": type(T._C_KERNEL)(("mm_exact_f32", lib)), "_MM_LIBRARY": lib}
     if name == "quant":
         return Q, {"_C_ENCODE": type(Q._C_ENCODE)(("quant_encode", lib)),
                    "_C_DECODE": type(Q._C_DECODE)(("quant_decode", lib))}
@@ -159,7 +160,7 @@ def _quant_outputs():
 
 def _scan_outputs():
     """The outputs and gradients of every kernel in the scan source, in float32 and float64: mamba_scan with
-    and without h0, rms_norm and causal_conv1d on each oracle case, and the index scatter-adds."""
+    and without h0, rms_norm, causal_conv1d and causal_softmax on each oracle case, and the index scatter-adds."""
     out = []
     for shape, dtype, with_h0 in (((37, 3, 4, 5), np.float32, True), ((37, 3, 4, 5), np.float64, False),
                                   ((256, 4, 16, 32), np.float32, False), ((64, 8, 64, 16), np.float64, True)):
@@ -169,6 +170,8 @@ def _scan_outputs():
         out += test_tensor._op_fwd_bwd(T.rms_norm, *test_tensor._rms_norm_inputs(*case))
     for case in test_tensor.CONV_CASES:
         out += test_tensor._op_fwd_bwd(T.causal_conv1d, *test_tensor._conv_inputs(*case))
+    for case in test_tensor.SOFTMAX_CASES:
+        out += test_tensor._op_fwd_bwd(T.causal_softmax, *test_tensor._softmax_inputs(*case))
     for dtype in (np.float32, np.float64):
         out += test_tensor._scatter_outputs(dtype)
     return out
@@ -181,7 +184,8 @@ SHIPPED_OUTPUTS = {"quant": _quant_outputs, "scan": _scan_outputs}
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
 def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
     """With no clone list the loader builds the baseline x86-64 code that a host without AVX-512 runs.
-    Its GEMM matches the oracle bit for bit, and its quantizers and scan give the shipped build's bits."""
+    Its GEMM matches the oracle bit for bit, the guarded fused body included, and its quantizers and scan
+    give the shipped build's bits."""
     want = SHIPPED_OUTPUTS[name]() if name in SHIPPED_OUTPUTS else None
     monkeypatch.setattr(T, "CLONES", "")
     lib = T._load_library([tmp_path], SOURCES[name])
@@ -193,8 +197,27 @@ def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
     if want is None:
         test_tensor.test_kernel_matches_oracle_on_edge_shapes()
         test_tensor.test_kernel_matches_oracle_on_views()
+        test_tensor.test_kernel_overwrites_its_output()
+        test_tensor.test_gemm_guard_bounds()
+        for case in test_tensor.FMA_ROUNDS_DIFFERENTLY:
+            test_tensor.test_gemm_falls_back_where_a_fused_multiply_add_rounds_differently(case)
+        for fmt in test_tensor.QUANTIZED_FORMATS:
+            for rht in (False, True):
+                test_tensor.test_kernel_matches_oracle_on_quantized_operands(fmt, rht)
+        test_tensor.test_kernel_matches_oracle_on_12_bit_operands_near_the_exponent_bounds()
     else:
         assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64", reason="the clones are built on x86-64 only")
+def test_contraction_is_on_only_in_the_fused_gemm_body():
+    """fp-contract=fast marks the fused tile and panel loop and nothing else, and the shipped GEMM library
+    holds an avx512f clone of both bodies, the one that has fused multiply-adds."""
+    marked = [line for line in T._MM_SOURCE.splitlines() if "fp-contract" in line]
+    assert len(marked) == 2 and all(re.search(r"\bmm_(tile|body)_fused\(", line) for line in marked)
+    assert "fp-contract" not in T._SCAN_SOURCE and "fp-contract" not in Q._QUANT_SOURCE
+    shipped = Path(T._MM_LIBRARY._name).read_bytes()
+    assert b"mm_body_fused.avx512f" in shipped and b"mm_body_separate.avx512f" in shipped
 
 
 def test_missing_compiler_raises_kernel_build_error(tmp_path):
