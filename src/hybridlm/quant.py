@@ -26,7 +26,6 @@ mixed-precision training.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import struct
@@ -37,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError
-from .tensor import Tensor, _cache_dirs, _load_library, _make, matmul_exact
+from .tensor import Tensor, _cache_dirs, _load_library, _make, _ptrs, matmul_exact
 
 # ---------------------------------------------------------------------------
 # Rounding modes
@@ -187,7 +186,8 @@ class QuantizedTensorMXFP8:
 # _grids derives from the block shape, or a status in _ENCODE_ERRORS for an
 # input it cannot take; _decode_kernel_c takes (format, shape, codes, scales,
 # global scale) already checked against those grids and returns the float32
-# array, or None for a NaN E4M3 code.
+# array, or None for a NaN E4M3 code. MXFP8 exponents are int16 in both, and
+# the C kernels' argument types come from their declarations.
 
 _ENCODE_ERRORS = {
     1: "requires finite inputs",
@@ -443,8 +443,8 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
                            : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, key, codes, scales);
 }
 
-/* out[rows, cols] from codes and scales on fmt's grids (MXFP8 exponents as
-   int32). Returns 1, before writing, if an E4M3 code it would read is NaN. */
+/* out[rows, cols] from codes and scales on fmt's grids. Returns 1, before
+   writing, if an E4M3 code it would read is NaN. */
 CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
                         ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
@@ -460,7 +460,7 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
             const uint8_t *c = codes + r * pc + bw * b;
             float *o = out + r * cols + bw * b;
             if (fmt == MXFP8) {
-                const float s = pow2f(((const int32_t *)scales)[k]);
+                const float s = pow2f(((const int16_t *)scales)[k]);
                 for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E4M3) * s;
             } else {
                 const float s = value_of(((const uint8_t *)scales)[k], E4M3) * g;
@@ -472,10 +472,6 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
 """
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
 _QUANT_LIBRARY = _load_library(_cache_dirs(), _QUANT_SOURCE)
-_C_ENCODE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t,
-                             *[ctypes.c_void_p] * 4)(("quant_encode", _QUANT_LIBRARY))
-_C_DECODE = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_float,
-                             ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_void_p)(("quant_decode", _QUANT_LIBRARY))
 
 
 def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
@@ -486,17 +482,17 @@ def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
     codes = np.empty(grid, np.uint8)
     scales = np.empty(scales_grid, np.int16 if fmt == Format.MXFP8 else np.uint8)
     g = np.zeros(1, np.float32)
-    status = _C_ENCODE(_C_FORMATS[fmt], x.ctypes.data, *_matrix(data.shape), None if key is None else key.ctypes.data,
-                       codes.ctypes.data, scales.ctypes.data, g.ctypes.data)
+    x_p, key_p, codes_p, scales_p, g_p = _ptrs(x, key, codes, scales, g)
+    status = _QUANT_LIBRARY.quant_encode(_C_FORMATS[fmt], x_p, *_matrix(data.shape), key_p, codes_p, scales_p, g_p)
     return status or (codes, scales, None if fmt == Format.MXFP8 else g[0])
 
 
 def _decode_kernel_c(fmt: Format, shape, codes, scales, g):
     out = np.empty(shape, np.float32)
     codes = np.ascontiguousarray(codes, np.uint8)
-    scales = np.ascontiguousarray(scales, np.int32 if fmt == Format.MXFP8 else np.uint8)
-    if _C_DECODE(_C_FORMATS[fmt], codes.ctypes.data, scales.ctypes.data, 0.0 if g is None else g,
-                 *_matrix(shape), out.ctypes.data):
+    scales = np.ascontiguousarray(scales, np.int16 if fmt == Format.MXFP8 else np.uint8)
+    codes_p, scales_p, out_p = _ptrs(codes, scales, out)
+    if _QUANT_LIBRARY.quant_decode(_C_FORMATS[fmt], codes_p, scales_p, 0.0 if g is None else g, *_matrix(shape), out_p):
         return None
     return out
 

@@ -25,6 +25,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import subprocess
 import tempfile
 import threading
@@ -49,10 +50,11 @@ from .errors import ContractError, KernelBuildError, NumericInputError, ShapeErr
 # opened; a C library without mallopt is left as is.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 try:
-    _mallopt = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int)(("mallopt", ctypes.pythonapi))
+    _mallopt = ctypes.pythonapi["mallopt"]
 except AttributeError:
     pass
 else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
     _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
@@ -141,8 +143,9 @@ else:
 # os.replace moves into place, so processes importing concurrently are safe.
 # A directory that another user owns or can write to is skipped, since a
 # library planted there would be loaded. A process runs `cc --version` once
-# per compiler, and each module loads each of its sources once and types the
-# entry points it calls. With no working compiler or no usable cache
+# per compiler, and each module loads each of its sources once. The loader
+# types every CLONES function from its declaration (_C_TYPES), so argument
+# types are written once, in C. With no working compiler or no usable cache
 # directory the import raises KernelBuildError: there is no slower path to
 # fall back to.
 
@@ -305,6 +308,9 @@ CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float
 """
 CLONES = '__attribute__((target_clones("avx512f", "default")))'
 _C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fno-math-errno", "-Wall", "-fPIC", "-shared")
+_C_TYPES = {"*": ctypes.c_void_p, "ptrdiff_t": ctypes.c_ssize_t, "int": ctypes.c_int, "float": ctypes.c_float,
+            "double": ctypes.c_double}
+_DECLARATION = re.compile(r"^CLONES\b.*?\b(\w+) (\w+)\(([^)]*)\)", re.M | re.S)
 
 
 def _cache_dirs() -> list[Path]:
@@ -331,12 +337,12 @@ def _cc_version(cc: str) -> str:
 
 
 def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ctypes.CDLL:
-    """The library built from the C ``source``, whose exported functions are marked CLONES.
+    """The library built from the C ``source``, each of whose CLONES functions it types from the declaration.
 
     Reuses a build cached in the first usable directory of ``cache_dirs``,
-    or compiles one into it. Raises KernelBuildError, naming ``cc`` and
-    every directory tried, when ``cc`` is missing or fails or no directory
-    is usable.
+    or compiles one into it. Raises KernelBuildError naming the function
+    and the type for a type _C_TYPES lacks, or naming ``cc`` and every
+    directory tried when ``cc`` is missing or fails or no directory is usable.
     """
     dirs = [Path(d) for d in cache_dirs]
 
@@ -361,28 +367,41 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ct
                 continue
             if not lib.exists():
                 _compile(cc, lib, text)
-            return ctypes.CDLL(str(lib))
+            library = ctypes.CDLL(str(lib))
         except subprocess.CalledProcessError as e:
             raise error(f"the compiler failed: {e.stderr.strip()}") from e
         except OSError as e:  # directory not writable, or the library cannot be loaded from it
             skipped.append(f"{d}: {e}")
+            continue
+        for result, name, params in _DECLARATION.findall(source):  # the source always holds the literal CLONES
+            args = ["*" if "*" in param else " ".join(param.split()[:-1]) for param in params.split(",")]
+            unknown = [t for t in args if t not in _C_TYPES] + [result] * (result not in ("void", "int"))
+            if unknown:
+                raise KernelBuildError(f"C function {name} uses type {unknown[0]!r}, which the loader cannot type")
+            function = getattr(library, name)  # the library keeps this object: each later lookup returns it
+            function.restype, function.argtypes = _C_TYPES.get(result), [_C_TYPES[t] for t in args]  # void: None
+        return library
     raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
+def _ptrs(*arrays: np.ndarray | None) -> list[int | None]:
+    """Data addresses for a kernel call, None (NULL) for None; the caller keeps the arrays alive until it returns."""
+    return [None if a is None else a.ctypes.data for a in arrays]
+
+
 _MM_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE)
-_C_KERNEL = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 3, *[ctypes.c_ssize_t] * 7)(("mm_exact_f32", _MM_LIBRARY))
 
 
 # Kernel contract: ``a`` (m, k) and ``b`` (k, n) are float32 arrays whose
 # strides are non-negative multiples of 4 bytes, so views such as ``x.T`` or
 # slices qualify; ``out`` (m, n) is C-contiguous float32, its contents
 # ignored. The kernel writes a @ b into ``out`` in the oracle's order and
-# returns it.
+# returns it. mm_exact_f32's argument types come from its C declaration.
 
 
 def _mm_kernel(a, b, out):
-    _C_KERNEL(a.ctypes.data, b.ctypes.data, out.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
-              *(s // 4 for s in a.strides + b.strides))
+    _MM_LIBRARY.mm_exact_f32(*_ptrs(a, b, out), a.shape[0], a.shape[1], b.shape[1],
+                             a.strides[0] // 4, a.strides[1] // 4, b.strides[0] // 4, b.strides[1] // 4)
     return out
 
 
@@ -599,7 +618,7 @@ def _scatter_add(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     if values.shape != idx.shape + out.shape[1:]:
         raise ShapeError(f"scatter-add of values {values.shape} at indices {idx.shape} into {out.shape}")
     idx, vals = np.ascontiguousarray(idx, np.intp), np.ascontiguousarray(values, out.dtype)
-    _C_SCAN[out.dtype]["scatter_add"](idx.size, math.prod(out.shape[1:]), *_ptrs(idx, vals, out))
+    _scan_kernel("scatter_add", out.dtype)(idx.size, math.prod(out.shape[1:]), *_ptrs(idx, vals, out))
 
 
 # ---------------------------------------------------------------------------
@@ -787,16 +806,15 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
         raise ShapeError(f"rms_norm trailing dim {x.shape[-1]} != weight dim {weight.shape[0]}")
     d = x.shape[-1]
     dtype = np.result_type(x.data, weight.data)
-    kernel = _C_SCAN[dtype]
     xs, w = np.ascontiguousarray(x.data, dtype), np.ascontiguousarray(weight.data, dtype)
     rows = math.prod(x.shape[:-1])
     r, out = np.empty(x.shape[:-1] + (1,), dtype), np.empty(x.shape, dtype)
-    kernel["rms_fwd"](rows, d, eps, *_ptrs(xs, w, r, out))
+    _scan_kernel("rms_fwd", dtype)(rows, d, eps, *_ptrs(xs, w, r, out))
 
     def bwd(dout):
         g, r3 = np.ascontiguousarray(dout, dtype), r ** 3
         dx, dw = np.empty_like(out), np.empty(d, dtype)
-        kernel["rms_bwd"](rows, d, *_ptrs(xs, w, r, r3, g, dx, dw))
+        _scan_kernel("rms_bwd", dtype)(rows, d, *_ptrs(xs, w, r, r3, g, dx, dw))
         return dx if x.requires_grad else None, dw if weight.requires_grad else None
 
     return _make(out, (x, weight), bwd)
@@ -971,17 +989,16 @@ def causal_softmax(scores: Tensor) -> Tensor:
     if scores.shape != (t, t):
         raise ShapeError(f"causal_softmax needs square scores, got {scores.shape}")
     z = np.ascontiguousarray(scores.data)
-    kernel = _C_SCAN[z.dtype]
     y = np.empty((t, t), z.dtype)
-    kernel["softmax_shift"](t, *_ptrs(z, y))
+    _scan_kernel("softmax_shift", z.dtype)(t, *_ptrs(z, y))
     np.exp(y, out=y)  # above the diagonal m - m: 0, so a large score there cannot overflow
-    kernel["softmax_norm"](t, *_ptrs(y))
+    _scan_kernel("softmax_norm", z.dtype)(t, *_ptrs(y))
 
     def bwd(dout):
         dtype = np.result_type(y, dout)
         ys, g = np.ascontiguousarray(y, dtype), np.ascontiguousarray(dout, dtype)
         dx = np.empty((t, t), dtype)
-        _C_SCAN[dtype]["softmax_bwd"](t, *_ptrs(ys, g, dx))
+        _scan_kernel("softmax_bwd", dtype)(t, *_ptrs(ys, g, dx))
         return (dx,)
 
     return _make(y, (scores,), bwd)
@@ -1000,15 +1017,14 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     if w.shape[1] != c or bias.shape[0] != c:
         raise ShapeError(f"conv channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
     dtype = np.result_type(x.data, w.data, bias.data)
-    kernel = _C_SCAN[dtype]
     xs, ws, b = (np.ascontiguousarray(v.data, dtype) for v in (x, w, bias))
     out = np.empty((t, c), dtype)
-    kernel["conv_fwd"](t, c, k, *_ptrs(xs, ws, b, out))
+    _scan_kernel("conv_fwd", dtype)(t, c, k, *_ptrs(xs, ws, b, out))
 
     def bwd(dout):
         g = np.ascontiguousarray(dout, dtype)
         dx, dw, db = np.empty_like(out), np.empty_like(ws), np.empty(c, dtype)
-        kernel["conv_bwd"](t, c, k, *_ptrs(xs, ws, g, dx, dw, db))
+        _scan_kernel("conv_bwd", dtype)(t, c, k, *_ptrs(xs, ws, g, dx, dw, db))
         return (dx if x.requires_grad else None, dw.astype(w.data.dtype, copy=False) if w.requires_grad else None,
                 db if bias.requires_grad else None)
 
@@ -1387,19 +1403,12 @@ enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES
 """ + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx).replace("SQRT", sqrt)
               for real, idx, sfx, sqrt in (("float", "int", "f32", "__builtin_sqrtf"),
                                            ("double", "long long", "f64", "__builtin_sqrt")))
-
-
-def _prototype(ints: int, pointers: int, *, eps: bool = False):
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_ssize_t] * ints, *[ctypes.c_double] * eps, *[ctypes.c_void_p] * pointers)
-
-
-_SCAN_PROTOTYPES = {"scan_fwd": _prototype(6, 10), "scan_bwd": _prototype(6, 19),
-                    "rms_fwd": _prototype(2, 4, eps=True), "rms_bwd": _prototype(2, 7),
-                    "conv_fwd": _prototype(3, 4), "conv_bwd": _prototype(3, 6), "scatter_add": _prototype(2, 3),
-                    "softmax_shift": _prototype(1, 2), "softmax_norm": _prototype(1, 1), "softmax_bwd": _prototype(1, 3)}
 _SCAN_LIBRARY = _load_library(_cache_dirs(), _SCAN_SOURCE)
-_C_SCAN = {np.dtype(dtype): {name: proto((f"{name}_{sfx}", _SCAN_LIBRARY)) for name, proto in _SCAN_PROTOTYPES.items()}
-           for dtype, sfx in ((np.float32, "f32"), (np.float64, "f64"))}
+_SCAN_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}  # SFX of each instance
+
+
+def _scan_kernel(name: str, dtype: np.dtype):
+    return getattr(_SCAN_LIBRARY, name + _SCAN_SUFFIX[dtype])
 
 
 def _aligned(shape, dtype) -> np.ndarray:
@@ -1413,11 +1422,6 @@ def _aligned(shape, dtype) -> np.ndarray:
     buf = np.empty(size + 64 // item, dtype)
     start = -buf.ctypes.data % 64 // item
     return buf[start:start + size].reshape(shape)
-
-
-def _ptrs(*arrays: np.ndarray) -> list[int]:
-    """Data addresses for a kernel call; the caller keeps the arrays alive until it returns."""
-    return [a.ctypes.data for a in arrays]
 
 
 def mamba_scan(
@@ -1462,7 +1466,6 @@ def mamba_scan(
     if bad:
         raise ShapeError(f"mamba_scan shapes for x {x.shape}: " + ", ".join(bad))
     dtype = np.result_type(x.data, dt.data, a_coef.data, b_in.data, c_out.data, d_skip.data)
-    kernel = _C_SCAN[dtype]
     # the stack passes b_in, c_out and dt as column slices of one projection
     xs, dts, a, bs, cs, d = (np.ascontiguousarray(v.data, dtype) for v in (x, dt, a_coef, b_in, c_out, d_skip))
     seg, m, lp = _SCAN_CHUNK, h * p, _SCAN_LANES
@@ -1475,7 +1478,7 @@ def mamba_scan(
     ckpt = _aligned((-(-t_len // seg), n, mp), dtype)
     y = np.empty((t_len, h, p), dtype)
     lanes = _aligned(3 * mp, dtype)
-    kernel["scan_fwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, lanes, state, ckpt, y))
+    _scan_kernel("scan_fwd", dtype)(t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, lanes, state, ckpt, y))
 
     def bwd(dout):
         g = np.ascontiguousarray(dout, dtype)
@@ -1484,8 +1487,8 @@ def mamba_scan(
         np_ = -(-n // lp) * lp
         lanes, rows, sums = _aligned(5 * seg * mp, dtype), _aligned(2 * np_ * lp, dtype), _aligned(2 * seg * np_, dtype)
         dh, st = _aligned(n * mp, dtype), _aligned((seg + 1) * n * lp, dtype)
-        kernel["scan_bwd"](t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, g, ckpt, lanes, rows, sums, dh, st,
-                                                      dx, ex, dq, dd, db, dc))
+        _scan_kernel("scan_bwd", dtype)(t_len, h, p, n, mp, seg, *_ptrs(xs, dts, decay, d, bs, cs, g, ckpt, lanes, rows,
+                                                                   sums, dh, st, dx, ex, dq, dd, db, dc))
         dexp = dq * decay  # the gradient of the exponent dt * a
         return dx, ex + a * dexp, (dexp * dts).sum(axis=0), db, dc, dd
 

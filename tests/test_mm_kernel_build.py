@@ -6,9 +6,9 @@ Each build test calls the loader directly with its own ``tmp_path`` cache,
 so none depends on what the user's cache holds. Each source is built once
 with its shipped clones, which checks the flags and the warnings, and once
 with the clone list empty, which gives baseline x86-64 code and must give
-the shipped build's bits. The tests of the loader's caching, directories
-and concurrency build a few-line source, which compiles in a fraction of
-the time the kernels take.
+the shipped build's bits. The tests of the loader's typing, caching,
+directories and concurrency build a few-line source, which compiles in a
+fraction of the time the kernels take.
 """
 
 import ctypes
@@ -31,24 +31,10 @@ from hybridlm.errors import KernelBuildError
 
 SRC = str(Path(T.__file__).resolve().parents[1])
 SOURCES = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}
+# the module attribute that holds each source's library; every call of an entry point reads it
+LIBRARIES = {"mm": (T, "_MM_LIBRARY"), "quant": (Q, "_QUANT_LIBRARY"), "scan": (T, "_SCAN_LIBRARY")}
 
-
-def _entry_points(name, lib):
-    """The module attributes that hold source ``name``'s entry points, typed as they are but read from ``lib``."""
-    if name == "mm":  # the tests type the GEMM's guard from _MM_LIBRARY
-        return T, {"_C_KERNEL": type(T._C_KERNEL)(("mm_exact_f32", lib)), "_MM_LIBRARY": lib}
-    if name == "quant":
-        return Q, {"_C_ENCODE": type(Q._C_ENCODE)(("quant_encode", lib)),
-                   "_C_DECODE": type(Q._C_DECODE)(("quant_decode", lib))}
-    return T, {"_C_SCAN": {dtype: {name: type(fn)((f"{name}_f{8 * dtype.itemsize}", lib)) for name, fn in kernels.items()}
-                           for dtype, kernels in T._C_SCAN.items()}}
-
-
-TINY_SOURCE = "long twice(long v) { return 2 * v; }\n"
-
-
-def _twice(lib):
-    return ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long)(("twice", lib))
+TINY_SOURCE = "#include <stddef.h>\nCLONES int twice(ptrdiff_t v) { return (int)(2 * v); }\n"
 
 
 def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
@@ -59,7 +45,44 @@ def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
         raise AssertionError("cached library was rebuilt")
 
     monkeypatch.setattr(T, "_compile", no_compile)
-    assert _twice(T._load_library([tmp_path], TINY_SOURCE))(21) == 42
+    assert T._load_library([tmp_path], TINY_SOURCE).twice(21) == 42
+
+
+TYPED_SOURCE = """#include <stddef.h>
+CLONES int echo(ptrdiff_t n, int i, float f, double d, double *out)
+{
+    out[0] = (double)n, out[1] = i, out[2] = f, out[3] = d;
+    return i + 1;
+}
+CLONES void negate(double *out) { out[0] = -out[0]; }
+"""
+
+
+def test_loader_types_each_function_from_its_declaration(tmp_path):
+    """One parameter of each type the loader maps, and both result types, reach C and come back."""
+    lib = T._load_library([tmp_path], TYPED_SOURCE)
+    assert lib.echo.argtypes == [ctypes.c_ssize_t, ctypes.c_int, ctypes.c_float, ctypes.c_double, ctypes.c_void_p]
+    assert lib.echo.restype is ctypes.c_int
+    assert lib.negate.argtypes == [ctypes.c_void_p] and lib.negate.restype is None
+    out = np.zeros(4)
+    assert lib.echo(2**40 + 1, -7, 0.1, 0.1, *T._ptrs(out)) == -6
+    assert out.tolist() == [2**40 + 1, -7, float(np.float32(0.1)), 0.1]
+    assert lib.negate(*T._ptrs(out)) is None and out[0] == -(2**40 + 1)
+
+
+@pytest.mark.parametrize("declaration, c_type", [("int widen(long v) { return (int)v; }", "long"),
+                                                 ("int widen(size_t v) { return (int)v; }", "size_t"),
+                                                 ("long widen(int v) { return v; }", "long")])
+def test_loader_refuses_a_type_it_does_not_map(tmp_path, declaration, c_type):
+    with pytest.raises(KernelBuildError, match=f"C function widen uses type '{c_type}'"):
+        T._load_library([tmp_path], f"#include <stddef.h>\nCLONES {declaration}\n")
+
+
+def test_every_shipped_entry_point_comes_back_typed():
+    for name, (module, attr) in LIBRARIES.items():
+        lib = getattr(module, attr)
+        typed = [f for f in vars(lib).values() if isinstance(f, lib._FuncPtr) and f.argtypes]
+        assert len(typed) == len(re.findall(r"^CLONES\b", SOURCES[name], re.M)), name
 
 
 def test_import_runs_the_compiler_once_and_opens_each_library_once():
@@ -120,20 +143,18 @@ def test_compile_flags_protect_the_bits(built, monkeypatch):
     for cmd, _, _ in builds.values():
         assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, "-x", "-", "-o"]
         assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
-    _, kernels = _entry_points("mm", builds["mm"][2])
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
-    monkeypatch.setattr(T, "_C_KERNEL", kernels["_C_KERNEL"])
+    monkeypatch.setattr(T, "_MM_LIBRARY", builds["mm"][2])
     test_tensor._assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
 
 
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
 def test_c_sources_compile_without_warnings(built, name):
-    """The compiler, run by the loader with -Wall, prints nothing, and the library has every entry point
-    the modules call."""
-    _, result, lib = built(name)
+    """The compiler, run by the loader with -Wall, prints nothing. The loader has found and typed every
+    CLONES function in the library, or it would have raised."""
+    _, result, _ = built(name)
     assert result.stderr == ""
-    _entry_points(name, lib)  # a missing entry point raises AttributeError
 
 
 def _bits(values):
@@ -191,9 +212,7 @@ def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
     lib = T._load_library([tmp_path], SOURCES[name])
     [path] = tmp_path.glob("*.so")
     assert b".avx512f" not in path.read_bytes()  # no clone: the code that runs is the baseline
-    module, kernels = _entry_points(name, lib)
-    for attr, value in kernels.items():
-        monkeypatch.setattr(module, attr, value)
+    monkeypatch.setattr(*LIBRARIES[name], lib)
     if want is None:
         test_tensor.test_kernel_matches_oracle_on_edge_shapes()
         test_tensor.test_kernel_matches_oracle_on_views()
@@ -246,7 +265,7 @@ def test_unusable_directories_fall_through_to_next(tmp_path):
     lib = T._load_library([blocker / "hybridlm", shared, tmp_path / "fallback"], TINY_SOURCE)
     assert not list(shared.iterdir())
     assert len(list((tmp_path / "fallback").glob("*.so"))) == 1
-    assert _twice(lib)(4) == 8
+    assert lib.twice(4) == 8
 
 
 @pytest.mark.parametrize("module", ["hybridlm.tensor", "hybridlm.quant"])
@@ -262,9 +281,8 @@ def test_import_without_compiler_raises_kernel_build_error(tmp_path, module):
 
 
 def test_concurrent_first_builds_share_one_library(tmp_path):
-    script = ("import ctypes, hybridlm.tensor as T\n"
-              f"lib = T._load_library([{str(tmp_path)!r}], {TINY_SOURCE!r})\n"
-              "assert ctypes.CFUNCTYPE(ctypes.c_long, ctypes.c_long)(('twice', lib))(21) == 42\n")
+    script = ("import hybridlm.tensor as T\n"
+              f"assert T._load_library([{str(tmp_path)!r}], {TINY_SOURCE!r}).twice(21) == 42\n")
     env = dict(os.environ, PYTHONPATH=SRC)
     procs = [subprocess.Popen([sys.executable, "-c", script], env=env) for _ in range(3)]
     assert [p.wait(timeout=120) for p in procs] == [0, 0, 0]

@@ -1,6 +1,5 @@
 """Tensor and autodiff checks against independent oracles."""
 
-import ctypes
 import inspect
 import itertools
 import math
@@ -221,18 +220,16 @@ def test_kernel_overwrites_its_output():
 
 # Where every product a[i,k] b[k,j] is exact in float32, the kernel runs a
 # body compiled with fused multiply-adds, which then round as the separate
-# product and sum do. _products_exact is its guard, typed here from the
-# library handle. Each case below rounds differently under a fused
+# product and sum do. _products_exact is its guard, as the loader typed it
+# in the GEMM's library. Each case below rounds differently under a fused
 # multiply-add, so the guard must refuse it.
 
 
 def _products_exact(a, b):
     """The kernel's guard: whether it runs ``a @ b`` in its fused body."""
-    guard = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_void_p, ctypes.c_void_p, *[ctypes.c_ssize_t] * 7)(
-        ("mm_products_exact", T._MM_LIBRARY))
     a, b = T._kernel_operand(a), T._kernel_operand(b)
-    return bool(guard(a.ctypes.data, b.ctypes.data, a.shape[0], a.shape[1], b.shape[1],
-                      *(s // 4 for s in a.strides + b.strides)))
+    return bool(T._MM_LIBRARY.mm_products_exact(*T._ptrs(a, b), a.shape[0], a.shape[1], b.shape[1],
+                                                 *(s // 4 for s in a.strides + b.strides)))
 
 
 def _fused_sum(a, b):
