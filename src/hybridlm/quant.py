@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from collections import namedtuple
 from dataclasses import dataclass
@@ -502,6 +503,8 @@ def _decode(fmt: Format, shape, codes, scales, g=None) -> np.ndarray:
     if np.shape(codes) != grid or np.shape(scales) != scales_grid:
         raise ShapeError(f"codes on {np.shape(codes)} and scales on {np.shape(scales)} do not fit "
                          f"shape {shape}, whose grids are {grid} and {scales_grid}")
+    if fmt == Format.MXFP8 and ((np.asarray(scales) < E8M0_MIN_EXP) | (np.asarray(scales) > E8M0_MAX_EXP)).any():
+        raise NumericInputError("MXFP8 exponent outside E8M0's range")  # the kernel's int16 would wrap it
     out = _decode_kernel_c(fmt, shape, codes, scales, g)
     if out is None:
         raise NumericInputError("NaN E4M3 code cannot be decoded")
@@ -615,8 +618,6 @@ def _qdq(data: np.ndarray, fmt: Format, axis: int, mode: RoundingMode = NEAREST_
         return data
     if fmt == Format.NVFP4_2D:
         return quantize_nvfp4(data, Layout.BLOCK_2D, mode).dequantize()
-    if fmt not in (Format.NVFP4, Format.MXFP8):
-        raise ConfigError(f"unknown format {fmt}")
     rows = data if axis == 1 else np.ascontiguousarray(data.T)  # blocks run along the last axis
     q = quantize_nvfp4(rows, Layout.BLOCK_1D, mode) if fmt == Format.NVFP4 else quantize_mxfp8(rows, mode)
     return q.dequantize() if axis == 1 else q.dequantize().T
@@ -638,6 +639,12 @@ class LinearPrecision:
     w_format: Format = Format.REFERENCE
     grad_format: Format = Format.REFERENCE
     seed: int = 0
+
+    def __post_init__(self):  # a bad precision fails here, not halfway through a backward sweep
+        formats = (self.x_format, self.w_format, self.grad_format)
+        if not all(isinstance(f, Format) for f in formats) or not _is_int(self.seed) or not 0 <= self.seed < 2**128 - 2:
+            raise ConfigError(f"linear formats {formats}, seed {self.seed!r}: want Formats, seed in [0, 2**128 - 2)")
+        object.__setattr__(self, "seed", int(self.seed))  # seed + 2 cannot wrap in a numpy integer
 
     @property
     def active(self) -> bool:
@@ -718,6 +725,11 @@ class PrecisionPolicy:
     base: str = "nvfp4"  # "reference" | "nvfp4"
     fraction_high_precision_tail: float = 0.15
     quantize_sensitive: bool = False
+
+    def __post_init__(self):
+        tail = self.fraction_high_precision_tail
+        if self.base not in ("reference", "nvfp4") or not isinstance(tail, numbers.Real) or not 0 <= tail <= 1:
+            raise ConfigError(f"precision base {self.base!r}, tail {tail!r}: want 'reference' or 'nvfp4' and [0, 1]")
 
     def tail_start(self, total_layers: int) -> int:
         keep = int(np.ceil(self.fraction_high_precision_tail * total_layers))

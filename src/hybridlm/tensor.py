@@ -117,8 +117,8 @@ else:
 # BLAS calls.
 #
 # One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
-# (mamba_scan's recurrence and the rms_norm, causal_conv1d, causal_softmax
-# and scatter-add kernels, below) and quant.py's _QUANT_SOURCE (the
+# (mamba_scan's recurrence and the rms_norm, causal_conv1d, softmax and
+# scatter-add kernels, below) and quant.py's _QUANT_SOURCE (the
 # quantizers' encode/decode). _load_library compiles a source with _C_FLAGS
 # after a line that defines the macro CLONES, which marks each exported
 # function. On x86-64 that is the attribute CLONES below: GCC builds an
@@ -763,27 +763,35 @@ def softplus(x: Tensor) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    out = np.clip(x.data, lo, hi)
-    mask = ((x.data >= lo) & (x.data <= hi)).astype(x.data.dtype)
+def _softmax_rows(z: np.ndarray, causal: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax y over the last axis of ``z``, or the causal prefix of square ``z``, with each row's max m and sum s."""
+    z = np.ascontiguousarray(z)
+    y, m, s = np.empty(z.shape, z.dtype), np.empty(z.shape[:-1], z.dtype), np.empty(z.shape[:-1], z.dtype)
+    _scan_kernel("softmax_shift", z.dtype)(math.prod(z.shape[:-1]), z.shape[-1], causal, *_ptrs(z, y, m))
+    np.exp(y, out=y)  # past a causal span m - m: 0, so a large score there cannot overflow
+    _scan_kernel("softmax_norm", z.dtype)(math.prod(z.shape[:-1]), z.shape[-1], causal, *_ptrs(y, s))
+    return y, m, s
 
-    def bwd(dout):
-        return (dout * mask,)
 
-    return _make(out, (x,), bwd)
+def _softmax_grad(y: np.ndarray, dout: np.ndarray) -> np.ndarray:
+    """The gradient of _softmax_rows' y for upstream ``dout``, in their wider dtype."""
+    dtype = np.result_type(y, dout)
+    ys, g = np.ascontiguousarray(y, dtype), np.ascontiguousarray(dout, dtype)
+    dx = np.empty(ys.shape, dtype)
+    _scan_kernel("softmax_bwd", dtype)(math.prod(ys.shape[:-1]), ys.shape[-1], *_ptrs(ys, g, dx))
+    return dx
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Softmax with max subtraction; total on any finite input."""
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, with max subtraction; total on any finite input. Runs causal_softmax's C
+    passes over whole rows, with the bits of the numpy body ``e = exp(x - x.max(-1))``, ``y = e / e.sum(-1)``
+    and of its gradient ``y * (dout - (dout * y).sum(-1))`` on C-contiguous arrays."""
     if not np.isfinite(x.data).all():
         raise NumericInputError("softmax requires finite inputs")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax_rows(x.data, causal=False)[0]
 
     def bwd(dout):
-        inner = (dout * y).sum(axis=axis, keepdims=True)
-        return (y * (dout - inner),)
+        return (_softmax_grad(y, dout),)
 
     return _make(y, (x,), bwd)
 
@@ -821,23 +829,21 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Mean negative log-softmax of the target entries. Targets: int ids [T]."""
+    """Mean negative log-softmax of the target entries. Targets: int ids [T]. Runs softmax's C passes,
+    with the bits of the numpy body ``m = z.max(1)``, ``e = exp(z - m)``, ``s = e.sum(1)``, loss ``-((z - m) -
+    log(s))[rows, targets].mean()`` and gradient ``(e / s - onehot) * (dout / T)`` on C-contiguous logits."""
     targets = np.asarray(targets)
     t, v = logits.shape
     if targets.ndim != 1 or targets.shape[0] != t:
         raise ShapeError(f"targets shape {targets.shape} does not match logits {logits.shape}")
     if targets.min(initial=0) < 0 or (targets.size and targets.max() >= v):
         raise TokenIndexError(f"target id out of range for vocab {v}")
-    z = logits.data
-    m = z.max(axis=1, keepdims=True)
-    e = np.exp(z - m)
-    sums = e.sum(axis=1, keepdims=True)
-    logp = (z - m) - np.log(sums)
+    y, m, s = _softmax_rows(logits.data, causal=False)
     rows = np.arange(t)
-    out = np.asarray(-logp[rows, targets].mean(), dtype=z.dtype)
+    out = np.asarray(-((logits.data[rows, targets] - m) - np.log(s)).mean(), dtype=y.dtype)
 
     def bwd(dout):
-        p = e / sums
+        p = y.copy()  # y stays as it is for a second backward over the tape
         p[rows, targets] -= 1.0
         return (p * (dout / t),)
 
@@ -847,25 +853,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather: out[t] = weight[ids[t]]; ids outside the vocabulary raise TokenIndexError."""
     return take_rows(weight, ids)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(), dtype=x.data.dtype)
-
-    def bwd(dout):
-        return (np.broadcast_to(dout, x.shape).astype(x.data.dtype),)
-
-    return _make(out, (x,), bwd)
-
-
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    out = np.asarray(x.data.mean(), dtype=x.data.dtype)
-
-    def bwd(dout):
-        return (np.broadcast_to(dout / n, x.shape).astype(x.data.dtype),)
-
-    return _make(out, (x,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -988,18 +975,10 @@ def causal_softmax(scores: Tensor) -> Tensor:
     t = scores.shape[0]
     if scores.shape != (t, t):
         raise ShapeError(f"causal_softmax needs square scores, got {scores.shape}")
-    z = np.ascontiguousarray(scores.data)
-    y = np.empty((t, t), z.dtype)
-    _scan_kernel("softmax_shift", z.dtype)(t, *_ptrs(z, y))
-    np.exp(y, out=y)  # above the diagonal m - m: 0, so a large score there cannot overflow
-    _scan_kernel("softmax_norm", z.dtype)(t, *_ptrs(y))
+    y = _softmax_rows(scores.data, causal=True)[0]
 
     def bwd(dout):
-        dtype = np.result_type(y, dout)
-        ys, g = np.ascontiguousarray(y, dtype), np.ascontiguousarray(dout, dtype)
-        dx = np.empty((t, t), dtype)
-        _scan_kernel("softmax_bwd", dtype)(t, *_ptrs(ys, g, dx))
-        return (dx,)
+        return (_softmax_grad(y, dout),)
 
     return _make(y, (scores,), bwd)
 
@@ -1061,11 +1040,11 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # vectorize without reassociating. Python passes every
 # scratch buffer.
 #
-# The same template holds the kernels of rms_norm, causal_conv1d and the
-# index scatter-add (_scatter_add). Each gives the bits of the numpy code it
-# replaced, which tests/test_tensor.py keeps as its oracle: it sums in
-# numpy's orders, pairwise along a row (pairwise_SFX) and in row order down
-# the rows.
+# The same template holds the kernels of rms_norm, causal_conv1d, the three
+# softmaxes and the index scatter-add (_scatter_add). Each gives the bits of
+# the numpy code it replaced, which tests/test_tensor.py keeps as its oracle:
+# it sums in numpy's orders, pairwise along a row (pairwise_SFX) and in row
+# order down the rows.
 _SCAN_CHUNK = 16
 _SCAN_LANES = 16
 _SCAN_TYPED = r"""
@@ -1340,47 +1319,52 @@ CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
     }
 }
 
-/* causal_softmax's forward around numpy's exp, on scores z [t, t]. Row i's max m over columns 0..i is
-   NaN if any of them is. softmax_shift writes e = z - m in columns 0..i and m - m past them; after
-   e = exp(e), softmax_norm multiplies the columns past i by 0 (those up to i by 1, which changes no
-   bit), and divides the row by +0 plus its pairwise sum. */
-CLONES void softmax_shift_SFX(ptrdiff_t t, const REAL *restrict z, REAL *restrict e)
+/* The softmax of each row i of z [rows, cols] over its span, the whole row or (causal) columns 0..i, around
+   numpy's exp. The span's max m[i] is NaN if any entry of it is. softmax_shift writes e = z - m in the span and
+   m - m past it; after e = exp(e), softmax_norm multiplies the entries past the span by 0 (those in it by 1,
+   which changes no bit), writes the row sum s[i], +0 plus its pairwise sum, and divides the row by it. */
+CLONES void softmax_shift_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, const REAL *restrict z, REAL *restrict e,
+                              REAL *restrict m)
 {
-    for (ptrdiff_t i = 0; i < t; i++) {
-        const REAL *zi = z + i * t;
-        REAL *ei = e + i * t, m = -(REAL)__builtin_inf();
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const ptrdiff_t span = causal && i + 1 < cols ? i + 1 : cols;
+        const REAL *zi = z + i * cols;
+        REAL *ei = e + i * cols, mi = -(REAL)__builtin_inf();
         int nan = 0;
-        for (ptrdiff_t j = 0; j <= i; j++) {
-            m = zi[j] > m ? zi[j] : m;
+        for (ptrdiff_t j = 0; j < span; j++) {
+            mi = zi[j] > mi ? zi[j] : mi;
             nan |= zi[j] != zi[j];
         }
         if (nan)
-            m = (REAL)__builtin_nan("");
-        for (ptrdiff_t j = 0; j <= i; j++) ei[j] = zi[j] - m;
-        for (ptrdiff_t j = i + 1; j < t; j++) ei[j] = m - m;
+            mi = (REAL)__builtin_nan("");
+        for (ptrdiff_t j = 0; j < span; j++) ei[j] = zi[j] - mi;
+        for (ptrdiff_t j = span; j < cols; j++) ei[j] = mi - mi;
+        m[i] = mi;
     }
 }
 
-CLONES void softmax_norm_SFX(ptrdiff_t t, REAL *restrict e)
+CLONES void softmax_norm_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, REAL *restrict e, REAL *restrict s)
 {
-    for (ptrdiff_t i = 0; i < t; i++) {
-        REAL *ei = e + i * t;
-        for (ptrdiff_t j = i + 1; j < t; j++) ei[j] *= 0;
-        const REAL s = (REAL)0 + pairwise_SFX(ei, t);
-        for (ptrdiff_t j = 0; j < t; j++) ei[j] /= s;
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        REAL *ei = e + i * cols;
+        for (ptrdiff_t j = causal ? i + 1 : cols; j < cols; j++) ei[j] *= 0;
+        const REAL si = (REAL)0 + pairwise_SFX(ei, cols);
+        for (ptrdiff_t j = 0; j < cols; j++) ei[j] /= si;
+        s[i] = si;
     }
 }
 
-/* The gradient of causal_softmax's output y [t, t] for upstream g: y (g - inner) with inner = +0 plus
-   the pairwise sum of g y over the row. */
-CLONES void softmax_bwd_SFX(ptrdiff_t t, const REAL *restrict y, const REAL *restrict g, REAL *restrict dx)
+/* The gradient of a softmax's output y [rows, cols] for upstream g: y (g - inner) with inner = +0 plus the
+   pairwise sum of g y over the whole row, past any span too. */
+CLONES void softmax_bwd_SFX(ptrdiff_t rows, ptrdiff_t cols, const REAL *restrict y, const REAL *restrict g,
+                            REAL *restrict dx)
 {
-    for (ptrdiff_t i = 0; i < t; i++) {
-        const REAL *yi = y + i * t, *gi = g + i * t;
-        REAL *di = dx + i * t;
-        for (ptrdiff_t j = 0; j < t; j++) di[j] = gi[j] * yi[j];
-        const REAL inner = (REAL)0 + pairwise_SFX(di, t);
-        for (ptrdiff_t j = 0; j < t; j++) di[j] = yi[j] * (gi[j] - inner);
+    for (ptrdiff_t i = 0; i < rows; i++) {
+        const REAL *yi = y + i * cols, *gi = g + i * cols;
+        REAL *di = dx + i * cols;
+        for (ptrdiff_t j = 0; j < cols; j++) di[j] = gi[j] * yi[j];
+        const REAL inner = (REAL)0 + pairwise_SFX(di, cols);
+        for (ptrdiff_t j = 0; j < cols; j++) di[j] = yi[j] * (gi[j] - inner);
     }
 }
 

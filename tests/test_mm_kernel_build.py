@@ -181,7 +181,8 @@ def _quant_outputs():
 
 def _scan_outputs():
     """The outputs and gradients of every kernel in the scan source, in float32 and float64: mamba_scan with
-    and without h0, rms_norm, causal_conv1d and causal_softmax on each oracle case, and the index scatter-adds."""
+    and without h0, rms_norm, causal_conv1d, causal_softmax, softmax and cross_entropy on each oracle case, and the
+    index scatter-adds."""
     out = []
     for shape, dtype, with_h0 in (((37, 3, 4, 5), np.float32, True), ((37, 3, 4, 5), np.float64, False),
                                   ((256, 4, 16, 32), np.float32, False), ((64, 8, 64, 16), np.float64, True)):
@@ -193,6 +194,10 @@ def _scan_outputs():
         out += test_tensor._op_fwd_bwd(T.causal_conv1d, *test_tensor._conv_inputs(*case))
     for case in test_tensor.SOFTMAX_CASES:
         out += test_tensor._op_fwd_bwd(T.causal_softmax, *test_tensor._softmax_inputs(*case))
+    for case in test_tensor.ROW_SOFTMAX_CASES:
+        out += test_tensor._op_fwd_bwd(T.softmax, *test_tensor._row_softmax_inputs(*case))
+    for case in test_tensor.CROSS_ENTROPY_CASES:
+        out += test_tensor._cross_entropy_fwd_bwd(*test_tensor._cross_entropy_inputs(*case))
     for dtype in (np.float32, np.float64):
         out += test_tensor._scatter_outputs(dtype)
     return out

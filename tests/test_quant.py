@@ -21,6 +21,7 @@ from hypothesis.extra import numpy as hnp
 
 import hybridlm.quant as Q
 import hybridlm.tensor as T
+from extra_ops import sum_all
 from hybridlm.errors import CheckpointError, ConfigError, NumericInputError, ShapeError
 
 # ---------------------------------------------------------------------------
@@ -517,7 +518,7 @@ def test_nvfp4_weight_gradient_points_along_the_reference():
     w = T.Tensor((rng.standard_normal((64, 48)) / 8).astype(np.float32), requires_grad=True)
     dy = T.Tensor(rng.standard_normal((128, 48)).astype(np.float32))
     with T.Tape() as tape:
-        loss = T.sum_all(T.mul(Q.quantized_linear(x, w, NVFP4_RECIPE), dy))
+        loss = sum_all(T.mul(Q.quantized_linear(x, w, NVFP4_RECIPE), dy))
     T.backward(tape, loss)
     ref = x.data.astype(np.float64).T @ dy.data.astype(np.float64)
     dw = w.grad.astype(np.float64)
@@ -532,7 +533,7 @@ def linear_pass(linear, m, k, n):
     dy = T.Tensor(rng.standard_normal((m, n)).astype(np.float32))
     with T.Tape() as tape:
         out = linear(x, w)
-        loss = T.sum_all(T.mul(out, dy))
+        loss = sum_all(T.mul(out, dy))
     T.backward(tape, loss)
     return out.data, x.grad, w.grad
 
@@ -597,14 +598,49 @@ def test_quantized_linear_rejects_operands_that_are_not_matching_matrices(name):
 
 
 def test_quantized_linear_rejects_unknown_formats():
-    x = T.Tensor(np.ones((4, 32), np.float32), requires_grad=True)
-    w = T.Tensor(np.ones((32, 16), np.float32))
-    with pytest.raises(ConfigError):
-        Q.quantized_linear(x, w, Q.LinearPrecision(x_format="fp16"))
+    # when the precision is built, before a backward sweep could add part of a gradient into a leaf
+    for field in ("x_format", "w_format", "grad_format"):
+        with pytest.raises(ConfigError):
+            Q.LinearPrecision(**{field: "fp16"})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128 - 2, 1.5, True, "5"])
+def test_linear_precision_rejects_a_seed_its_passes_cannot_key(seed):
+    with pytest.raises(ConfigError):  # dgrad rounds with seed, the RHT takes seed + 1, wgrad rounds with seed + 2
+        Q.LinearPrecision(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2**128 - 3, np.uint64(2**64 - 1)])
+def test_linear_precision_keys_every_pass_from_its_largest_seeds(seed):
+    prec = Q.LinearPrecision(Q.Format.NVFP4, Q.Format.NVFP4_2D, Q.Format.NVFP4, seed)
+    assert type(prec.seed) is int and prec.seed == int(seed)  # seed + 2 does not wrap
+    rng = np.random.default_rng(9)
+    x, w = (T.Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True) for shape in ((4, 32), (32, 16)))
     with T.Tape() as tape:
-        loss = T.sum_all(Q.quantized_linear(x, w, Q.LinearPrecision(grad_format="fp16")))
+        loss = sum_all(Q.quantized_linear(x, w, prec))
+    T.backward(tape, loss)
+    assert np.isfinite(x.grad).all() and np.isfinite(w.grad).all()
+
+
+@pytest.mark.parametrize("kwargs", [dict(base="fp8"), dict(base="NVFP4"), dict(fraction_high_precision_tail=2.0),
+                                    dict(fraction_high_precision_tail=-0.1),
+                                    dict(fraction_high_precision_tail=float("nan")),
+                                    dict(fraction_high_precision_tail="0.5")], ids=str)
+def test_precision_policy_rejects_a_base_or_tail_it_cannot_apply(kwargs):
     with pytest.raises(ConfigError):
-        T.backward(tape, loss)
+        Q.PrecisionPolicy(**kwargs)
+
+
+@pytest.mark.parametrize("exp", [65528, 200, -128, 128])
+def test_mxfp8_decode_rejects_exponents_outside_e8m0(exp):
+    # read as int16, 65528 would wrap to -8 and decode 256 as 1.0; 200 would decode it as inf
+    grid, scales_grid = Q._grids(Q.Format.MXFP8, (1, 32))
+    q = Q.QuantizedTensorMXFP8((1, 32), np.full(grid, 0x78, np.uint8), np.full(scales_grid, exp, np.int64))
+    with pytest.raises(NumericInputError, match="outside E8M0"):
+        q.dequantize()
+    for edge in (Q.E8M0_MIN_EXP, Q.E8M0_MAX_EXP):  # 1.0 times 2^edge
+        q = Q.QuantizedTensorMXFP8((1, 32), np.full(grid, 0x38, np.uint8), np.full(scales_grid, edge, np.int64))
+        assert (q.dequantize() == np.float32(2.0**edge)).all()
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tensor and autodiff checks against independent oracles."""
 
+import ast
 import inspect
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import extra_ops
 import hybridlm.quant as Q
 import hybridlm.tensor as T
+from extra_ops import clamp, mean_all, sum_all
 from hybridlm.errors import ConfigError, ContractError, NumericInputError, ShapeError, TokenIndexError
 
 
@@ -363,7 +367,7 @@ def test_quantized_linear_gemms_take_the_fused_body(recipe):
     x, w = T.Tensor(_rand((64, 128), 68), requires_grad=True), T.Tensor(_rand((128, 96), 69, std=0.1), requires_grad=True)
     with mock.patch.object(Q, "matmul_exact", spy), T.Tape() as tape:
         y = Q.quantized_linear(x, w, QUANTIZED_RECIPES[recipe])
-        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(_rand((64, 96), 70)))))
+        T.backward(tape, sum_all(T.mul(y, T.Tensor(_rand((64, 96), 70)))))
     assert seen == [recipe != "reference"] * 3
 
 
@@ -373,12 +377,12 @@ def test_quantized_linear_gemms_take_the_fused_body(recipe):
 
 
 def test_softmax_uniform():
-    out = T.softmax(T.Tensor([0.0, 0.0, 0.0, 0.0]), axis=0)
+    out = T.softmax(T.Tensor([0.0, 0.0, 0.0, 0.0]))
     assert np.allclose(out.data, 0.25, atol=1e-7)
 
 
 def test_softmax_no_overflow():
-    out = T.softmax(T.Tensor([1000.0, 0.0]), axis=0)
+    out = T.softmax(T.Tensor([1000.0, 0.0]))
     assert np.isfinite(out.data).all()
     assert out.data[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -387,20 +391,20 @@ def test_softmax_against_float64_oracle():
     x = np.array([1.0, 2.0, 3.0], np.float32)
     want = np.exp(x.astype(np.float64))
     want /= want.sum()
-    got = T.softmax(T.Tensor(x), axis=0).data
+    got = T.softmax(T.Tensor(x)).data
     assert np.abs(got - want).max() < 1e-6
 
 
 def test_softmax_sums_to_one_random():
     for seed in range(20):
         x = _rand((5, 9), seed, std=7.0)
-        s = T.softmax(T.Tensor(x), axis=1).data.sum(axis=1)
+        s = T.softmax(T.Tensor(x)).data.sum(axis=1)
         assert np.abs(s - 1.0).max() < 1e-6
 
 
 def test_softmax_rejects_nonfinite():
     with pytest.raises(NumericInputError):
-        T.softmax(T.Tensor(np.array([np.inf, 0.0], np.float32)), axis=0)
+        T.softmax(T.Tensor(np.array([np.inf, 0.0], np.float32)))
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +459,7 @@ def test_sigmoid_family_against_float64(name):
 def test_grad_check_sigmoid_family(name):
     op = SIGMOID_FAMILY[name][0]
     w = T.Tensor(_rand((3, 5), 36))
-    assert grad_check(lambda t: T.sum_all(T.mul(op(t), w)), T.Tensor(_rand((3, 5), 37, std=3.0))) < 1e-3
+    assert grad_check(lambda t: sum_all(T.mul(op(t), w)), T.Tensor(_rand((3, 5), 37, std=3.0))) < 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +504,7 @@ def test_cross_entropy_rejects_bad_target():
 def test_backward_sum_gives_ones():
     x = T.Tensor(_rand((3, 4), 11), requires_grad=True)
     with T.Tape() as tape:
-        loss = T.sum_all(x)
+        loss = sum_all(x)
     T.backward(tape, loss)
     assert np.array_equal(x.grad, np.ones((3, 4), np.float32))
 
@@ -509,7 +513,7 @@ def test_backward_product_rule():
     x = T.Tensor([2.0], requires_grad=True)
     y = T.Tensor([3.0], requires_grad=True)
     with T.Tape() as tape:
-        loss = T.sum_all(T.mul(x, y))
+        loss = sum_all(T.mul(x, y))
     T.backward(tape, loss)
     assert x.grad[0] == 3.0 and y.grad[0] == 2.0
 
@@ -517,7 +521,7 @@ def test_backward_product_rule():
 def test_backward_fanout_accumulates():
     x = T.Tensor([5.0], requires_grad=True)
     with T.Tape() as tape:
-        loss = T.sum_all(T.add(x, x))
+        loss = sum_all(T.add(x, x))
     T.backward(tape, loss)
     assert x.grad[0] == 2.0
 
@@ -526,7 +530,7 @@ def test_backward_twice_over_one_tape_adds_the_gradient_twice():
     x = T.Tensor([1.0, 2.0], requires_grad=True)
     with T.Tape() as tape:
         y = T.scale(x, 3.0)
-        loss = T.sum_all(T.mul(y, y))
+        loss = sum_all(T.mul(y, y))
     T.backward(tape, loss)
     assert x.grad.tolist() == [18.0, 36.0]
     assert y.grad is None and loss.grad is None  # only leaves keep a gradient
@@ -539,7 +543,7 @@ def test_backward_gives_each_leaf_its_own_gradient_array():
     x, y, z = (T.Tensor(_rand((2, 3), s), requires_grad=True) for s in (60, 61, 62))
     with T.Tape() as tape:
         both = T.concat_cols([T.add(x, y), T.reshape(T.reshape(z, (3, 2)), (2, 3)), x])
-        loss = T.sum_all(T.mul(both, T.Tensor(_rand((2, 9), 63))))
+        loss = sum_all(T.mul(both, T.Tensor(_rand((2, 9), 63))))
     T.backward(tape, loss)
     grads = [x.grad, y.grad, z.grad]
     assert not any(np.may_share_memory(a, b) for a, b in itertools.combinations(grads, 2))
@@ -628,13 +632,14 @@ def test_every_closure_leaves_dout_alone_and_returns_unshared_gradients():
         y = T.reshape(y, (6, 4))
         v = T.matmul(T.causal_softmax(T.matmul(y, T.transpose2d(y))), y)
         s = T.sigmoid(v)
-        probs = T.softmax(T.concat_cols([v, T.sub(T.clamp(s, 0.2, 0.8), s)]))
+        probs = T.softmax(T.concat_cols([v, T.sub(clamp(s, 0.2, 0.8), s)]))
         gate = T.gather_cols(probs, np.argsort(-probs.data, axis=1)[:, :2])
         mixed = T.mul(T.add(probs, T.scatter_rows(T.take_rows(probs, [0, 2, 2]), [1, 1, 3], 6)), h)
         loss = T.add(T.cross_entropy(mixed, rng.integers(0, 8, 6)),
-                     T.add(T.mean_all(gate), T.sum_all(T.take_elems(gate, [0, 0, 5], [1, 1, 0]))))
+                     T.add(mean_all(gate), sum_all(T.take_elems(gate, [0, 0, 5], [1, 1, 0]))))
     T.backward(tape, loss)
-    recorded = {name for name, f in vars(T).items() if inspect.isfunction(f) and "_make" in f.__code__.co_names}
+    recorded = {name for module in (T, extra_ops) for name, f in vars(module).items()
+                if inspect.isfunction(f) and "_make" in f.__code__.co_names}
     assert tape.ran == recorded | {"quantized_linear"}
     assert tape.broken == []
 
@@ -683,7 +688,7 @@ def grad_check(f, x, eps=1e-3):
 
 def test_grad_check_sum_of_squares():
     x = T.Tensor(_rand((4, 5), 14))
-    err = grad_check(lambda t: T.sum_all(T.mul(t, t)), x)
+    err = grad_check(lambda t: sum_all(T.mul(t, t)), x)
     assert err < 1e-4
 
 
@@ -702,7 +707,7 @@ def test_grad_check_two_layer_mlp_cross_entropy():
 
 def test_grad_check_constant_function():
     x = T.Tensor(_rand((3,), 19))
-    err = grad_check(lambda t: T.sum_all(T.mul(t, T.zeros(t.shape))), x)
+    err = grad_check(lambda t: sum_all(T.mul(t, T.zeros(t.shape))), x)
     assert err == 0.0
 
 
@@ -717,7 +722,7 @@ def test_slice_concat_roundtrip_and_grads():
         left = T.slice_cols(x, 0, 3)
         right = T.slice_cols(x, 3, 10)
         back = T.concat_cols([left, right])
-        loss = T.sum_all(back)
+        loss = sum_all(back)
     assert np.array_equal(back.data, x.data)
     T.backward(tape, loss)
     assert np.array_equal(x.grad, np.ones_like(x.data))
@@ -729,7 +734,7 @@ def test_gather_scatter_rows_grads():
     with T.Tape() as tape:
         rows = T.take_rows(x, idx)
         out = T.scatter_rows(rows, idx, 5)
-        loss = T.sum_all(out)
+        loss = sum_all(out)
     T.backward(tape, loss)
     # row 2 gathered twice -> gradient 2, rows 1,3,4 untouched -> 0
     want = np.zeros((5, 3), np.float32)
@@ -749,7 +754,7 @@ def _fwd_bwd(op, x, *args):
     with T.Tape() as tape:
         y = op(xt, *args)
         g = _rand(y.shape, 99)
-        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(g))))
+        T.backward(tape, sum_all(T.mul(y, T.Tensor(g))))
     return y.data, xt.grad, g
 
 
@@ -771,8 +776,8 @@ def test_rows_gathered_twice_match_loop_oracle():
     g1, g2 = _rand((24, 5), 45), _rand((24, 5), 46)
     xt = T.Tensor(x, requires_grad=True)
     with T.Tape() as tape:
-        loss = T.add(T.sum_all(T.mul(T.embedding(xt, first), T.Tensor(g1))),
-                     T.sum_all(T.mul(T.embedding(xt, second), T.Tensor(g2))))
+        loss = T.add(sum_all(T.mul(T.embedding(xt, first), T.Tensor(g1))),
+                     sum_all(T.mul(T.embedding(xt, second), T.Tensor(g2))))
     T.backward(tape, loss)
     sums = []
     for idx, g in ((second, g2), (first, g1)):  # the sweep meets the later gather first
@@ -790,9 +795,9 @@ def test_overlapping_column_slices_match_the_dense_formula():
     # column 2: -0.0 from the direct use and from the slices [0, 6) and [2, 5), outside [4, 10)
     g0[:, 2] = gs[0][:, 2] = gs[2][:, 0] = -0.0
     with T.Tape() as tape:
-        loss = T.sum_all(T.mul(x, T.Tensor(g0)))
+        loss = sum_all(T.mul(x, T.Tensor(g0)))
         for (a, b), g in zip(spans, gs):
-            loss = T.add(loss, T.sum_all(T.mul(T.slice_cols(x, a, b), T.Tensor(g))))
+            loss = T.add(loss, sum_all(T.mul(T.slice_cols(x, a, b), T.Tensor(g))))
     T.backward(tape, loss)
     # the dense formula the sweep replaced: a zero-filled gradient per slice, added
     # in reverse recording order, then the direct use
@@ -856,9 +861,10 @@ def test_causal_conv1d_matches_manual():
     _assert_same_bits(out, want)
 
 
-# rms_norm, causal_conv1d, causal_softmax (around numpy's exp) and the index
-# scatter-add run in C and keep the bits of the numpy code they replaced, which
-# stays here as their oracle. That code follows these rules of numpy 2.4.6:
+# rms_norm, causal_conv1d, the softmaxes and cross_entropy (around numpy's exp)
+# and the index scatter-add run in C and keep the bits of the numpy code they
+# replaced, which stays here as their oracle. That code follows these rules of
+# numpy 2.4.6:
 # - Along a row (sum(axis=-1), mean): +0 plus numpy's pairwise sum of the row,
 #   8 partial sums per block of up to 128 values, added as
 #   ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one by one;
@@ -892,6 +898,27 @@ def _causal_softmax_numpy(z, dout):
     return y, y * (dout - inner)
 
 
+def _softmax_numpy(x, dout):
+    """softmax's numpy body over the last axis: the output and the gradient of x."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    inner = (dout * y).sum(axis=-1, keepdims=True)
+    return y, y * (dout - inner)
+
+
+def _cross_entropy_numpy(z, targets, dout):
+    """cross_entropy's numpy body: the loss and the gradient of the logits."""
+    t = z.shape[0]
+    m = z.max(axis=1, keepdims=True)
+    e = np.exp(z - m)
+    sums = e.sum(axis=1, keepdims=True)
+    logp = (z - m) - np.log(sums)
+    rows = np.arange(t)
+    p = e / sums
+    p[rows, targets] -= 1.0
+    return np.asarray(-logp[rows, targets].mean(), dtype=z.dtype), p * (dout / t)
+
+
 def _causal_conv1d_numpy(x, w, bias, dout):
     """causal_conv1d's numpy body: the output, dx, dw and db."""
     t, c = x.shape
@@ -922,6 +949,13 @@ CONV_CASES = ([(37, c, 4, dtype, False) for c in WIDTHS for dtype in DTYPES]
 # (t, dtype, with +-inf, NaN, huge and -0 scores on both sides of the diagonal and -0 in the upstream gradient)
 SOFTMAX_CASES = [(t, dtype, special) for t in (1, 2, 17, 128, 129, 256, 300) for dtype in DTYPES
                  for special in (False, True)]
+
+# (shape, dtype, with -0 rows, +-0 and huge logits, and for cross_entropy +-inf and NaN): the router's, the
+# loss's and the attention's row widths, one element, a row split by the pairwise sum, and a vector
+ROW_SOFTMAX_CASES = [(shape, dtype, special) for shape in ((2048, 4), (256, 8), (2048, 128), (256, 512), (1, 1),
+                                                           (3, 300), (37,))
+                     for dtype in DTYPES for special in (False, True)]
+CROSS_ENTROPY_CASES = [case for case in ROW_SOFTMAX_CASES if len(case[0]) == 2]
 
 
 def _special(a, rng, values):
@@ -968,13 +1002,40 @@ def _softmax_inputs(t, dtype, special):
     return z, dout
 
 
+def _row_softmax_inputs(shape, dtype, special, finite=True):
+    """Logits and the upstream gradient of their softmax for a ROW_SOFTMAX_CASES entry."""
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    z, dout = ((rng.standard_normal(shape) * 3).astype(dtype) for _ in range(2))
+    if special:
+        rows = z.reshape(-1, shape[-1])
+        rows[0], rows[-1] = -0.0, 0.0  # every entry the max, of either sign; the last row may be the first
+        huge = np.finfo(dtype).max / 4  # huge - (-huge) overflows
+        _special(z, rng, (huge, -huge, -0.0, 0.0) + (() if finite else (np.inf, -np.inf, np.nan)))
+        _special(dout, rng, (-0.0,))
+        if not finite and len(rows) > 2:
+            rows[1] = -np.inf  # max -inf: every entry NaN
+    return z, dout
+
+
+def _cross_entropy_inputs(shape, dtype, special):
+    """Logits, targets and the upstream gradient of the loss for a CROSS_ENTROPY_CASES entry."""
+    z, _ = _row_softmax_inputs(shape, dtype, special, finite=False)
+    rng = np.random.default_rng(sum(shape))
+    return z, rng.integers(0, shape[1], shape[0]), np.asarray(rng.standard_normal() * 3, dtype)
+
+
+def _cross_entropy_fwd_bwd(z, targets, dout):
+    """The loss of cross_entropy and the gradient of the logits for upstream ``dout``."""
+    return _op_fwd_bwd(lambda x: T.cross_entropy(x, targets), z, dout)
+
+
 def _op_fwd_bwd(op, *arrays):
     """The output of ``op`` on all but the last array, and each one's gradient for the last as upstream."""
     *inputs, dout = arrays
     ts = [T.Tensor(a, requires_grad=True) for a in inputs]
     with T.Tape() as tape, np.errstate(invalid="ignore"):  # the loss of inf and NaN entries
         y = op(*ts)
-        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(dout))))  # y's gradient is dout times one: dout
+        T.backward(tape, sum_all(T.mul(y, T.Tensor(dout))))  # y's gradient is dout times one: dout
     return [y.data] + [t.grad for t in ts]
 
 
@@ -1003,6 +1064,36 @@ def test_causal_softmax_matches_its_numpy_body(case):
         want = _causal_softmax_numpy(z, dout)
     for g, v in zip(_op_fwd_bwd(T.causal_softmax, z, dout), want):
         _assert_same_bits(g, v, z.dtype)
+
+
+@pytest.mark.parametrize("case", ROW_SOFTMAX_CASES, ids=str)
+def test_softmax_matches_its_numpy_body(case):
+    x, dout = _row_softmax_inputs(*case)
+    with np.errstate(over="ignore"):  # huge - (-huge)
+        want = _softmax_numpy(x, dout)
+    for g, v in zip(_op_fwd_bwd(T.softmax, x, dout), want):
+        _assert_same_bits(g, v, x.dtype)
+
+
+@pytest.mark.parametrize("case", CROSS_ENTROPY_CASES, ids=str)
+def test_cross_entropy_matches_its_numpy_body(case):
+    z, targets, dout = _cross_entropy_inputs(*case)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and huge - (-huge)
+        want = _cross_entropy_numpy(z, targets, dout)
+    for g, v in zip(_cross_entropy_fwd_bwd(z, targets, dout), want):
+        _assert_same_bits(g, v, z.dtype)
+
+
+def test_cross_entropy_backward_twice_adds_the_same_gradient():
+    # the backward edits a copy of the softmax, so a second sweep over the tape sees it unchanged
+    z, targets, _ = _cross_entropy_inputs((256, 8), np.float32, False)
+    x = T.Tensor(z, requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.cross_entropy(x, targets)
+    T.backward(tape, loss)
+    once = x.grad.copy()
+    T.backward(tape, loss)
+    _assert_same_bits(x.grad, once + once)
 
 
 def _scatter_cases(dtype):
@@ -1142,7 +1233,7 @@ def test_grad_check_sequence_ops():
         s = T.matmul(x, T.transpose2d(x))
         att = T.causal_softmax(s)
         y = T.matmul(att, T.matmul(x, w))
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     x0 = T.Tensor(_rand((5, 3), 27))
     assert grad_check(f, x0) < 1e-3
@@ -1159,7 +1250,7 @@ def test_grad_check_mamba_scan():
     def f_x(x3):
         xr = T.reshape(x3, (t_len, h, p))
         y, _ = T.mamba_scan(xr, dt, a, b, c, d)
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     x0 = T.Tensor(_rand((t_len, h * p), 33))
     assert grad_check(f_x, x0) < 1e-3
@@ -1167,32 +1258,32 @@ def test_grad_check_mamba_scan():
     x_fixed = T.Tensor(_rand((t_len, h, p), 34))
 
     def f_dt(dtv):
-        y, _ = T.mamba_scan(x_fixed, T.clamp(dtv, 1e-4, 10.0), a, b, c, d)
-        return T.mean_all(T.mul(y, y))
+        y, _ = T.mamba_scan(x_fixed, clamp(dtv, 1e-4, 10.0), a, b, c, d)
+        return mean_all(T.mul(y, y))
 
     assert grad_check(f_dt, dt) < 1e-3
 
     def f_a(av):
         y, _ = T.mamba_scan(x_fixed, dt, av, b, c, d)
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     assert grad_check(f_a, a) < 1e-3
 
     def f_b(bv):
         y, _ = T.mamba_scan(x_fixed, dt, a, bv, c, d)
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     assert grad_check(f_b, b) < 1e-3
 
     def f_c(cv):
         y, _ = T.mamba_scan(x_fixed, dt, a, b, cv, d)
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     assert grad_check(f_c, c) < 1e-3
 
     def f_d(dv):
         y, _ = T.mamba_scan(x_fixed, dt, a, b, c, dv)
-        return T.mean_all(T.mul(y, y))
+        return mean_all(T.mul(y, y))
 
     assert grad_check(f_d, d) < 1e-3
 
@@ -1245,7 +1336,7 @@ def _scan_fwd_bwd(args, h0, dout):
     ts = [T.Tensor(v, requires_grad=True) for v in args]
     with T.Tape() as tape:
         y, state = T.mamba_scan(*ts, h0=h0)
-        T.backward(tape, T.sum_all(T.mul(y, T.Tensor(dout))))
+        T.backward(tape, sum_all(T.mul(y, T.Tensor(dout))))
     return [y.data, state] + [t.grad for t in ts]
 
 
@@ -1441,3 +1532,30 @@ def test_mamba_scan_shape_error_names_the_operand():
 def test_index_error_names_the_op_and_the_range():
     with pytest.raises(TokenIndexError, match=r"scatter_rows: indices span \[-1, 2\], outside an axis of size 4"):
         T.scatter_rows(_t(4, 3), np.array([0, 1, 2, -1]), 4)
+
+
+# ---------------------------------------------------------------------------
+# the library's public names
+# ---------------------------------------------------------------------------
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function and class of tensor.py and quant.py is used by code in src/, not counting its own
+    def or class line, or named in a benchmark module, as the tracer names the ops it wraps. An op that only
+    the tests call lives in tests/extra_ops.py."""
+    root = Path(T.__file__).resolve().parents[2]
+    used = set()
+    for path in (root / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    for path in (root / "perfbench").glob("*.py"):
+        used.update(re.findall(r"\w+", path.read_text()))
+    public = {name for module in (T, Q) for name, v in vars(module).items()
+              if not name.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
+              and v.__module__ == module.__name__}
+    assert public and sorted(public - used) == []
