@@ -30,7 +30,6 @@ import functools
 import math
 import numbers
 import struct
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,31 +83,6 @@ def stochastic(seed: int) -> RoundingMode:
 
 
 # ---------------------------------------------------------------------------
-# Grids and decode tables
-# ---------------------------------------------------------------------------
-
-# mantissa bits, exponent of the smallest normal, code and value of the
-# largest finite magnitude, bit position of the sign in a code
-_Grid = namedtuple("_Grid", "mb emin top max sign_bit")
-_E2M1 = _Grid(1, 0, 7, 6.0, 3)
-_E4M3 = _Grid(3, -6, 126, 448.0, 7)
-E8M0_MIN_EXP, E8M0_MAX_EXP = -127, 127
-
-
-def _decode_table(grid: _Grid) -> np.ndarray:
-    """Values of every code: magnitudes by index, then the same with the sign bit set."""
-    idx = np.arange(1 << grid.sign_bit, dtype=np.int32)
-    normal = ((idx + ((126 + grid.emin) << grid.mb)) << (23 - grid.mb)).view(np.float32)
-    mags = np.where(idx < (1 << grid.mb), idx * 2.0 ** (grid.emin - grid.mb), normal).astype(np.float32)
-    mags[grid.top + 1:] = np.nan
-    return np.concatenate([mags, -mags])
-
-
-E2M1_TABLE = _decode_table(_E2M1)  # 16 entries; code 8 is -0.0
-E4M3_TABLE = _decode_table(_E4M3)  # 256 entries; codes 0x7F and 0xFF are NaN
-
-
-# ---------------------------------------------------------------------------
 # Block-scaled tensors
 # ---------------------------------------------------------------------------
 
@@ -128,7 +102,6 @@ class Format(str, Enum):
 # (block rows, block cols) of each format's blocks over an array's [rows, cols]
 # matrix: the last axis, and the product of the others as rows
 _BLOCK = {Format.NVFP4: (1, 16), Format.NVFP4_2D: (16, 16), Format.MXFP8: (1, 32)}
-BLOCK_1D_SIZE, BLOCK_2D_TILE, MXFP8_BLOCK = (_BLOCK[f][1] for f in (Format.NVFP4, Format.NVFP4_2D, Format.MXFP8))
 _LAYOUT_FORMAT = {Layout.BLOCK_1D: Format.NVFP4, Layout.BLOCK_2D: Format.NVFP4_2D}
 
 
@@ -152,7 +125,7 @@ class QuantizedTensorNVFP4:
     global_scale: np.float32
 
     def dequantize(self) -> np.ndarray:
-        return _decode(_LAYOUT_FORMAT[self.layout], self.shape, self.codes, self.block_scales, self.global_scale)
+        return _decode(self)[3]
 
 
 @dataclass
@@ -164,7 +137,7 @@ class QuantizedTensorMXFP8:
     scale_exps: np.ndarray   # int16 exponents, one per block
 
     def dequantize(self) -> np.ndarray:
-        return _decode(Format.MXFP8, self.shape, self.codes, self.scale_exps)
+        return _decode(self)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -184,18 +157,25 @@ class QuantizedTensorMXFP8:
 # gets codes 0.
 # Kernel contract: _encode_kernel_c takes a format, a float32 array and a
 # RoundingMode and returns (codes, scales, global scale or None) on the grids
-# _grids derives from the block shape, or a status in _ENCODE_ERRORS for an
-# input it cannot take; _decode_kernel_c takes (format, shape, codes, scales,
-# global scale) already checked against those grids and returns the float32
-# array, or None for a NaN E4M3 code. MXFP8 exponents are int16 in both, and
-# the C kernels' argument types come from their declarations.
+# _grids derives from the block shape, or a status in _STATUS for an input it
+# cannot take. _decode_kernel_c takes (format, shape, codes, scales, global
+# scale, out) on those grids as uint8 codes, uint8 or int16 scales and a
+# float32 global scale, checks them against quant_decode's rule for what a
+# quantized record may hold, decodes them into out unless out is None and
+# returns a status: _decode runs that one check for dequantize,
+# quantized_to_bytes and quantized_from_bytes. The C kernels' argument types
+# come from their declarations.
 
-_ENCODE_ERRORS = {
+# What quant_encode (1, 2) and quant_decode (3 to 6) return for an input they refuse
+_STATUS = {
     1: "requires finite inputs",
     # within a block scale of float32's maximum a code can round up past it
     2: "input rounds to a code that decodes past float32's maximum",
+    3: "holds a global scale that is not a finite power of two of at least 2^-126",
+    4: "holds a block scale its format lacks: a NaN E4M3 code or a sign-set one, or an exponent outside E8M0",
+    5: "holds a code off its element grid, such as an E2M1 code past 15 or a NaN E4M3 code",
+    6: "holds a block scale, or a code times it, that decodes past float32's maximum",
 }
-_FLT_MAX = float(np.finfo(np.float32).max)
 
 
 def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,12 +188,6 @@ def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
     rows, cols = _matrix(shape)
     nr, nb = -(-rows // bh), -(-cols // bw)
     return ((nr * bh, nb * bw) if bh > 1 else (rows, nb, bw)), (nr, nb)
-
-
-def _past_max(grid: _Grid, table: np.ndarray, codes: np.ndarray, scales: np.ndarray) -> bool:
-    """Whether a code's value in ``table`` times its float64 block scale passes float32's maximum."""
-    return grid.max * scales.max(initial=0.0) > _FLT_MAX and bool(
-        (np.abs(table.take(codes)) * scales > _FLT_MAX).any())
 
 
 # E2M1 and E4M3 are minifloats with mb mantissa bits and smallest normal
@@ -254,7 +228,7 @@ enum { NVFP4_1D, NVFP4_2D, MXFP8 };
 #define BH(fmt) ((fmt) == NVFP4_2D ? 16 : 1)
 #define BW(fmt) ((fmt) == MXFP8 ? 32 : 16)
 enum { FLOOR, CEIL, NEAREST };
-/* as _Grid: mantissa bits, exponent of the smallest normal, top code, largest magnitude, sign bit */
+/* the element grids: mantissa bits, exponent of the smallest normal, top code, largest magnitude, sign bit */
 #define E2M1 1, 0, 7, 6.0f, 3
 #define E4M3 3, -6, 126, 448.0f, 7
 #define GRID int mb, int emin, int32_t top, float max, int sb
@@ -444,21 +418,52 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
                            : encode_blocks(NVFP4_2D, E2M1, x, rows, cols, gs, key, codes, scales);
 }
 
-/* out[rows, cols] from codes and scales on fmt's grids. Returns 1, before
-   writing, if an E4M3 code it would read is NaN. */
+/* Is code c off element grid GRID: a bit set above its sign, or a magnitude past the top code (E4M3's NaN)? */
+static inline uint8_t off_grid(uint8_t c, GRID)
+{ return (uint8_t)(c >> (sb + 1)) | (uint8_t)(((c & ((1u << sb) - 1)) + ((1u << sb) - 1 - top)) & (1u << sb)); }
+
+/* The one rule for what a quantized record may hold: the values quant_encode can make. Returns 0, or the
+   status of the first part the record breaks: 3 g is no power of two in [2^-126, 2^127], 4 a block scale
+   is past E4M3's top finite code, 126, or an exponent outside E8M0, 5 a code on the grid, padding included,
+   is off its element grid, 6 a block scale, or a code times it, passes FLT_MAX in double. Each row of codes
+   is tested just before it is decoded into out[rows, cols] (a test inside the decode loop measured slower). */
 CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
                         ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
-    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, pc = bw * nb;
-    const uint8_t *checked = fmt == MXFP8 ? codes : scales;
-    uint32_t nan = 0;
-    for (ptrdiff_t i = 0; i < (fmt == MXFP8 ? rows * pc : (rows + bh - 1) / bh * nb); i++)
-        nan |= (checked[i] & 0x7fu) == 0x7fu;
-    if (nan) return 1;
-    for (ptrdiff_t r = 0; r < rows; r++)
+    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, pc = bw * nb, nr = (rows + bh - 1) / bh;
+    double peak;  /* the largest magnitude a code can decode to under the largest block scale */
+    if (fmt == MXFP8) {
+        const int16_t *e = scales;
+        int32_t lo = 0, hi = -127;
+        for (ptrdiff_t k = 0; k < nr * nb; k++) lo = e[k] < lo ? e[k] : lo, hi = e[k] > hi ? e[k] : hi;
+        if (lo < -127 || hi > 127) return 4;
+        peak = 448.0 * (double)pow2f(hi);
+    } else {
+        if ((f2u(g) & 0x807fffffu) || f2u(g) < 0x00800000u || f2u(g) >= INF) return 3;
+        const uint8_t *sc = scales;
+        uint8_t hi = 0;  /* codes 0 to 126 order like their values */
+        for (ptrdiff_t k = 0; k < nr * nb; k++) hi = sc[k] > hi ? sc[k] : hi;
+        if (hi > 126) return 4;
+        if ((peak = (double)value_of(hi, E4M3) * (double)g) > (double)FLT_MAX) return 6;
+        peak *= 6.0;
+    }
+    uint8_t off = 0;
+    int past = 0;
+    for (ptrdiff_t r = 0; r < bh * nr; r++) {  /* the padding rows of 2D tiles too */
+        const uint8_t *cr = codes + r * pc;
+        if (fmt == MXFP8)
+            for (ptrdiff_t i = 0; i < pc; i++) off |= off_grid(cr[i], E4M3);
+        else
+            for (ptrdiff_t i = 0; i < pc; i++) off |= off_grid(cr[i], E2M1);
+        if (peak > (double)FLT_MAX)
+            for (ptrdiff_t b = 0, k = r / bh * nb; b < nb; b++, k++)
+                past |= fmt == MXFP8
+                            ? past_max(cr + bw * b, bw, pow2f(((const int16_t *)scales)[k]), E4M3)
+                            : past_max(cr + bw * b, bw, value_of(((const uint8_t *)scales)[k], E4M3) * g, E2M1);
+        if (!out || r >= rows) continue;
         for (ptrdiff_t b = 0, k = r / bh * nb; b < nb; b++, k++) {
             const ptrdiff_t w = cols - bw * b < bw ? cols - bw * b : bw;
-            const uint8_t *c = codes + r * pc + bw * b;
+            const uint8_t *c = cr + bw * b;
             float *o = out + r * cols + bw * b;
             if (fmt == MXFP8) {
                 const float s = pow2f(((const int16_t *)scales)[k]);
@@ -468,7 +473,8 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
                 for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E2M1) * s;
             }
         }
-    return 0;
+    }
+    return off ? 5 : past ? 6 : 0;
 }
 """
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
@@ -488,27 +494,40 @@ def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
     return status or (codes, scales, None if fmt == Format.MXFP8 else g[0])
 
 
-def _decode_kernel_c(fmt: Format, shape, codes, scales, g):
-    out = np.empty(shape, np.float32)
-    codes = np.ascontiguousarray(codes, np.uint8)
-    scales = np.ascontiguousarray(scales, np.int16 if fmt == Format.MXFP8 else np.uint8)
-    codes_p, scales_p, out_p = _ptrs(codes, scales, out)
-    if _QUANT_LIBRARY.quant_decode(_C_FORMATS[fmt], codes_p, scales_p, 0.0 if g is None else g, *_matrix(shape), out_p):
-        return None
-    return out
+def _decode_kernel_c(fmt: Format, shape, codes, scales, g, out):
+    return _QUANT_LIBRARY.quant_decode(_C_FORMATS[fmt], *_ptrs(codes, scales), g, *_matrix(shape), *_ptrs(out))
 
 
-def _decode(fmt: Format, shape, codes, scales, g=None) -> np.ndarray:
-    grid, scales_grid = _grids(fmt, shape)
-    if np.shape(codes) != grid or np.shape(scales) != scales_grid:
-        raise ShapeError(f"codes on {np.shape(codes)} and scales on {np.shape(scales)} do not fit "
-                         f"shape {shape}, whose grids are {grid} and {scales_grid}")
-    if fmt == Format.MXFP8 and ((np.asarray(scales) < E8M0_MIN_EXP) | (np.asarray(scales) > E8M0_MAX_EXP)).any():
-        raise NumericInputError("MXFP8 exponent outside E8M0's range")  # the kernel's int16 would wrap it
-    out = _decode_kernel_c(fmt, shape, codes, scales, g)
-    if out is None:
-        raise NumericInputError("NaN E4M3 code cannot be decoded")
-    return out
+def _kernel_array(a, dtype, refused) -> np.ndarray:
+    """``a`` as a C-contiguous ``dtype`` array, where a value the cast would change becomes ``refused``."""
+    a = np.asarray(a)
+    if a.dtype == dtype:
+        return np.asarray(a, order="C")
+    with np.errstate(invalid="ignore", over="ignore"):
+        cast = a.astype(dtype)
+    return np.where(cast == a, cast, refused)
+
+
+def _decode(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8, decode: bool = True):
+    """The codes, scales and global scale of record ``q`` in the kernel's types, and its float32 values if
+    ``decode`` (else None). ShapeError if its arrays are off the grids of its shape, NumericInputError if it
+    breaks quant_decode's rule for what a quantized record may hold."""
+    nvfp4 = isinstance(q, QuantizedTensorNVFP4)
+    fmt, scales = (_LAYOUT_FORMAT[q.layout], q.block_scales) if nvfp4 else (Format.MXFP8, q.scale_exps)
+    grid, scales_grid = _grids(fmt, q.shape)
+    if np.shape(q.codes) != grid or np.shape(scales) != scales_grid:
+        raise ShapeError(f"codes on {np.shape(q.codes)} and scales on {np.shape(scales)} do not fit "
+                         f"shape {q.shape}, whose grids are {grid} and {scales_grid}")
+    codes = _kernel_array(q.codes, np.uint8, 0xFF)  # 0xFF is off both element grids
+    if nvfp4:
+        scales, g = _kernel_array(scales, np.uint8, 0xFF), _kernel_array(q.global_scale, np.float32, np.nan)[()]
+    else:
+        scales, g = _kernel_array(scales, np.int16, -2**15), np.float32(0)
+    out = np.empty(q.shape, np.float32) if decode else None
+    status = _decode_kernel_c(fmt, q.shape, codes, scales, g, out)
+    if status:
+        raise NumericInputError(f"quantized {fmt.value} record {_STATUS[status]}")
+    return codes, scales, g, out
 
 
 def quantize_nvfp4(
@@ -521,11 +540,11 @@ def quantize_nvfp4(
     never clamps. All-zero blocks get scale code 0 and element codes 0.
     """
     data = np.asarray(data, np.float32)
-    if layout not in _LAYOUT_FORMAT:  # pragma: no cover
+    if layout not in _LAYOUT_FORMAT:
         raise ConfigError(f"unknown layout {layout}")
     encoded = _encode_kernel_c(_LAYOUT_FORMAT[layout], data, mode)
     if isinstance(encoded, int):
-        raise NumericInputError(f"quantize_nvfp4 {_ENCODE_ERRORS[encoded]}")
+        raise NumericInputError(f"quantize_nvfp4 {_STATUS[encoded]}")
     return QuantizedTensorNVFP4(data.shape, layout, *encoded)
 
 
@@ -538,7 +557,7 @@ def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> Quant
     data = np.asarray(data, np.float32)
     encoded = _encode_kernel_c(Format.MXFP8, data, mode)
     if isinstance(encoded, int):
-        raise NumericInputError(f"quantize_mxfp8 {_ENCODE_ERRORS[encoded]}")
+        raise NumericInputError(f"quantize_mxfp8 {_STATUS[encoded]}")
     return QuantizedTensorMXFP8(data.shape, *encoded[:2])
 
 
@@ -575,6 +594,8 @@ def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
     For A's rows (axis=1) that is A M, for B's columns (axis=0) M^T B, so
     transforming both contraction axes leaves A @ B unchanged: M M^T = I.
     """
+    if np.ndim(matrix) != 2 or not 0 < matrix.shape[0] == matrix.shape[1] or not -x.ndim <= axis < x.ndim:
+        raise ShapeError(f"apply_rht needs a square matrix and an axis of x, got {np.shape(matrix)} and {axis}")
     n = matrix.shape[0]
     if x.shape[axis] % n != 0:
         raise ShapeError(f"axis length {x.shape[axis]} not divisible by transform size {n}")
@@ -742,11 +763,15 @@ class LayerDescriptor:
     index: int          # composite-layer index within the stack
     total_layers: int
 
+    def __post_init__(self):
+        if not (isinstance(self.kind, LayerKind) and _is_int(self.index) and _is_int(self.total_layers)
+                and 0 <= self.index < self.total_layers):
+            raise ConfigError(f"layer {self.kind!r} at index {self.index!r} of {self.total_layers!r}: want a "
+                              f"LayerKind and integers 0 <= index < total_layers")
+
 
 def resolve_precision(desc: LayerDescriptor, policy: PrecisionPolicy) -> Format:
     """Storage format for one linear under the policy."""
-    if desc.index >= desc.total_layers:
-        raise ConfigError(f"layer index {desc.index} >= total {desc.total_layers}")
     if policy.base == "reference":
         return Format.REFERENCE
     if desc.kind in _ALWAYS_REFERENCE:
@@ -777,42 +802,29 @@ def linear_precision(desc: LayerDescriptor, policy: PrecisionPolicy, seed: int) 
 _FMT_TAGS = {"nvfp4": 1, "mxfp8": 2}
 
 
-def _pack_nibbles(codes: np.ndarray) -> bytes:
-    flat = codes.reshape(-1).astype(np.uint8)
-    if flat.size % 2:
-        flat = np.concatenate([flat, np.zeros(1, np.uint8)])
-    return ((flat[0::2] & 0xF) | (flat[1::2] << 4)).tobytes()  # low nibble = even index
-
-
-def _unpack_nibbles(raw: bytes, count: int) -> np.ndarray:
-    packed = np.frombuffer(raw, np.uint8)
-    return np.stack([packed & 0xF, packed >> 4], axis=1).reshape(-1)[:count]
-
-
 def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
-    """Header {tag, layout, shape, block grid}, scales, then packed codes."""
+    """Header {tag, layout, shape, block grid}, scales, then packed codes. A record that breaks the rule
+    for what a quantized record may hold raises, as ``dequantize`` does, before a byte is written."""
+    codes, scales, g, _ = _decode(q, decode=False)
 
     def dims(shape) -> bytes:
         return struct.pack(f"<B{len(shape)}q", len(shape), *shape)
 
     if isinstance(q, QuantizedTensorNVFP4):
         head = struct.pack("<BB", _FMT_TAGS["nvfp4"], q.layout != Layout.BLOCK_1D) + dims(q.shape)
-        head += dims(q.codes.shape) + struct.pack("<f", float(q.global_scale))
-        scales, codes = q.block_scales, _pack_nibbles(q.codes)
+        head += dims(codes.shape) + struct.pack("<f", float(g))
+        flat = np.concatenate([codes.reshape(-1), np.zeros(codes.size % 2, np.uint8)])
+        packed = (flat[0::2] | flat[1::2] << 4).tobytes()  # the low nibble holds the even index
     else:
-        head = struct.pack("<BB", _FMT_TAGS["mxfp8"], 0) + dims(q.shape) + dims(q.codes.shape)
-        scales, codes = q.scale_exps.astype("<i2"), q.codes.astype(np.uint8).tobytes()
-    return head + dims(scales.shape) + scales.tobytes() + struct.pack("<q", q.codes.size) + codes
+        head = struct.pack("<BB", _FMT_TAGS["mxfp8"], 0) + dims(q.shape) + dims(codes.shape)
+        scales, packed = scales.astype("<i2", copy=False), codes.tobytes()
+    return head + dims(scales.shape) + scales.tobytes() + struct.pack("<q", codes.size) + packed
 
 
 def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMXFP8:
-    """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes, grids that
-    disagree with the shape, and scales or codes that no quantizer makes (a
-    global scale that is not a power of two of at least 2^-126, whose
-    products with block scales would round, E4M3 NaN codes, sign-set
-    block scales, exponents outside E8M0, block scales or codes that decode
-    past float32's maximum) raise ``CheckpointError``; an unknown tag raises
-    ``ConfigError``."""
+    """Inverse of ``quantized_to_bytes``. Truncated or trailing bytes, and a record whose grids do not fit
+    its shape or that breaks the rule for what a quantized record may hold, the one check ``dequantize``
+    and ``quantized_to_bytes`` run, raise ``CheckpointError``; an unknown tag raises ``ConfigError``."""
     view, off = memoryview(raw), 0
 
     def take(n: int) -> memoryview:
@@ -836,36 +848,23 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
         raise ConfigError(f"unknown quantized format tag {tag}")
     nvfp4 = tag == _FMT_TAGS["nvfp4"]
     shape, codes_shape = dims(), dims()
-    g = unpack("<f")[0] if nvfp4 else None
+    g = np.float32(unpack("<f")[0]) if nvfp4 else None
     scales_shape = dims()
     scales = np.frombuffer(take(math.prod(scales_shape) * (1 if nvfp4 else 2)), np.uint8 if nvfp4 else "<i2")
     (n_codes,) = unpack("<q")
-    codes = (_unpack_nibbles(take((n_codes + 1) // 2), n_codes) if nvfp4
-             else np.frombuffer(take(n_codes), np.uint8))
+    packed = np.frombuffer(take((n_codes + 1) // 2 if nvfp4 else n_codes), np.uint8)
+    codes = np.stack([packed & 0xF, packed >> 4], axis=1).reshape(-1)[:n_codes] if nvfp4 else packed
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
     layouts = list(_LAYOUT_FORMAT) if nvfp4 else [Layout.BLOCK_1D]
-    if layout_code >= len(layouts) or (layouts[layout_code] == Layout.BLOCK_2D and len(shape) != 2):
-        raise CheckpointError(f"layout code {layout_code} does not fit tag {tag} and shape {shape}")
-    fmt = _LAYOUT_FORMAT[layouts[layout_code]] if nvfp4 else Format.MXFP8
-    grid, scales_grid = _grids(fmt, shape)
-    if (codes_shape, scales_shape, n_codes) != (grid, scales_grid, math.prod(grid)):
-        raise CheckpointError(f"quantized record of shape {shape} holds {n_codes} codes on grid "
-                              f"{codes_shape} and scales on {scales_shape}, not {grid} and {scales_grid}")
-    codes, scales = codes.reshape(grid).copy(), scales.reshape(scales_grid).copy()
-    if nvfp4:  # block scale codes above E4M3's top finite magnitude are NaN or negative
-        unproducible = (not (math.isfinite(g) and g >= 2.0**-126 and math.frexp(g)[0] == 0.5)  # as quant_encode picks
-                        or (scales > _E4M3.top).any())
-    else:
-        unproducible = ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any() or ((codes & 0x7F) == 0x7F).any()
-    if not unproducible:  # nor a block scale, or a code times it, past float32's maximum
-        (bh, bw), (nr, nb) = _BLOCK[fmt], scales_grid
-        elem, table, eff = ((_E2M1, E2M1_TABLE, E4M3_TABLE.take(scales) * np.float64(g)) if nvfp4
-                            else (_E4M3, E4M3_TABLE, np.ldexp(1.0, scales)))
-        unproducible = (eff > _FLT_MAX).any() or _past_max(elem, table, codes.reshape(nr, bh, nb, bw),
-                                                             eff[:, None, :, None])
-    if unproducible:
-        raise CheckpointError(f"quantized record of shape {shape} holds a scale or code no quantizer makes")
-    if nvfp4:
-        return QuantizedTensorNVFP4(shape, layouts[layout_code], codes, scales, np.float32(g))
-    return QuantizedTensorMXFP8(shape, codes, scales.astype(np.int16))
+    if layout_code >= len(layouts) or n_codes != math.prod(codes_shape):
+        raise CheckpointError(f"quantized record, tag {tag}, layout {layout_code}: {n_codes} codes on {codes_shape}")
+    codes = codes.reshape(codes_shape).copy()
+    scales = scales.reshape(scales_shape).astype(np.uint8 if nvfp4 else np.int16)
+    q = (QuantizedTensorNVFP4(shape, layouts[layout_code], codes, scales, g) if nvfp4
+         else QuantizedTensorMXFP8(shape, codes, scales))
+    try:
+        _decode(q, decode=False)
+    except (ShapeError, NumericInputError) as e:
+        raise CheckpointError(f"quantized record of shape {shape} holds what no quantizer makes: {e}") from e
+    return q

@@ -810,8 +810,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     as numpy's own type promotion of that expression would give; the
     gradient for ``x`` is then rounded to float32.
     """
-    if x.shape[-1] != weight.shape[0]:
-        raise ShapeError(f"rms_norm trailing dim {x.shape[-1]} != weight dim {weight.shape[0]}")
+    if not x.shape or weight.shape != x.shape[-1:]:
+        raise ShapeError(f"rms_norm needs a weight of the trailing dim of x, got x {x.shape} and weight {weight.shape}")
     d = x.shape[-1]
     dtype = np.result_type(x.data, weight.data)
     xs, w = np.ascontiguousarray(x.data, dtype), np.ascontiguousarray(weight.data, dtype)
@@ -833,11 +833,11 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     with the bits of the numpy body ``m = z.max(1)``, ``e = exp(z - m)``, ``s = e.sum(1)``, loss ``-((z - m) -
     log(s))[rows, targets].mean()`` and gradient ``(e / s - onehot) * (dout / T)`` on C-contiguous logits."""
     targets = np.asarray(targets)
+    if logits.data.ndim != 2 or not logits.shape[0] or targets.shape != logits.shape[:1]:
+        raise ShapeError(f"cross_entropy needs [T, vocab] logits with T > 0 and [T] targets, "
+                         f"got {logits.shape} and {targets.shape}")
     t, v = logits.shape
-    if targets.ndim != 1 or targets.shape[0] != t:
-        raise ShapeError(f"targets shape {targets.shape} does not match logits {logits.shape}")
-    if targets.min(initial=0) < 0 or (targets.size and targets.max() >= v):
-        raise TokenIndexError(f"target id out of range for vocab {v}")
+    targets = _checked_index("cross_entropy", targets, v)
     y, m, s = _softmax_rows(logits.data, causal=False)
     rows = np.arange(t)
     out = np.asarray(-((logits.data[rows, targets] - m) - np.log(s)).mean(), dtype=y.dtype)
@@ -879,6 +879,8 @@ def transpose2d(x: Tensor) -> Tensor:
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Columns [start, stop) of a matrix."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"slice_cols needs a matrix, got shape {x.shape}")
     out = x.data[:, start:stop]
 
     def bwd(dout):
@@ -888,6 +890,8 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def concat_cols(parts: Sequence[Tensor]) -> Tensor:
+    if not parts or any(p.data.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
+        raise ShapeError(f"concat_cols needs matrices with one row count, got {[p.shape for p in parts]}")
     widths = [p.shape[1] for p in parts]
     out = np.concatenate([p.data for p in parts], axis=1)
     offsets = np.cumsum([0] + widths)
@@ -928,6 +932,8 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def scatter_rows(vals: Tensor, idx: np.ndarray, num_rows: int) -> Tensor:
     """Rows of ``vals`` added into a zero [num_rows, d] matrix at ``idx``."""
+    if vals.data.ndim != 2:
+        raise ShapeError(f"scatter_rows needs a matrix of rows, got shape {vals.shape}")
     idx = _checked_index("scatter_rows", idx, num_rows)
     out = np.zeros((num_rows, vals.shape[1]), dtype=vals.data.dtype)
     _scatter_add(out, idx, vals.data)
@@ -945,6 +951,8 @@ def gather_cols(x: Tensor, idx: np.ndarray) -> Tensor:
 
 def take_elems(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     """Element gather out[...] = x[rows[...], cols[...]] over the broadcast index arrays."""
+    if x.data.ndim < 2:
+        raise ShapeError(f"take_elems indexes two axes, got shape {x.shape}")
     rows = _checked_index("take_elems rows", rows, x.shape[0])
     cols = _checked_index("take_elems cols", cols, x.shape[1])
     out = x.data[rows, cols]
@@ -991,10 +999,9 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
     Runs in C (``conv_fwd``/``conv_bwd`` in _SCAN_SOURCE) with the bits of
     numpy adding bias and then each tau's products over the padded input.
     """
-    t, c = x.shape
-    k = w.shape[0]
-    if w.shape[1] != c or bias.shape[0] != c:
-        raise ShapeError(f"conv channel mismatch: x {x.shape}, w {w.shape}, bias {bias.shape}")
+    if x.data.ndim != 2 or w.data.ndim != 2 or w.shape[1] != x.shape[1] or bias.shape != x.shape[1:]:
+        raise ShapeError(f"conv needs x [T, C], w [K, C] and bias [C], got {x.shape}, {w.shape} and {bias.shape}")
+    (t, c), k = x.shape, w.shape[0]
     dtype = np.result_type(x.data, w.data, bias.data)
     xs, ws, b = (np.ascontiguousarray(v.data, dtype) for v in (x, w, bias))
     out = np.empty((t, c), dtype)

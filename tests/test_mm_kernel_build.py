@@ -18,6 +18,7 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,7 +164,8 @@ def _bits(values):
 
 
 def _quant_outputs():
-    """Codes, scales and global scale of each format and rounding on a few inputs, and their decodes."""
+    """Codes, scales and global scale of each format and rounding on a few inputs, and their decodes; then
+    the decode statuses of records that break the rule for what a quantized record may hold."""
     rng = np.random.default_rng(8)
     wide = rng.standard_normal((37, 1064)).astype(np.float32)
     wide *= (np.float32(2.0) ** rng.integers(-140, 120, (37, 1))).astype(np.float32)  # subnormal to near max
@@ -175,7 +177,23 @@ def _quant_outputs():
         for x in (wide, ties, test_quant.signed_zero_and_subnormal_input()):
             for mode in (Q.NEAREST_EVEN, Q.stochastic(5)):
                 codes, scales, g = Q._encode_kernel_c(fmt, x, mode)
-                out += [codes, scales, g, Q._decode_kernel_c(fmt, x.shape, codes, scales, g)]
+                values = np.empty(x.shape, np.float32)
+                status = Q._decode_kernel_c(fmt, x.shape, codes, scales, np.float32(0) if g is None else g, values)
+                out += [codes, scales, g, status, values]
+    nvfp4, nvfp4_2d, mxfp8 = test_quant.serialized_cases()
+    damaged = [(nvfp4, "global_scale", (), 0.1), (nvfp4, "block_scales", (0, 1), 0xFF),
+               (nvfp4, "block_scales", (1, 2), 0x80), (nvfp4_2d, "codes", (19, 40), 16),  # in the padding
+               (mxfp8, "scale_exps", (1, 1), 128), (mxfp8, "codes", (0, 1, 2), 0x7F),
+               (mxfp8, "scale_exps", (1, 1), 127), (nvfp4, "global_scale", (), 2.0**127)]  # past float32's max
+    for q, field, at, value in damaged:
+        arr = np.array(getattr(q, field))
+        arr[at] = value
+        q = replace(q, **{field: arr})
+        nvfp4 = isinstance(q, Q.QuantizedTensorNVFP4)
+        fmt = Q._LAYOUT_FORMAT[q.layout] if nvfp4 else Q.Format.MXFP8
+        scales, g = (q.block_scales, np.float32(q.global_scale)) if nvfp4 else (q.scale_exps, np.float32(0))
+        for values in (None, np.empty(q.shape, np.float32)):
+            out.append(Q._decode_kernel_c(fmt, q.shape, q.codes, scales, g, values))
     return out
 
 

@@ -3,8 +3,8 @@
 The C kernels are checked against a numpy oracle built here from the
 sorted-grid search that the encoders used before they rounded on float32
 bits, the formats' scale rules in float64 and numpy's own Philox draws.
-The decode tables are checked against the OCP Microscaling Formats (MX)
-v1.0 values.
+Every code's decoded value is checked against the OCP Microscaling Formats
+(MX) v1.0 values.
 """
 
 import hashlib
@@ -46,6 +46,7 @@ E2M1_VALUES = np.concatenate([E2M1_GRID, -E2M1_GRID])  # every code's value; cod
 E4M3_VALUES = np.array([ocp_e4m3(c) for c in range(256)], np.float32)
 GRIDS = {"e2m1": (E2M1_GRID, 3), "e4m3": (E4M3_GRID, 7)}
 FLT_MAX = np.finfo(np.float32).max
+E8M0_MIN_EXP, E8M0_MAX_EXP = -127, 127
 
 
 def oracle_nearest_even(mag, grid):
@@ -123,18 +124,35 @@ def oracle_encode_blocks(fmt, data, mode):
     return codes.reshape(grid), scales, g
 
 
-def oracle_decode_blocks(fmt, shape, codes, scales, g):
-    """The decode kernel's contract, from the OCP values in float32: None for a NaN E4M3 code."""
-    codes, scales = np.asarray(codes), np.asarray(scales)
-    if np.isnan(E4M3_VALUES[codes if fmt == Q.Format.MXFP8 else scales]).any():
-        return None
-    if fmt == Q.Format.MXFP8:
-        vals, eff = E4M3_VALUES[codes], np.ldexp(np.float32(1), scales.astype(np.int32))
-    else:
-        vals, eff = E2M1_VALUES[codes], E4M3_VALUES[scales] * np.float32(g)
+def oracle_decode_blocks(fmt, shape, codes, scales, g, out):
+    """The decode kernel's contract, from the rule for what a quantized record may hold in float64 and the
+    OCP values: the status of the first part of the rule the record breaks, in the kernel's order (3 the
+    global scale, 4 a block scale, 6 a block scale past float32's maximum, 5 a code off its grid, padding
+    included, 6 a code times its scale past that maximum), else 0 after writing the float32 values to
+    ``out`` unless it is None."""
     (bh, bw), (nr, nb), (rows, cols) = Q._BLOCK[fmt], scales.shape, Q._matrix(shape)
-    out = (vals.reshape(nr, bh, nb, bw) * eff[:, None, :, None]).reshape(nr * bh, nb * bw)
-    return np.ascontiguousarray(out[:rows, :cols]).reshape(shape)
+    if fmt == Q.Format.MXFP8:
+        if ((scales < E8M0_MIN_EXP) | (scales > E8M0_MAX_EXP)).any():
+            return 4
+        vals, eff = E4M3_VALUES[codes], np.ldexp(np.float32(1), scales.astype(np.int32))
+        off = np.isnan(vals)
+    else:
+        if not (np.isfinite(g) and g >= 2.0**-126 and np.frexp(g)[0] == 0.5):
+            return 3
+        if (scales > 126).any():
+            return 4
+        if (E4M3_VALUES[scales].astype(np.float64) * np.float64(g) > FLT_MAX).any():
+            return 6
+        vals, eff = E2M1_VALUES[codes & 15], E4M3_VALUES[scales] * np.float32(g)
+        off = codes > 15
+    if off.any():
+        return 5
+    vals, eff = vals.reshape(nr, bh, nb, bw), eff[:, None, :, None]
+    if (np.abs(vals.astype(np.float64)) * eff.astype(np.float64) > FLT_MAX).any():
+        return 6
+    if out is not None:
+        out[...] = (vals * eff).reshape(nr * bh, nb * bw)[:rows, :cols].reshape(shape)
+    return 0
 
 
 HOWS = [("e2m1", "nearest"), ("e2m1", "stochastic"), ("e4m3", "nearest"), ("e4m3", "stochastic"),
@@ -224,17 +242,23 @@ def test_rounding_matches_searchsorted_oracle_property(x, seed):
 
 
 def test_e2m1_table_matches_ocp_values():
-    assert Q.E2M1_TABLE.dtype == np.float32
-    assert Q.E2M1_TABLE.tobytes() == E2M1_VALUES.tobytes()  # code 8 is -0.0
+    """Every E2M1 code under a unit block scale decodes through dequantize to its OCP value, the sign of zero
+    included."""
+    nvfp4 = Q.QuantizedTensorNVFP4((1, 16), Q.Layout.BLOCK_1D, np.arange(16, dtype=np.uint8).reshape(1, 1, 16),
+                                   np.full((1, 1), 0x38, np.uint8), np.float32(1))  # E4M3 0x38 is 1.0
+    assert nvfp4.dequantize().tobytes() == E2M1_VALUES.tobytes()  # code 8 is -0.0
 
 
 def test_e4m3_table_matches_ocp_values():
-    nan = np.isnan(E4M3_VALUES)
-    assert list(np.flatnonzero(nan)) == [0x7F, 0xFF]
-    assert np.isnan(Q.E4M3_TABLE[nan]).all()
-    assert Q.E4M3_TABLE[~nan].tobytes() == E4M3_VALUES[~nan].tobytes()
-    assert (Q.E4M3_TABLE[0x7E], Q.E4M3_TABLE[0x01], Q.E4M3_TABLE[0x08], Q.E4M3_TABLE[0xFE]) == (
-        448.0, 2.0 ** -9, 2.0 ** -6, -448.0)
+    """Every E4M3 code but its two NaNs decodes through dequantize under exponent 0 to its OCP value."""
+    assert E4M3_VALUES[[0x7E, 0x01, 0x08, 0xFE]].tolist() == [448.0, 2.0 ** -9, 2.0 ** -6, -448.0]
+    finite = np.flatnonzero(~np.isnan(E4M3_VALUES))
+    assert sorted(set(range(256)) - set(finite)) == [0x7F, 0xFF]
+    grid, scales_grid = Q._grids(Q.Format.MXFP8, (1, finite.size))
+    codes = np.zeros(grid, np.uint8)
+    codes.reshape(-1)[:finite.size] = finite
+    mxfp8 = Q.QuantizedTensorMXFP8((1, finite.size), codes, np.zeros(scales_grid, np.int16))
+    assert mxfp8.dequantize().tobytes() == E4M3_VALUES[finite].tobytes()
 
 
 @pytest.mark.parametrize("name", ["e2m1", "e4m3"])
@@ -393,6 +417,45 @@ def serialized_cases():
             Q.quantize_mxfp8(x[:6].reshape(2, 3, 72))]
 
 
+def unchecked_to_bytes(q):
+    """The bytes that quantized_to_bytes wrote before it checked the record, so that a record it now refuses
+    still reaches quantized_from_bytes. Each array is cast or masked to its field, so a code too wide for its
+    nibble or byte wraps, and int64 block scales take 8 bytes each."""
+
+    def dims(shape) -> bytes:
+        return struct.pack(f"<B{len(shape)}q", len(shape), *shape)
+
+    if isinstance(q, Q.QuantizedTensorNVFP4):
+        head = struct.pack("<BB", 1, q.layout != Q.Layout.BLOCK_1D) + dims(q.shape)
+        head += dims(q.codes.shape) + struct.pack("<f", float(q.global_scale))
+        flat = q.codes.reshape(-1).astype(np.uint8)
+        if flat.size % 2:
+            flat = np.concatenate([flat, np.zeros(1, np.uint8)])
+        scales, codes = q.block_scales, ((flat[0::2] & 0xF) | (flat[1::2] << 4)).tobytes()
+    else:
+        head = struct.pack("<BB", 2, 0) + dims(q.shape) + dims(q.codes.shape)
+        scales, codes = q.scale_exps.astype("<i2"), q.codes.astype(np.uint8).tobytes()
+    return head + dims(scales.shape) + scales.tobytes() + struct.pack("<q", q.codes.size) + codes
+
+
+def same_record(q, r) -> bool:
+    """Whether records q and r hold the same shape, layout, values and global scale, in any dtypes."""
+    fields = ("layout", "codes", "block_scales", "scale_exps", "global_scale")
+    return type(q) is type(r) and tuple(q.shape) == tuple(r.shape) and all(
+        np.array_equal(getattr(q, f, None), getattr(r, f, None)) for f in fields)
+
+
+def assert_refused(q, match="no quantizer makes"):
+    """dequantize and quantized_to_bytes raise NumericInputError for record q, and quantized_from_bytes
+    CheckpointError for its unchecked bytes."""
+    with pytest.raises(NumericInputError):
+        q.dequantize()
+    with pytest.raises(NumericInputError):
+        Q.quantized_to_bytes(q)
+    with pytest.raises(CheckpointError, match=match):
+        Q.quantized_from_bytes(unchecked_to_bytes(q))
+
+
 @pytest.mark.parametrize("case", range(3))
 def test_serialization_round_trips_and_rejects_damage(case):
     q = serialized_cases()[case]
@@ -433,8 +496,7 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
     damaged += [poke(mxfp8, "scale_exps", (1, 1), e) for e in (-30000, -128, 128, 200)]  # outside E8M0
     damaged += [poke(mxfp8, "codes", (0, 1, 2), c) for c in (0x7F, 0xFF)]  # NaN elements
     for q in damaged:
-        with pytest.raises(CheckpointError):
-            Q.quantized_from_bytes(Q.quantized_to_bytes(q))
+        assert_refused(q)
     for e in (-127, 127):  # E8M0's ends load
         q = poke(mxfp8, "scale_exps", (1, 1), e)
         if e == 127:  # the block's codes reach 256, past float32's maximum at 2^127
@@ -448,8 +510,7 @@ def test_serialization_takes_only_global_scales_a_quantizer_makes():
     (0.1) or is one no quantizer picks (2^-130, a float32 subnormal)."""
     nvfp4 = Q.quantize_nvfp4(golden_input()[:2, :16])
     for g in (0.1, 3.0, 1.5 * 2.0**-126, 2.0**-127, 2.0**-130, np.nextafter(np.float32(1), np.float32(2))):
-        with pytest.raises(CheckpointError, match="no quantizer makes"):
-            Q.quantized_from_bytes(Q.quantized_to_bytes(replace(nvfp4, global_scale=np.float32(g))))
+        assert_refused(replace(nvfp4, global_scale=np.float32(g)))
     for g in (2.0**-126, 1.0, 2.0**64):
         back = Q.quantized_from_bytes(Q.quantized_to_bytes(replace(nvfp4, global_scale=np.float32(g))))
         assert back.global_scale == g
@@ -458,24 +519,117 @@ def test_serialization_takes_only_global_scales_a_quantizer_makes():
 
 
 def test_serialization_rejects_records_that_decode_past_float32_max():
+    """So do dequantize, which decoded them to inf or NaN before the one check, and quantized_to_bytes."""
     mxfp8 = Q.quantize_mxfp8(np.ones((1, 32), np.float32))
     assert (E4M3_VALUES[mxfp8.codes] == 256).all() and mxfp8.scale_exps.tolist() == [[-8]]
     nvfp4 = Q.quantize_nvfp4(np.ones((1, 16), np.float32))
     top_scale = np.full_like(nvfp4.block_scales, 0x7E)  # 448
     damaged = [replace(mxfp8, scale_exps=np.full_like(mxfp8.scale_exps, 127)),  # 256 * 2^127
                replace(nvfp4, global_scale=np.float32(2.0**127)),  # 6 * its block scale * 2^127
-               # 448 * 2^120 passes float32's maximum, so the decoder's block scale is inf:
-               # a code of 0.5 decodes to inf, though its float64 product does not pass it,
+               # 448 * 2^120 passes float32's maximum, so a float32 block scale would be inf:
+               # a code of 0.5 would decode to inf, though its float64 product does not pass it,
                # and a code of 0 to NaN
                replace(nvfp4, codes=np.ones_like(nvfp4.codes), block_scales=top_scale,
                        global_scale=np.float32(2.0**120)),
                replace(nvfp4, codes=np.zeros_like(nvfp4.codes), block_scales=top_scale,
                        global_scale=np.float32(2.0**120))]
     for q in damaged:
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(q.dequantize()).all()
-        with pytest.raises(CheckpointError, match="no quantizer makes"):
-            Q.quantized_from_bytes(Q.quantized_to_bytes(q))
+        assert_refused(q)
+
+
+def sign_set(scales):
+    scales = scales.copy()
+    scales[0, 1] |= 0x80
+    return scales
+
+
+# Records that dequantize and quantized_to_bytes once took without an error, built from serialized_cases'
+# NVFP4 and MXFP8 records: values wider than the kernel's types, which wrapped back to the quantizer's, and
+# scales no quantizer makes
+WRAPPED_OR_UNPRODUCIBLE = {
+    "nvfp4_int64_scales_plus_256": lambda n, m: replace(n, block_scales=n.block_scales.astype(np.int64) + 256),
+    "nvfp4_int64_codes_plus_16": lambda n, m: replace(n, codes=n.codes.astype(np.int64) + 16),
+    "nvfp4_uint8_codes_plus_16": lambda n, m: replace(n, codes=n.codes + 16),
+    "mxfp8_int64_codes_plus_256": lambda n, m: replace(m, codes=m.codes.astype(np.int64) + 256),
+    "nvfp4_sign_set_scale": lambda n, m: replace(n, block_scales=sign_set(n.block_scales)),  # decoded negative
+    "nvfp4_global_scale_0.1": lambda n, m: replace(n, global_scale=0.1),  # decoded with products that round
+    "nvfp4_global_scale_2^127": lambda n, m: replace(n, global_scale=np.float32(2.0**127)),  # decoded to inf
+}
+# A nibble or a byte cannot hold these codes: the unchecked writer masks them back to the quantizer's
+UNWRITABLE = {"nvfp4_int64_codes_plus_16": 0xF, "nvfp4_uint8_codes_plus_16": 0xF, "mxfp8_int64_codes_plus_256": 0xFF}
+
+
+@pytest.mark.parametrize("name", WRAPPED_OR_UNPRODUCIBLE)
+def test_dequantize_and_serialization_refuse_what_no_quantizer_makes(name):
+    nvfp4, _, mxfp8 = serialized_cases()
+    q = WRAPPED_OR_UNPRODUCIBLE[name](nvfp4, mxfp8)
+    if name not in UNWRITABLE:
+        assert_refused(q, match=None)  # int64 block scales take 8 bytes each: the record reads back truncated
+        return
+    with pytest.raises(NumericInputError, match="code off its element grid"):
+        q.dequantize()
+    with pytest.raises(NumericInputError, match="code off its element grid"):
+        Q.quantized_to_bytes(q)
+    back = Q.quantized_from_bytes(unchecked_to_bytes(q))
+    assert not same_record(back, q) and np.array_equal(back.codes, q.codes & UNWRITABLE[name])
+
+
+@st.composite
+def records(draw):
+    """A record with a random format, shape, codes, scales and global scale. Each field is either drawn from
+    the values a quantizer makes or from any value of its dtype; in the int64 and float64 case that includes
+    values the kernel's types cannot hold."""
+    fmt = draw(st.sampled_from(FORMATS))
+    shape = tuple(draw(st.lists(st.integers(0, 40), min_size=2 if fmt == Q.Format.NVFP4_2D else 0,
+                                max_size=2 if fmt == Q.Format.NVFP4_2D else 3)))
+    grid, scales_grid = Q._grids(fmt, shape)
+    wide = draw(st.booleans())
+    mxfp8 = fmt == Q.Format.MXFP8
+
+    def field(arr_shape, dtype, valid, wide_range):
+        if draw(st.integers(0, 3)):
+            elements = valid
+        else:
+            elements = st.integers(*wide_range) if wide else st.integers(np.iinfo(dtype).min, np.iinfo(dtype).max)
+        return draw(hnp.arrays(np.int64 if wide else dtype, arr_shape, elements=elements))
+
+    codes = field(grid, np.uint8, st.integers(0, 255).filter(lambda c: c & 0x7F != 0x7F) if mxfp8
+                  else st.integers(0, 15), (-300, 300))
+    if mxfp8:
+        return Q.QuantizedTensorMXFP8(shape, codes, field(scales_grid, np.int16, st.integers(-127, 127),
+                                                          (-70000, 70000)))
+    scales = field(scales_grid, np.uint8, st.integers(0, 126), (-300, 300))
+    g = draw(st.one_of(st.integers(-150, 127).map(lambda e: 2.0**e), st.floats(width=32),
+                       st.floats(-3e38, 3e38) if wide else st.nothing()))
+    layout = Q.Layout.BLOCK_2D if fmt == Q.Format.NVFP4_2D else Q.Layout.BLOCK_1D
+    return Q.QuantizedTensorNVFP4(shape, layout, codes, scales, g if wide else np.float32(g))
+
+
+@settings(max_examples=300, deadline=None)
+@given(records())
+def test_dequantize_and_serialization_check_one_rule(q):
+    """dequantize, quantized_to_bytes and quantized_from_bytes agree on every record, and the numpy oracle's
+    rule agrees with the kernel's. A record they refuse does not load from its unchecked bytes, or loads as
+    another record where the bytes cannot hold its codes; one they take round-trips to the same bits."""
+    outcomes = []
+    for path in PATHS:
+        with on_path(path):
+            try:
+                outcomes.append(q.dequantize().tobytes())
+            except NumericInputError as e:
+                outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    if isinstance(outcomes[0], str):
+        with pytest.raises(NumericInputError):
+            Q.quantized_to_bytes(q)
+        try:
+            back = Q.quantized_from_bytes(unchecked_to_bytes(q))
+        except CheckpointError:
+            return
+        assert not same_record(back, q)
+        return
+    back = Q.quantized_from_bytes(Q.quantized_to_bytes(q))
+    assert same_record(back, q) and back.dequantize().tobytes() == outcomes[0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +792,7 @@ def test_mxfp8_decode_rejects_exponents_outside_e8m0(exp):
     q = Q.QuantizedTensorMXFP8((1, 32), np.full(grid, 0x78, np.uint8), np.full(scales_grid, exp, np.int64))
     with pytest.raises(NumericInputError, match="outside E8M0"):
         q.dequantize()
-    for edge in (Q.E8M0_MIN_EXP, Q.E8M0_MAX_EXP):  # 1.0 times 2^edge
+    for edge in (E8M0_MIN_EXP, E8M0_MAX_EXP):  # 1.0 times 2^edge
         q = Q.QuantizedTensorMXFP8((1, 32), np.full(grid, 0x38, np.uint8), np.full(scales_grid, edge, np.int64))
         assert (q.dequantize() == np.float32(2.0**edge)).all()
 

@@ -1512,6 +1512,26 @@ TYPED_ERRORS = {
         (2, 20), Q.Layout.BLOCK_1D, np.zeros((2, 1, 16), np.uint8), np.zeros((2, 1), np.uint8), 1.0).dequantize()),
     "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
         (16,), Q.Layout.BLOCK_2D, np.zeros(16, np.uint8), np.zeros(1, np.uint8), 1.0).dequantize()),
+    "quantize_nvfp4_unknown_layout": (ConfigError, lambda: Q.quantize_nvfp4(np.ones(16, np.float32), "bad")),
+    "layer_index_negative": (ConfigError, lambda: Q.LayerDescriptor(Q.LayerKind.EXPERT_FFN, -1, 4)),
+    "layer_index_float": (ConfigError, lambda: Q.LayerDescriptor(Q.LayerKind.EXPERT_FFN, 1.5, 4)),
+    "layer_kind_unknown": (ConfigError, lambda: Q.LayerDescriptor("bogus", 0, 4)),
+    "layer_index_of_no_layers": (ConfigError, lambda: Q.LayerDescriptor(Q.LayerKind.EXPERT_FFN, -1, 0)),
+    "cross_entropy_float_targets": (TokenIndexError, lambda: T.cross_entropy(_t(2, 4), np.array([0.0, 1.0]))),
+    "cross_entropy_logits_1d": (ShapeError, lambda: T.cross_entropy(_t(4), np.zeros(4, int))),
+    "cross_entropy_no_rows": (ShapeError, lambda: T.cross_entropy(_t(0, 4), np.zeros(0, int))),
+    "slice_cols_1d": (ShapeError, lambda: T.slice_cols(_t(4), 0, 2)),
+    "take_elems_1d": (ShapeError, lambda: T.take_elems(_t(4), np.array([0]), np.array([0]))),
+    "scatter_rows_1d_values": (ShapeError, lambda: T.scatter_rows(_t(4), np.array([0, 1, 2, 3]), 4)),
+    "rms_norm_0d_weight": (ShapeError, lambda: T.rms_norm(_t(2, 4), _t())),
+    "causal_conv1d_x_1d": (ShapeError, lambda: T.causal_conv1d(_t(6), _t(4, 1), _t(1))),
+    "concat_cols_empty": (ShapeError, lambda: T.concat_cols([])),
+    "concat_cols_rows_differ": (ShapeError, lambda: T.concat_cols([_t(2, 3), _t(3, 3)])),
+    "apply_rht_axis_out_of_range": (ShapeError, lambda: Q.apply_rht(
+        np.ones((4, 16), np.float32), Q.random_hadamard(16, 0), 2)),
+    "apply_rht_non_square": (ShapeError, lambda: Q.apply_rht(
+        np.ones((4, 16), np.float32), np.ones((16, 8), np.float32), 1)),
+    "apply_rht_empty_matrix": (ShapeError, lambda: Q.apply_rht(np.ones((4, 16), np.float32), np.ones((0, 0)), 1)),
 }
 
 
