@@ -207,15 +207,21 @@ def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
 #
 # The one block table, BH and BW as _BLOCK, cuts the [rows, cols] matrix into
 # blocks zero-padded at the ends, and encode_blocks gives each block its scale
-# and its codes, on the code grid of _grids. A block's codes are built one
-# element at a time in that arithmetic: float32 bits for the grid index
-# (rounding by bias and shift), an integer conversion for the subnormal
-# index, u < fraction in double for stochastic rounding. The u of a code is
-# RoundingMode's draw for the code's index in the code grid, computed where
-# it is used from that index and the Philox key (seed mod 2^64, seed >> 64):
-# no uniform array is made, and a block of zeros skips its draws without
-# moving any other. Maxima are integer maxima of |x|'s bits, which order like
-# the values and flag inf and NaN. The source is built with tensor.py's
+# and its codes, on the code grid of _grids. It encodes a row of blocks in runs
+# of up to 64 blocks, on 16-float GCC vectors as _MM_SOURCE's tile does, in
+# three passes: the blocks' maxima, 16 blocks to a vector; their scales; then
+# their codes, 16 to a vector in that arithmetic: float32 bits for the grid
+# index (rounding by bias and shift), an integer conversion for the subnormal
+# index, u < fraction in double for stochastic rounding, after one divide by
+# the block scale. The u of a code is RoundingMode's draw for the code's index
+# in the code grid, drawn from that index and the Philox key (seed mod 2^64,
+# seed >> 64) into a buffer of the run's draws: no uniform array of the grid
+# is made, and a block of zeros skips its draws without moving any other.
+# Maxima are integer maxima of |x|'s bits, which order like the values and
+# flag inf and NaN. quant_decode's row loop is one per format and decodes 16
+# codes to a vector. Every vector helper takes and gives its vectors through
+# pointers: a 64-byte vector passed by value would change the baseline clone's
+# ABI, which GCC warns of (-Wpsabi). The source is built with tensor.py's
 # flags, which keep every float operation an IEEE one rounded as written.
 _QUANT_SOURCE = r"""
 #include <float.h>
@@ -235,13 +241,15 @@ enum { FLOOR, CEIL, NEAREST };
 #define ABS 0x7fffffffu
 #define INF 0x7f800000u
 
-static inline uint32_t f2u(float f) { uint32_t u; memcpy(&u, &f, 4); return u; }
-static inline float u2f(uint32_t u) { float f; memcpy(&f, &u, 4); return f; }
-/* min and max of floats >= +0 taken on their bits, which the vectorizer handles as integers */
-static inline float min0(float a, float b) { return u2f(f2u(a) < f2u(b) ? f2u(a) : f2u(b)); }
-static inline float max0(float a, float b) { return u2f(f2u(a) > f2u(b) ? f2u(a) : f2u(b)); }
+typedef float vf __attribute__((vector_size(64)));
+typedef int32_t vi __attribute__((vector_size(64)));
+typedef uint32_t vu __attribute__((vector_size(64)));
+enum { VW = 16, RUN = 64 };  /* the lanes of a vector; the most blocks a run encodes */
 
-static inline float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 2^127 */
+static inline __attribute__((always_inline)) uint32_t f2u(float f) { uint32_t u; memcpy(&u, &f, 4); return u; }
+static inline __attribute__((always_inline)) float u2f(uint32_t u) { float f; memcpy(&f, &u, 4); return f; }
+
+static inline __attribute__((always_inline)) float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 2^127 */
 {
     if (e > 127) return u2f(INF);
     if (e >= -126) return u2f((uint32_t)(e + 127) << 23);
@@ -250,7 +258,7 @@ static inline float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 
 
 /* The smallest integer e with amax <= limit 2^e, for amax > 0: with amax = m 2^k and
    limit = l 2^j, m and l in [1, 2), it is k - j, plus one when m > l. */
-static inline int pow2_exponent(float amax, float limit)
+static inline __attribute__((always_inline)) int pow2_exponent(float amax, float limit)
 {
     int k = 0;
     if (amax < 0x1p-126f) { amax *= 0x1p64f; k = -64; }  /* a subnormal, made normal */
@@ -258,42 +266,67 @@ static inline int pow2_exponent(float amax, float limit)
     return k + (int)(a >> 23) - (int)(l >> 23) + ((a & 0x7fffffu) > (l & 0x7fffffu));
 }
 
-static inline float tiny_of(int emin) { return emin < 0 ? 1.0f / (float)(1 << -emin) : (float)(1 << emin); }
+static inline __attribute__((always_inline)) float tiny_of(int emin)
+{ return emin < 0 ? 1.0f / (float)(1 << -emin) : (float)(1 << emin); }
 
-/* The grid index of magnitude mag rounded FLOOR, CEIL or NEAREST (ties to the even code), at most top */
-static inline int32_t round_index(float mag, int how, GRID)
+/* *a becomes the lanewise maximum of *a and *b */
+static inline __attribute__((always_inline)) void max_into(vi *a, const vi *b)
 {
-    const int shift = 23 - mb;
-    const float tiny = tiny_of(emin);
-    const int32_t bits = (int32_t)f2u(mag);
-    const int32_t bias = how == FLOOR ? 0 : how == CEIL ? (1 << shift) - 1
-                         : (1 << (shift - 1)) - 1 + ((bits >> shift) & 1);
-    const int32_t idx = ((bits + bias) >> shift) - ((126 + emin) << mb);
-    const float s = min0(mag, tiny) * ((float)(1 << mb) / tiny);  /* in [0, 2^mb] */
-    const int32_t fl = (int32_t)s;
-    const int32_t sub = how == FLOOR ? fl : how == CEIL ? fl + ((float)fl < s)
-                        : (int32_t)((s + 0x1p23f) - 0x1p23f);
-    const int32_t best = idx > sub ? idx : sub;
-    return best < top ? best : top;
+    const vi more = *b > *a;
+    *a = (more & *b) | (~more & *a);
 }
 
-/* The floor index, plus one where u < (mag - floor value) / step, for mag <= max. That fraction
-   is exact in float32: the dropped mantissa bits above 2^emin, the fractional part of mag / step below it. */
-static inline int32_t round_stochastic(float mag, double u, GRID)
+/* The lesser and the greater of each lane of *mag and lim, bits of floats >= +0, which order like their values */
+static inline __attribute__((always_inline)) void clamp_bits(const vi *mag, int32_t lim, vi *lo, vi *hi)
+{
+    const vi m = *mag, below = m < lim;
+    *lo = (below & m) | (~below & lim);
+    *hi = (below & lim) | (~below & m);
+}
+
+/* The grid index of each lane's magnitude, float bits *mag, rounded FLOOR, CEIL or NEAREST (ties to the
+   even code), at most top */
+static inline __attribute__((always_inline)) void round_index(const vi *mag, int how, vi *idx, GRID)
 {
     const int shift = 23 - mb;
     const float tiny = tiny_of(emin);
-    float frac = (float)(int32_t)(f2u(max0(mag, tiny)) & ((1u << shift) - 1)) * (1.0f / (float)(1 << shift));
-    const float s = min0(mag, tiny) * ((float)(1 << mb) / tiny);
-    frac += s - (float)(int32_t)s;
-    return round_index(mag, FLOOR, mb, emin, top, max, sb) + (u < (double)frac);
+    const vi bits = *mag;
+    vi lo, hi;
+    clamp_bits(mag, (int32_t)f2u(tiny), &lo, &hi);
+    const vf s = (vf)lo * ((float)(1 << mb) / tiny);  /* in [0, 2^mb] */
+    const vi fl = __builtin_convertvector(s, vi);
+    vi i = bits >> shift, sub = fl;  /* FLOOR */
+    if (how == CEIL)
+        i = (bits + ((1 << shift) - 1)) >> shift, sub = fl - (__builtin_convertvector(fl, vf) < s);
+    if (how == NEAREST)
+        i = (bits + ((1 << (shift - 1)) - 1) + ((bits >> shift) & 1)) >> shift,
+        sub = __builtin_convertvector((s + 0x1p23f) - 0x1p23f, vi);
+    i -= (126 + emin) << mb;
+    max_into(&i, &sub);
+    clamp_bits(&i, top, idx, &hi);
+}
+
+/* The floor index, plus one in each lane where u < (mag - floor value) / step, for magnitudes at most max.
+   That fraction is exact in float32: the dropped mantissa bits above 2^emin, the fractional part of
+   mag / step below it. */
+static inline __attribute__((always_inline)) void round_stochastic(const vi *mag, const double *u, vi *idx, GRID)
+{
+    const int shift = 23 - mb;
+    const float tiny = tiny_of(emin);
+    vi lo, hi;
+    clamp_bits(mag, (int32_t)f2u(tiny), &lo, &hi);
+    const vf s = (vf)lo * ((float)(1 << mb) / tiny);
+    const vf frac = __builtin_convertvector(hi & ((1 << shift) - 1), vf) * (1.0f / (float)(1 << shift))
+                    + (s - __builtin_convertvector(__builtin_convertvector(s, vi), vf));
+    round_index(mag, FLOOR, idx, mb, emin, top, max, sb);
+    for (int i = 0; i < VW; i++) (*idx)[i] += u[i] < (double)frac[i];
 }
 
 /* Uniforms 4 (c - 1) .. 4 (c - 1) + 3 of np.random.Generator(np.random.Philox(key=k)).random:
    Philox4x64-10 (Salmon et al., SC'11) on counter (c, 0, 0, 0) under the 128-bit key {k0, k1},
    each word w as (w >> 11) 2^-53. A draw depends only on its index, so no block waits for another.
    One counter per call: interleaving 2 to 8 counters measured no faster. */
-static inline void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double *u)
+static inline __attribute__((always_inline)) void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double *u)
 {
     uint64_t w[4] = {c, 0, 0, 0};
     for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu) {
@@ -307,19 +340,35 @@ static inline void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double 
     for (int i = 0; i < 4; i++) u[i] = (double)(w[i] >> 11) * 0x1p-53;
 }
 
-static inline uint8_t code_nearest(float v, GRID)  /* v's sign-magnitude code, rounded to nearest even */
+/* The sign-magnitude codes c[0..16) of x[0..16) / s, rounded to nearest even or, with uniforms u, stochastically */
+static inline __attribute__((always_inline)) void encode_lanes(const float *x, float s, const double *u, uint8_t *c,
+                                                               GRID)
 {
-    const uint32_t b = f2u(v);
-    return (uint8_t)(round_index(u2f(b & ABS), NEAREST, mb, emin, top, max, sb) | (int32_t)(b >> 31) << sb);
+    vf v;
+    memcpy(&v, x, sizeof v);
+    v /= s;
+    const vi bits = (vi)v;
+    vi mag = bits & (int32_t)ABS, idx, hi;
+    if (u) {
+        clamp_bits(&mag, (int32_t)f2u(max), &mag, &hi);
+        round_stochastic(&mag, u, &idx, mb, emin, top, max, sb);
+    } else
+        round_index(&mag, NEAREST, &idx, mb, emin, top, max, sb);
+    idx |= (bits >> 31) & (1 << sb);
+    for (int i = 0; i < VW; i++) c[i] = (uint8_t)idx[i];
 }
 
-static inline uint8_t code_stochastic(float v, double u, GRID)
+/* The values of the codes *c, none of them NaN, in each lane */
+static inline __attribute__((always_inline)) void values_of(const vi *c, vf *v, GRID)
 {
-    const uint32_t b = f2u(v);
-    return (uint8_t)(round_stochastic(min0(u2f(b & ABS), max), u, mb, emin, top, max, sb) | (int32_t)(b >> 31) << sb);
+    const vi idx = *c & ((1 << sb) - 1), sub = idx < (1 << mb);
+    const vi subnormal = (vi)(__builtin_convertvector(idx, vf) * (tiny_of(emin) / (float)(1 << mb)));
+    const vi normal = (idx + ((126 + emin) << mb)) << (23 - mb);
+    *v = (vf)((sub & subnormal) | (~sub & normal) | (vi)(((vu)*c >> sb & 1) << 31));
 }
 
-static inline float value_of(uint32_t c, GRID)  /* a decode table entry, for a code that is not NaN */
+/* One lane of values_of, for a block scale or a check: a scalar formula measured faster than a vector lane */
+static inline __attribute__((always_inline)) float value_of(uint32_t c, GRID)
 {
     const uint32_t idx = c & ((1u << sb) - 1);
     const uint32_t mag = idx < (1u << mb) ? f2u((float)idx * (tiny_of(emin) / (float)(1 << mb)))
@@ -328,7 +377,7 @@ static inline float value_of(uint32_t c, GRID)  /* a decode table entry, for a c
 }
 
 /* Does one of the n codes c decode past FLT_MAX under block scale s? */
-static inline int past_max(const uint8_t *c, int n, float s, GRID)
+static inline __attribute__((always_inline)) int past_max(const uint8_t *c, int n, float s, GRID)
 {
     if ((double)max * (double)s <= (double)FLT_MAX) return 0;
     for (int i = 0; i < n; i++)
@@ -337,64 +386,127 @@ static inline int past_max(const uint8_t *c, int n, float s, GRID)
     return 0;
 }
 
+/* lane j of out is the greatest lane of m[j], for 16 vectors m: each level packs the halved lanes of two
+   vectors into one, as add_sums_SFX in tensor.py */
+static inline __attribute__((always_inline)) void lane_maxima(vi *m, int32_t *out)
+{
+    const vi lo8 = {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23};
+    const vi lo4 = {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27};
+    const vi lo2 = {0, 1, 4, 5, 8, 9, 12, 13, 16, 17, 20, 21, 24, 25, 28, 29};
+    const vi lo1 = {0, 2, 4, 6, 8, 10, 12, 14, 16, 18, 20, 22, 24, 26, 28, 30};
+    const vi *lo[4] = {&lo8, &lo4, &lo2, &lo1};
+#pragma GCC unroll 4
+    for (int l = 0; l < 4; l++)
+#pragma GCC unroll 8
+        for (int i = 0; i < 8 >> l; i++) {
+            const vi b = __builtin_shuffle(m[2 * i], m[2 * i + 1], *lo[l] + (8 >> l));
+            m[i] = __builtin_shuffle(m[2 * i], m[2 * i + 1], *lo[l]);
+            max_into(m + i, &b);
+        }
+    memcpy(out, m, sizeof *m);
+}
+
+/* Scales and codes of n <= RUN blocks of one row of blocks in format fmt: h rows of them from src
+   (row stride ld), then bh - h rows of zeros. Pass 1 takes the blocks' maxima, 16 blocks at a time;
+   pass 2 their scales, to scales[k..k + n); pass 3 their codes, row by row, to codes (row stride pc),
+   code i of a row taking uniform o + pc r + i into u under stochastic rounding. Returns 2 if a code would
+   decode past FLT_MAX. */
+static inline __attribute__((always_inline)) int encode_run(const int fmt, GRID, const float *src, ptrdiff_t ld,
+                                                            ptrdiff_t h, ptrdiff_t n, float g, const uint64_t *key,
+                                                            uint64_t o, double *u, ptrdiff_t pc, uint8_t *codes,
+                                                            void *scales, ptrdiff_t k)
+{
+    const int bh = BH(fmt), bw = BW(fmt);
+    int32_t amax[RUN];
+    float s[RUN];
+    for (ptrdiff_t j0 = 0; j0 < n; j0 += VW) {
+        vi m[VW] = {{0}};
+        for (ptrdiff_t r = 0; r < h; r++)
+            for (ptrdiff_t j = 0; j < VW && j0 + j < n; j++)
+                for (int q = 0; q < bw; q += VW) {
+                    vi a;
+                    memcpy(&a, src + ld * r + bw * (j0 + j) + q, sizeof a);
+                    a &= (int32_t)ABS;
+                    max_into(m + j, &a);
+                }
+        lane_maxima(m, amax + j0);
+    }
+    if (fmt == MXFP8)  /* the format's scale rule: see the kernel section in quant.py */
+        for (ptrdiff_t j = 0; j < n; j++) {
+            int e = amax[j] ? pow2_exponent(u2f((uint32_t)amax[j]), 448.0f) : -127;
+            e = e < -127 ? -127 : e > 127 ? 127 : e;
+            ((int16_t *)scales)[k + j] = (int16_t)e;
+            s[j] = pow2f(e);
+        }
+    else
+        for (ptrdiff_t j0 = 0; j0 < n; j0 += VW) {
+            float q[VW];
+            for (int i = 0; i < VW; i++) q[i] = (float)((double)u2f((uint32_t)amax[j0 + i]) / (6.0 * (double)g));
+            vi mag, code;
+            vf v;
+            memcpy(&mag, q, sizeof mag);
+            round_index(&mag, CEIL, &code, E4M3);
+            values_of(&code, &v, E4M3);
+            v *= g;
+            memcpy(s + j0, &v, sizeof v);
+            for (ptrdiff_t i = 0; i < VW && j0 + i < n; i++) ((uint8_t *)scales)[k + j0 + i] = (uint8_t)code[i];
+        }
+    for (ptrdiff_t r = 0; r < bh; r++) {
+        const float *x = src + ld * r;
+        uint8_t *c = codes + pc * r;
+        if (r >= h) {
+            memset(c, 0, (size_t)(bw * n));
+            continue;
+        }
+        if (key)  /* 4 divides o + pc r, the index of the row's first code; a block of zeros draws nothing */
+            for (ptrdiff_t j = 0; j < n; j++)
+                if (s[j] != 0.0f)
+                    for (int q = 0; q < bw / 4; q++)
+                        philox_uniforms((o + (uint64_t)(pc * r + bw * j)) / 4 + q + 1, key[0], key[1],
+                                        u + bw * j + 4 * q);
+        for (ptrdiff_t j = 0; j < n; j++) {
+            if (s[j] == 0.0f) {  /* an NVFP4 block of zeros */
+                memset(c + bw * j, 0, (size_t)bw);
+                continue;
+            }
+            for (int q = 0; q < bw; q += VW)
+                encode_lanes(x + bw * j + q, s[j], key ? u + bw * j + q : NULL, c + bw * j + q, mb, emin, top, max, sb);
+            if (past_max(c + bw * j, bw, s[j], mb, emin, top, max, sb)) return 2;
+        }
+    }
+    return 0;
+}
+
 /* Scales and codes on element grid GRID of the finite [rows, cols] matrix x
    in format fmt, a constant once inlined, under NVFP4 global scale g, with
-   stochastic rounding under the Philox key key[0..1] (NULL: nearest): block by block in C
-   order, each full block read in place through row stride cols and each
-   partial one from a zero-padded copy. Returns 2 if a code would decode past
-   FLT_MAX. */
+   stochastic rounding under the Philox key key[0..1] (NULL: nearest): runs of
+   RUN blocks in C order, read in place through row stride cols, and a last
+   partial block of each row of blocks from a zero-padded copy. Returns 2 if a
+   code would decode past FLT_MAX. */
 static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GRID, const float *x, ptrdiff_t rows,
                                                                ptrdiff_t cols, float g, const uint64_t *key,
                                                                uint8_t *codes, void *scales)
 {
     const int bh = BH(fmt), bw = BW(fmt);
-    const ptrdiff_t nb = (cols + bw - 1) / bw, pc = bw * nb;
+    const ptrdiff_t nb = (cols + bw - 1) / bw, whole = cols / bw, pc = bw * nb;
     float pad[256];
-    for (ptrdiff_t t = 0; bh * t < rows; t++)
-        for (ptrdiff_t b = 0; b < nb; b++) {
-            const ptrdiff_t h = rows - bh * t < bh ? rows - bh * t : bh, w = cols - bw * b < bw ? cols - bw * b : bw;
-            const ptrdiff_t k = t * nb + b, at = bh * t * pc + bw * b;  /* its scale and its first code */
-            const float *src = x + bh * t * cols + bw * b;
-            ptrdiff_t ld = cols;
-            if (h < bh || w < bw) {
-                memset(pad, 0, sizeof *pad * bh * bw);
-                for (ptrdiff_t i = 0; i < h; i++) memcpy(pad + bw * i, src + cols * i, (size_t)w * sizeof *src);
-                src = pad;
-                ld = bw;
-            }
-            uint32_t m[32] = {0}, amax = 0;  /* the rows' elementwise maximum, then its maximum */
-            for (int r = 0; r < bh; r++)
-                for (int i = 0; i < bw; i++) {
-                    const uint32_t a = f2u(src[ld * r + i]) & ABS;
-                    m[i] = a > m[i] ? a : m[i];
-                }
-            for (int i = 0; i < bw; i++) amax = m[i] > amax ? m[i] : amax;
-            float s;  /* the format's scale rule: see the kernel section in quant.py */
-            if (fmt == MXFP8) {
-                int e = amax ? pow2_exponent(u2f(amax), 448.0f) : -127;
-                e = e < -127 ? -127 : e > 127 ? 127 : e;
-                ((int16_t *)scales)[k] = (int16_t)e;
-                s = pow2f(e);
-            } else {
-                const int32_t scale = round_index((float)((double)u2f(amax) / (6.0 * (double)g)), CEIL, E4M3);
-                ((uint8_t *)scales)[k] = (uint8_t)scale;
-                s = value_of((uint32_t)scale, E4M3) * g;
-            }
-            for (int r = 0; r < bh; r++) {
-                const float *xr = src + ld * r;
-                uint8_t *c = codes + at + pc * r;
-                if (s == 0.0f)  /* an NVFP4 block of zeros */
-                    memset(c, 0, (size_t)bw);
-                else if (key) {  /* code o + i of the code grid takes uniform o + i; 4 divides o */
-                    const uint64_t o = (uint64_t)(at + pc * r);
-                    double u[32];
-                    for (int q = 0; q < bw / 4; q++) philox_uniforms(o / 4 + q + 1, key[0], key[1], u + 4 * q);
-                    for (int i = 0; i < bw; i++) c[i] = code_stochastic(xr[i] / s, u[i], mb, emin, top, max, sb);
-                } else
-                    for (int i = 0; i < bw; i++) c[i] = code_nearest(xr[i] / s, mb, emin, top, max, sb);
-                if (past_max(c, bw, s, mb, emin, top, max, sb)) return 2;
-            }
+    double u[RUN * 32];  /* a run's draws, for blocks of up to 32 codes */
+    for (ptrdiff_t t = 0; bh * t < rows; t++) {
+        const ptrdiff_t h = rows - bh * t < bh ? rows - bh * t : bh, at = bh * t * pc;  /* its first code */
+        const float *xt = x + bh * t * cols;
+        for (ptrdiff_t b = 0; b < whole; b += RUN)
+            if (encode_run(fmt, mb, emin, top, max, sb, xt + bw * b, cols, h, whole - b < RUN ? whole - b : RUN, g,
+                           key, (uint64_t)(at + bw * b), u, pc, codes + at + bw * b, scales, t * nb + b))
+                return 2;
+        if (whole < nb) {
+            memset(pad, 0, sizeof *pad * bh * bw);
+            for (ptrdiff_t i = 0; i < h; i++)
+                memcpy(pad + bw * i, xt + cols * i + bw * whole, (size_t)(cols - bw * whole) * sizeof *x);
+            if (encode_run(fmt, mb, emin, top, max, sb, pad, bw, h, 1, g, key, (uint64_t)(at + bw * whole), u, pc,
+                           codes + at + bw * whole, scales, t * nb + whole))
+                return 2;
         }
+    }
     return 0;
 }
 
@@ -419,8 +531,55 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
 }
 
 /* Is code c off element grid GRID: a bit set above its sign, or a magnitude past the top code (E4M3's NaN)? */
-static inline uint8_t off_grid(uint8_t c, GRID)
+static inline __attribute__((always_inline)) uint8_t off_grid(uint8_t c, GRID)
 { return (uint8_t)(c >> (sb + 1)) | (uint8_t)(((c & ((1u << sb) - 1)) + ((1u << sb) - 1 - top)) & (1u << sb)); }
+
+/* The scale of block k of a record in format fmt */
+static inline __attribute__((always_inline)) float block_scale(const int fmt, const void *scales, float g, ptrdiff_t k)
+{ return fmt == MXFP8 ? pow2f(((const int16_t *)scales)[k]) : value_of(((const uint8_t *)scales)[k], E4M3) * g; }
+
+/* v[0..16) = the values of the codes c[0..16) times s */
+static inline __attribute__((always_inline)) void decode_lanes(const uint8_t *c, float s, float *v, GRID)
+{
+    vi w;
+    vf f;
+    for (int i = 0; i < VW; i++) w[i] = c[i];  /* one widening load: a vector conversion measured slower */
+    values_of(&w, &f, mb, emin, top, max, sb);
+    f *= s;
+    memcpy(v, &f, sizeof f);
+}
+
+/* quant_decode's row loop in format fmt, a constant once inlined: each row of codes is tested, then decoded
+   into out 16 codes to a vector, each value times its block's scale. */
+static inline __attribute__((always_inline)) int decode_rows(const int fmt, GRID, const uint8_t *codes,
+                                                             const void *scales, float g, double peak,
+                                                             ptrdiff_t rows, ptrdiff_t cols, float *out)
+{
+    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, whole = cols / bw, pc = bw * nb;
+    const ptrdiff_t nr = (rows + bh - 1) / bh;
+    uint8_t off = 0;
+    int past = 0;
+    for (ptrdiff_t r = 0; r < bh * nr; r++) {  /* the padding rows of 2D tiles too */
+        const uint8_t *cr = codes + r * pc;
+        const ptrdiff_t k = r / bh * nb;
+        for (ptrdiff_t i = 0; i < pc; i++) off |= off_grid(cr[i], mb, emin, top, max, sb);
+        if (peak > (double)FLT_MAX)
+            for (ptrdiff_t b = 0; b < nb; b++)
+                past |= past_max(cr + bw * b, bw, block_scale(fmt, scales, g, k + b), mb, emin, top, max, sb);
+        if (!out || r >= rows) continue;
+        float *o = out + r * cols;
+        for (ptrdiff_t b = 0; b < whole; b++) {
+            const float s = block_scale(fmt, scales, g, k + b);
+            for (int q = 0; q < bw; q += VW) decode_lanes(cr + bw * b + q, s, o + bw * b + q, mb, emin, top, max, sb);
+        }
+        for (ptrdiff_t j = bw * whole; j < cols; j += VW) {  /* a last block, partial, through a copy */
+            float t[VW];
+            decode_lanes(cr + j, block_scale(fmt, scales, g, k + whole), t, mb, emin, top, max, sb);
+            memcpy(o + j, t, (size_t)(cols - j < VW ? cols - j : VW) * sizeof *o);
+        }
+    }
+    return off ? 5 : past ? 6 : 0;
+}
 
 /* The one rule for what a quantized record may hold: the values quant_encode can make. Returns 0, or the
    status of the first part the record breaks: 3 g is no power of two in [2^-126, 2^127], 4 a block scale
@@ -430,7 +589,7 @@ static inline uint8_t off_grid(uint8_t c, GRID)
 CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
                         ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
-    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, pc = bw * nb, nr = (rows + bh - 1) / bh;
+    const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, nr = (rows + bh - 1) / bh;
     double peak;  /* the largest magnitude a code can decode to under the largest block scale */
     if (fmt == MXFP8) {
         const int16_t *e = scales;
@@ -438,43 +597,17 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
         for (ptrdiff_t k = 0; k < nr * nb; k++) lo = e[k] < lo ? e[k] : lo, hi = e[k] > hi ? e[k] : hi;
         if (lo < -127 || hi > 127) return 4;
         peak = 448.0 * (double)pow2f(hi);
-    } else {
-        if ((f2u(g) & 0x807fffffu) || f2u(g) < 0x00800000u || f2u(g) >= INF) return 3;
-        const uint8_t *sc = scales;
-        uint8_t hi = 0;  /* codes 0 to 126 order like their values */
-        for (ptrdiff_t k = 0; k < nr * nb; k++) hi = sc[k] > hi ? sc[k] : hi;
-        if (hi > 126) return 4;
-        if ((peak = (double)value_of(hi, E4M3) * (double)g) > (double)FLT_MAX) return 6;
-        peak *= 6.0;
+        return decode_rows(MXFP8, E4M3, codes, scales, g, peak, rows, cols, out);
     }
-    uint8_t off = 0;
-    int past = 0;
-    for (ptrdiff_t r = 0; r < bh * nr; r++) {  /* the padding rows of 2D tiles too */
-        const uint8_t *cr = codes + r * pc;
-        if (fmt == MXFP8)
-            for (ptrdiff_t i = 0; i < pc; i++) off |= off_grid(cr[i], E4M3);
-        else
-            for (ptrdiff_t i = 0; i < pc; i++) off |= off_grid(cr[i], E2M1);
-        if (peak > (double)FLT_MAX)
-            for (ptrdiff_t b = 0, k = r / bh * nb; b < nb; b++, k++)
-                past |= fmt == MXFP8
-                            ? past_max(cr + bw * b, bw, pow2f(((const int16_t *)scales)[k]), E4M3)
-                            : past_max(cr + bw * b, bw, value_of(((const uint8_t *)scales)[k], E4M3) * g, E2M1);
-        if (!out || r >= rows) continue;
-        for (ptrdiff_t b = 0, k = r / bh * nb; b < nb; b++, k++) {
-            const ptrdiff_t w = cols - bw * b < bw ? cols - bw * b : bw;
-            const uint8_t *c = cr + bw * b;
-            float *o = out + r * cols + bw * b;
-            if (fmt == MXFP8) {
-                const float s = pow2f(((const int16_t *)scales)[k]);
-                for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E4M3) * s;
-            } else {
-                const float s = value_of(((const uint8_t *)scales)[k], E4M3) * g;
-                for (ptrdiff_t i = 0; i < w; i++) o[i] = value_of(c[i], E2M1) * s;
-            }
-        }
-    }
-    return off ? 5 : past ? 6 : 0;
+    if ((f2u(g) & 0x807fffffu) || f2u(g) < 0x00800000u || f2u(g) >= INF) return 3;
+    const uint8_t *sc = scales;
+    uint8_t hi = 0;  /* codes 0 to 126 order like their values */
+    for (ptrdiff_t k = 0; k < nr * nb; k++) hi = sc[k] > hi ? sc[k] : hi;
+    if (hi > 126) return 4;
+    if ((peak = (double)value_of(hi, E4M3) * (double)g) > (double)FLT_MAX) return 6;
+    peak *= 6.0;
+    return fmt == NVFP4_1D ? decode_rows(NVFP4_1D, E2M1, codes, scales, g, peak, rows, cols, out)
+                           : decode_rows(NVFP4_2D, E2M1, codes, scales, g, peak, rows, cols, out);
 }
 """
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
@@ -510,9 +643,12 @@ def _kernel_array(a, dtype, refused) -> np.ndarray:
 
 def _decode(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8, decode: bool = True):
     """The codes, scales and global scale of record ``q`` in the kernel's types, and its float32 values if
-    ``decode`` (else None). ShapeError if its arrays are off the grids of its shape, NumericInputError if it
-    breaks quant_decode's rule for what a quantized record may hold."""
+    ``decode`` (else None). ConfigError if an NVFP4 record's layout is unknown, ShapeError if its arrays are
+    off the grids of its shape, NumericInputError if it breaks quant_decode's rule for what a quantized
+    record may hold."""
     nvfp4 = isinstance(q, QuantizedTensorNVFP4)
+    if nvfp4 and q.layout not in _LAYOUT_FORMAT:
+        raise ConfigError(f"quantized nvfp4 record of unknown layout {q.layout!r}")
     fmt, scales = (_LAYOUT_FORMAT[q.layout], q.block_scales) if nvfp4 else (Format.MXFP8, q.scale_exps)
     grid, scales_grid = _grids(fmt, q.shape)
     if np.shape(q.codes) != grid or np.shape(scales) != scales_grid:
@@ -813,8 +949,9 @@ def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
     if isinstance(q, QuantizedTensorNVFP4):
         head = struct.pack("<BB", _FMT_TAGS["nvfp4"], q.layout != Layout.BLOCK_1D) + dims(q.shape)
         head += dims(codes.shape) + struct.pack("<f", float(g))
-        flat = np.concatenate([codes.reshape(-1), np.zeros(codes.size % 2, np.uint8)])
-        packed = (flat[0::2] | flat[1::2] << 4).tobytes()  # the low nibble holds the even index
+        # the low nibble holds the even index; a grid holds whole blocks of 16 codes, each < 16 once checked
+        pairs = codes.reshape(-1).view("<u2")
+        packed = ((pairs & 0xF) | (pairs >> 4)).astype(np.uint8).tobytes()
     else:
         head = struct.pack("<BB", _FMT_TAGS["mxfp8"], 0) + dims(q.shape) + dims(codes.shape)
         scales, packed = scales.astype("<i2", copy=False), codes.tobytes()
@@ -853,7 +990,11 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
     scales = np.frombuffer(take(math.prod(scales_shape) * (1 if nvfp4 else 2)), np.uint8 if nvfp4 else "<i2")
     (n_codes,) = unpack("<q")
     packed = np.frombuffer(take((n_codes + 1) // 2 if nvfp4 else n_codes), np.uint8)
-    codes = np.stack([packed & 0xF, packed >> 4], axis=1).reshape(-1)[:n_codes] if nvfp4 else packed
+    if nvfp4:
+        pairs = packed.astype("<u2")
+        codes = ((pairs & 0xF) | (pairs >> 4 << 8)).view(np.uint8)[:n_codes]
+    else:
+        codes = packed
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
     layouts = list(_LAYOUT_FORMAT) if nvfp4 else [Layout.BLOCK_1D]

@@ -164,22 +164,28 @@ def _bits(values):
 
 
 def _quant_outputs():
-    """Codes, scales and global scale of each format and rounding on a few inputs, and their decodes; then
-    the decode statuses of records that break the rule for what a quantized record may hold."""
+    """Codes, scales and global scale of each format and rounding on a few inputs, and their decodes with and
+    without an output; then the decode statuses of records that break the rule for what a quantized record may
+    hold. Rows of 2048, 2049 and 2080 columns cross the encoder's run of 64 blocks in both 1D formats, at whole
+    blocks and one column past them, with blocks of zeros between live ones inside a run."""
     rng = np.random.default_rng(8)
     wide = rng.standard_normal((37, 1064)).astype(np.float32)
     wide *= (np.float32(2.0) ** rng.integers(-140, 120, (37, 1))).astype(np.float32)  # subnormal to near max
     wide[3] = 0.0
+    long = rng.standard_normal((5, 2080)).astype(np.float32)
+    long[:, 64:128] = 0.0
+    long[2, 1024:1056] = 0.0
     vals = test_quant.sweep_inputs()
     out = []
     for fmt, (top, block) in zip(test_quant.FORMATS, ((6.0, 16), (6.0, 16), (448.0, 32))):
         ties = test_quant.unit_scale_rows(vals[np.abs(vals) <= top], top, block)
-        for x in (wide, ties, test_quant.signed_zero_and_subnormal_input()):
+        for x in (wide, long, long[:, :2048], long[:, :2049], ties, test_quant.signed_zero_and_subnormal_input()):
             for mode in (Q.NEAREST_EVEN, Q.stochastic(5)):
                 codes, scales, g = Q._encode_kernel_c(fmt, x, mode)
+                g = np.float32(0) if g is None else g
                 values = np.empty(x.shape, np.float32)
-                status = Q._decode_kernel_c(fmt, x.shape, codes, scales, np.float32(0) if g is None else g, values)
-                out += [codes, scales, g, status, values]
+                status = Q._decode_kernel_c(fmt, x.shape, codes, scales, g, values)
+                out += [codes, scales, g, status, values, Q._decode_kernel_c(fmt, x.shape, codes, scales, g, None)]
     nvfp4, nvfp4_2d, mxfp8 = test_quant.serialized_cases()
     damaged = [(nvfp4, "global_scale", (), 0.1), (nvfp4, "block_scales", (0, 1), 0xFF),
                (nvfp4, "block_scales", (1, 2), 0x80), (nvfp4_2d, "codes", (19, 40), 16),  # in the padding
@@ -249,6 +255,17 @@ def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
         test_tensor.test_kernel_matches_oracle_on_12_bit_operands_near_the_exponent_bounds()
     else:
         assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
+
+
+ALWAYS_INLINE = "static inline __attribute__((always_inline))"
+
+
+@pytest.mark.parametrize("name", ["mm", "quant", "scan"])
+def test_every_c_helper_is_always_inline(name):
+    """GCC clones only the CLONES functions, so a helper that one calls and that is not always_inline would
+    run its one baseline body in every clone: each static function is static inline always_inline."""
+    helpers = re.findall(r"\bstatic\b.*", SOURCES[name])
+    assert helpers and [h for h in helpers if not h.startswith(ALWAYS_INLINE)] == []
 
 
 @pytest.mark.skipif(platform.machine() != "x86_64", reason="the clones are built on x86-64 only")

@@ -483,6 +483,13 @@ def test_serialization_rejects_unknown_tag_and_inconsistent_grids():
         Q.quantized_from_bytes(negative)
     with pytest.raises(CheckpointError):
         Q.quantized_from_bytes(raw[:1] + b"\x07" + raw[2:])  # layout code
+    n = serialized_cases()[0].codes.size  # a code count off the grid, odd or even, with the bytes it takes
+    for count, extra in ((n - 1, b""), (n + 1, b"\0"), (n - 2, b"")):
+        with pytest.raises(CheckpointError):
+            Q.quantized_from_bytes(raw[:-n // 2 - 8] + struct.pack("<q", count) + raw[-n // 2:] + extra)
+    odd = replace(Q.quantize_nvfp4(np.ones((1, 15), np.float32)), codes=np.zeros((1, 1, 15), np.uint8))
+    with pytest.raises(CheckpointError):
+        Q.quantized_from_bytes(unchecked_to_bytes(odd))
     # fields that no quantizer makes
     nvfp4, _, mxfp8 = serialized_cases()
 
@@ -890,21 +897,24 @@ def test_stochastic_rounding_draws_one_uniform_per_code_on_each_path(path, fmt):
 # Seeds at the ends of both 64-bit words of the Philox key, and a numpy integer
 KEY_SEEDS = [0, 2**64 - 1, 2**64, 2**128 - 1, np.uint64(2**63 + 5)]
 # 1D blocks ending part-way (40 and 100 columns), an [..., 40] input, 2D tiles cut in both axes,
-# and MXFP8 rows of 32 codes, which take the words of 8 Philox counters
+# MXFP8 rows of 32 codes, which take the words of 8 Philox counters, and rows that cross the
+# encoder's run of 64 blocks
 ALIGNMENT_SHAPES = [(Q.Format.NVFP4, (2, 3, 40)), (Q.Format.NVFP4, (5, 100)), (Q.Format.NVFP4_2D, (17, 33)),
-                    (Q.Format.MXFP8, (2, 3, 40)), (Q.Format.MXFP8, (5, 100))]
+                    (Q.Format.MXFP8, (2, 3, 40)), (Q.Format.MXFP8, (5, 100)), (Q.Format.NVFP4, (3, 1100)),
+                    (Q.Format.NVFP4_2D, (33, 1100)), (Q.Format.MXFP8, (3, 2100))]
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS, ids=repr)
 @pytest.mark.parametrize("fmt,shape", ALIGNMENT_SHAPES)
 def test_c_stochastic_draws_line_up_with_the_code_grid(fmt, shape, seed):
     """C codes equal numpy's under stochastic rounding, with blocks of zeros, which NVFP4 leaves
-    undrawn, ahead of live ones: a code's uniform depends on its grid index alone."""
+    undrawn, ahead of live ones and between them: a code's uniform depends on its grid index alone."""
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
     x = rng.standard_normal(shape).astype(np.float32)
     flat = x.reshape(-1, shape[-1])
     flat[:16 if fmt == Q.Format.NVFP4_2D else 1] = 0.0  # the first row of blocks is dead
     flat[-1, :16] = 0.0  # and one block of the last row
+    flat[16 if fmt == Q.Format.NVFP4_2D else 1:, 64:128] = 0.0  # and blocks between live ones, inside a run
     q, _ = on_both_paths(fmt, x, Q.stochastic(seed))
     if fmt != Q.Format.MXFP8:
         assert (q.block_scales.reshape(-1)[:q.block_scales.shape[-1]] == 0).all()
@@ -926,11 +936,15 @@ def signed_zero_and_subnormal_input() -> np.ndarray:
 # shape and input scale; 1064 columns and the 2D tiles' odd shapes leave partial blocks
 EDGE_CASES = [((), 1.0), ((0, 16), 1.0), ((16, 0), 1.0), ((17, 33), 1.0), ((33, 5), 1e-38), ((5, 33), 1e30),
               ((3, 1064), 1.0), ((2, 3, 40), 1e-45), ((67, 128), 1.0), ((256, 8), 3.0)]
+# rows of 2048, 2049 and 2080 columns cross the encoder's run of 64 blocks in both 1D formats, at whole
+# blocks and one column past them
+RUN_CASES = [((3, 2048), 1.0), ((17, 2049), 1.0), ((2, 2080), 1e-30)]
 
 
 @pytest.mark.parametrize("mode", [Q.NEAREST_EVEN, Q.stochastic(4)], ids=["nearest", "stochastic"])
 @pytest.mark.parametrize("fmt,shape,scale", [(fmt, shape, scale) for fmt in FORMATS for shape, scale in EDGE_CASES
-                                             if fmt != Q.Format.NVFP4_2D or len(shape) == 2])
+                                             if fmt != Q.Format.NVFP4_2D or len(shape) == 2]
+                         + [(fmt, shape, scale) for fmt in FORMATS for shape, scale in RUN_CASES])
 def test_c_and_numpy_paths_agree_on_edge_shapes(fmt, mode, shape, scale):
     rng = np.random.default_rng(len(shape) * 1000 + sum(shape))
     x = (rng.standard_normal(shape) * scale).astype(np.float32)

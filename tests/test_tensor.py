@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -1513,6 +1514,10 @@ TYPED_ERRORS = {
     "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
         (16,), Q.Layout.BLOCK_2D, np.zeros(16, np.uint8), np.zeros(1, np.uint8), 1.0).dequantize()),
     "quantize_nvfp4_unknown_layout": (ConfigError, lambda: Q.quantize_nvfp4(np.ones(16, np.float32), "bad")),
+    "dequantize_unknown_layout": (ConfigError, lambda: replace(
+        Q.quantize_nvfp4(np.ones(16, np.float32)), layout="bad").dequantize()),
+    "quantized_to_bytes_unknown_layout": (ConfigError, lambda: Q.quantized_to_bytes(replace(
+        Q.quantize_nvfp4(np.ones(16, np.float32)), layout="bad"))),
     "layer_index_negative": (ConfigError, lambda: Q.LayerDescriptor(Q.LayerKind.EXPERT_FFN, -1, 4)),
     "layer_index_float": (ConfigError, lambda: Q.LayerDescriptor(Q.LayerKind.EXPERT_FFN, 1.5, 4)),
     "layer_kind_unknown": (ConfigError, lambda: Q.LayerDescriptor("bogus", 0, 4)),
