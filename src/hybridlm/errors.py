@@ -34,4 +34,4 @@ class CheckpointError(HybridlmError, RuntimeError):
 
 
 class KernelBuildError(HybridlmError, RuntimeError):
-    """The C kernels cannot be built or loaded: no working compiler or no usable cache directory."""
+    """The C kernels cannot be built or loaded: no working compiler, no Python.h or no usable cache directory."""

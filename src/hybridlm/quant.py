@@ -36,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CheckpointError, ConfigError, NumericInputError, ShapeError
-from .tensor import Tensor, _cache_dirs, _load_library, _make, _ptrs, matmul_exact
+from .tensor import Tensor, _cache_dirs, _load_library, _make, matmul_exact
 
 # ---------------------------------------------------------------------------
 # Rounding modes
@@ -163,8 +163,10 @@ class QuantizedTensorMXFP8:
 # float32 global scale, checks them against quant_decode's rule for what a
 # quantized record may hold, decodes them into out unless out is None and
 # returns a status: _decode runs that one check for dequantize,
-# quantized_to_bytes and quantized_from_bytes. The C kernels' argument types
-# come from their declarations.
+# quantized_to_bytes and quantized_from_bytes. A record with no columns holds
+# no code, so neither kernel walks its rows, however many. nibbles_pack and
+# nibbles_unpack pack the NVFP4 codes of a serialized record two to a byte.
+# The loader converts each kernel's arguments as its C declaration types them.
 
 # What quant_encode (1, 2) and quant_decode (3 to 6) return for an input they refuse
 _STATUS = {
@@ -491,6 +493,7 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
     const ptrdiff_t nb = (cols + bw - 1) / bw, whole = cols / bw, pc = bw * nb;
     float pad[256];
     double u[RUN * 32];  /* a run's draws, for blocks of up to 32 codes */
+    if (nb == 0) return 0;  /* no columns: no blocks to walk, however many rows */
     for (ptrdiff_t t = 0; bh * t < rows; t++) {
         const ptrdiff_t h = rows - bh * t < bh ? rows - bh * t : bh, at = bh * t * pc;  /* its first code */
         const float *xt = x + bh * t * cols;
@@ -559,6 +562,7 @@ static inline __attribute__((always_inline)) int decode_rows(const int fmt, GRID
     const ptrdiff_t nr = (rows + bh - 1) / bh;
     uint8_t off = 0;
     int past = 0;
+    if (nb == 0) return 0;  /* no columns: no codes to test or decode, however many rows */
     for (ptrdiff_t r = 0; r < bh * nr; r++) {  /* the padding rows of 2D tiles too */
         const uint8_t *cr = codes + r * pc;
         const ptrdiff_t k = r / bh * nb;
@@ -609,6 +613,21 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
     return fmt == NVFP4_1D ? decode_rows(NVFP4_1D, E2M1, codes, scales, g, peak, rows, cols, out)
                            : decode_rows(NVFP4_2D, E2M1, codes, scales, g, peak, rows, cols, out);
 }
+
+/* The n codes, each below 16, two to a byte of packed: code 2i in the low nibble of byte i, code 2i + 1 in
+   its high nibble, an odd last code alone in the low nibble. */
+CLONES void nibbles_pack(const uint8_t *codes, ptrdiff_t n, uint8_t *packed)
+{
+    for (ptrdiff_t i = 0; i < n / 2; i++) packed[i] = (uint8_t)(codes[2 * i] | codes[2 * i + 1] << 4);
+    if (n % 2) packed[n / 2] = codes[n - 1];
+}
+
+/* The n codes that nibbles_pack packed, each nibble of packed one code. */
+CLONES void nibbles_unpack(const uint8_t *packed, ptrdiff_t n, uint8_t *codes)
+{
+    for (ptrdiff_t i = 0; i < n / 2; i++) codes[2 * i] = packed[i] & 0xF, codes[2 * i + 1] = packed[i] >> 4;
+    if (n % 2) codes[n - 1] = packed[n / 2] & 0xF;
+}
 """
 _C_FORMATS = {Format.NVFP4: 0, Format.NVFP4_2D: 1, Format.MXFP8: 2}
 _QUANT_LIBRARY = _load_library(_cache_dirs(), _QUANT_SOURCE)
@@ -622,13 +641,12 @@ def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
     codes = np.empty(grid, np.uint8)
     scales = np.empty(scales_grid, np.int16 if fmt == Format.MXFP8 else np.uint8)
     g = np.zeros(1, np.float32)
-    x_p, key_p, codes_p, scales_p, g_p = _ptrs(x, key, codes, scales, g)
-    status = _QUANT_LIBRARY.quant_encode(_C_FORMATS[fmt], x_p, *_matrix(data.shape), key_p, codes_p, scales_p, g_p)
+    status = _QUANT_LIBRARY.quant_encode(_C_FORMATS[fmt], x, *_matrix(data.shape), key, codes, scales, g)
     return status or (codes, scales, None if fmt == Format.MXFP8 else g[0])
 
 
 def _decode_kernel_c(fmt: Format, shape, codes, scales, g, out):
-    return _QUANT_LIBRARY.quant_decode(_C_FORMATS[fmt], *_ptrs(codes, scales), g, *_matrix(shape), *_ptrs(out))
+    return _QUANT_LIBRARY.quant_decode(_C_FORMATS[fmt], codes, scales, g, *_matrix(shape), out)
 
 
 def _kernel_array(a, dtype, refused) -> np.ndarray:
@@ -949,9 +967,8 @@ def quantized_to_bytes(q: QuantizedTensorNVFP4 | QuantizedTensorMXFP8) -> bytes:
     if isinstance(q, QuantizedTensorNVFP4):
         head = struct.pack("<BB", _FMT_TAGS["nvfp4"], q.layout != Layout.BLOCK_1D) + dims(q.shape)
         head += dims(codes.shape) + struct.pack("<f", float(g))
-        # the low nibble holds the even index; a grid holds whole blocks of 16 codes, each < 16 once checked
-        pairs = codes.reshape(-1).view("<u2")
-        packed = ((pairs & 0xF) | (pairs >> 4)).astype(np.uint8).tobytes()
+        packed = bytearray((codes.size + 1) // 2)  # two codes to a byte, each < 16 once checked
+        _QUANT_LIBRARY.nibbles_pack(codes, codes.size, packed)
     else:
         head = struct.pack("<BB", _FMT_TAGS["mxfp8"], 0) + dims(q.shape) + dims(codes.shape)
         scales, packed = scales.astype("<i2", copy=False), codes.tobytes()
@@ -989,19 +1006,21 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
     scales_shape = dims()
     scales = np.frombuffer(take(math.prod(scales_shape) * (1 if nvfp4 else 2)), np.uint8 if nvfp4 else "<i2")
     (n_codes,) = unpack("<q")
-    packed = np.frombuffer(take((n_codes + 1) // 2 if nvfp4 else n_codes), np.uint8)
-    if nvfp4:
-        pairs = packed.astype("<u2")
-        codes = ((pairs & 0xF) | (pairs >> 4 << 8)).view(np.uint8)[:n_codes]
-    else:
-        codes = packed
+    packed = take((n_codes + 1) // 2 if nvfp4 else n_codes)
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")
     layouts = list(_LAYOUT_FORMAT) if nvfp4 else [Layout.BLOCK_1D]
     if layout_code >= len(layouts) or n_codes != math.prod(codes_shape):
         raise CheckpointError(f"quantized record, tag {tag}, layout {layout_code}: {n_codes} codes on {codes_shape}")
-    codes = codes.reshape(codes_shape).copy()
-    scales = scales.reshape(scales_shape).astype(np.uint8 if nvfp4 else np.int16)
+    try:
+        codes = np.empty(codes_shape, np.uint8)
+        scales = scales.reshape(scales_shape).astype(np.uint8 if nvfp4 else np.int16)
+    except ValueError as e:  # numpy makes no array past its size limit, even one with no elements
+        raise CheckpointError(f"quantized record grids {codes_shape} and {scales_shape} are too big: {e}") from e
+    if nvfp4:
+        _QUANT_LIBRARY.nibbles_unpack(packed, n_codes, codes)
+    else:
+        codes[...] = np.frombuffer(packed, np.uint8).reshape(codes_shape)
     q = (QuantizedTensorNVFP4(shape, layouts[layout_code], codes, scales, g) if nvfp4
          else QuantizedTensorMXFP8(shape, codes, scales))
     try:

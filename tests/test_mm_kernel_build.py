@@ -11,13 +11,13 @@ directories and concurrency build a few-line source, which compiles in a
 fraction of the time the kernels take.
 """
 
-import ctypes
 import json
 import os
 import platform
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -55,20 +55,57 @@ CLONES int echo(ptrdiff_t n, int i, float f, double d, double *out)
     out[0] = (double)n, out[1] = i, out[2] = f, out[3] = d;
     return i + 1;
 }
-CLONES void negate(double *out) { out[0] = -out[0]; }
+CLONES void negate(double *out, ptrdiff_t n) { for (ptrdiff_t i = 0; i < n; i++) out[i] = -out[i]; }
+CLONES int is_null(const double *p) { return p == NULL; }
+CLONES int holds_gil(int unused) { return PyGILState_Check(); }
 """
 
 
 def test_loader_types_each_function_from_its_declaration(tmp_path):
     """One parameter of each type the loader maps, and both result types, reach C and come back."""
     lib = T._load_library([tmp_path], TYPED_SOURCE)
-    assert lib.echo.argtypes == [ctypes.c_ssize_t, ctypes.c_int, ctypes.c_float, ctypes.c_double, ctypes.c_void_p]
-    assert lib.echo.restype is ctypes.c_int
-    assert lib.negate.argtypes == [ctypes.c_void_p] and lib.negate.restype is None
     out = np.zeros(4)
-    assert lib.echo(2**40 + 1, -7, 0.1, 0.1, *T._ptrs(out)) == -6
+    assert lib.echo(2**40 + 1, -7, 0.1, 0.1, out) == -6
     assert out.tolist() == [2**40 + 1, -7, float(np.float32(0.1)), 0.1]
-    assert lib.negate(*T._ptrs(out)) is None and out[0] == -(2**40 + 1)
+    assert lib.negate(out, 1) is None and out[0] == -(2**40 + 1)
+    assert lib.echo(np.int64(-2**63), -2**31, np.float32(2.5), 3, out) == 1 - 2**31
+    assert out.tolist() == [-2**63, -2**31, 2.5, 3.0]
+
+
+def test_wrappers_check_their_arguments(tmp_path):
+    """A wrong argument count, an integer its C type cannot hold and a read-only array for a pointer that is
+    not const raise, where ctypes had passed them on; each buffer taken before the refusal is released."""
+    lib = T._load_library([tmp_path], TYPED_SOURCE)
+    out = np.zeros(4)
+    with pytest.raises(TypeError, match=re.escape("echo takes 5 arguments (4 given)")):
+        lib.echo(1, 2, 3.0, 4.0)
+    with pytest.raises(TypeError, match=re.escape("negate takes 2 arguments (3 given)")):
+        lib.negate(out, 1, 1)
+    for n, i in ((2**63, 0), (-2**63 - 1, 0), (0, 2**31), (0, -2**31 - 1)):
+        with pytest.raises(OverflowError):
+            lib.echo(n, i, 0.0, 0.0, out)
+    with pytest.raises(TypeError):
+        lib.echo(1.0, 0, 0.0, 0.0, out)  # a float is no ptrdiff_t
+    read_only = np.ones(4)
+    read_only.flags.writeable = False
+    with pytest.raises(ValueError, match="read-only"):
+        lib.negate(read_only, 4)
+    with pytest.raises(BufferError):
+        lib.negate(b"\0" * 32, 4)
+    assert read_only.tolist() == [1.0] * 4 and out.tolist() == [0.0] * 4
+    taken = bytearray(32)
+    with pytest.raises(OverflowError):
+        lib.negate(taken, 2**63)
+    taken.extend(b"\0")  # a bytearray whose buffer is still held cannot grow
+
+
+def test_wrappers_pass_none_as_null_and_release_the_gil(tmp_path):
+    """None reaches C as NULL, a const pointer takes a read-only buffer, and the call runs without the GIL."""
+    lib = T._load_library([tmp_path], TYPED_SOURCE)
+    read_only = np.ones(4)
+    read_only.flags.writeable = False
+    assert lib.is_null(None) == 1 and lib.is_null(read_only) == 0 and lib.is_null(b"\0" * 8) == 0
+    assert lib.holds_gil(0) == 0
 
 
 @pytest.mark.parametrize("declaration, c_type", [("int widen(long v) { return (int)v; }", "long"),
@@ -80,18 +117,23 @@ def test_loader_refuses_a_type_it_does_not_map(tmp_path, declaration, c_type):
 
 
 def test_every_shipped_entry_point_comes_back_typed():
+    """Each kernel module holds one function for each CLONES function of its source, and nothing else."""
     for name, (module, attr) in LIBRARIES.items():
         lib = getattr(module, attr)
-        typed = [f for f in vars(lib).values() if isinstance(f, lib._FuncPtr) and f.argtypes]
-        assert len(typed) == len(re.findall(r"^CLONES\b", SOURCES[name], re.M)), name
+        functions = [f for f in vars(lib) if isinstance(getattr(lib, f), types.BuiltinFunctionType)]
+        assert len(functions) == len(re.findall(r"^CLONES\b", SOURCES[name], re.M)), name
+        assert all(re.search(rf"^CLONES\b[^{{]*\b{f}\(", SOURCES[name], re.M) for f in functions), name
 
 
 def test_import_runs_the_compiler_once_and_opens_each_library_once():
-    script = ("import ctypes, json, subprocess\n"
+    """Every extension module the import loads is counted: the three kernel modules load once each, from
+    their own files, and no other module loads under their name or from their files."""
+    script = ("import importlib.machinery, json, subprocess\n"
               "runs, opened = [], []\n"
-              "run, cdll = subprocess.run, ctypes.CDLL\n"
+              "run, create = subprocess.run, importlib.machinery.ExtensionFileLoader.create_module\n"
               "subprocess.run = lambda cmd, *a, **k: runs.append(cmd) or run(cmd, *a, **k)\n"
-              "ctypes.CDLL = lambda name, *a, **k: opened.append(name) or cdll(name, *a, **k)\n"
+              "importlib.machinery.ExtensionFileLoader.create_module = "
+              "lambda self, spec: opened.append((spec.name, spec.origin)) or create(self, spec)\n"
               "import hybridlm.quant\n"
               "print(json.dumps([runs, opened]))\n")
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -99,8 +141,10 @@ def test_import_runs_the_compiler_once_and_opens_each_library_once():
                             check=True)
     runs, opened = json.loads(result.stdout)
     assert [cmd for cmd in runs if "-shared" not in cmd] == [["cc", "--version"]]
-    assert len(opened) == len(set(opened)) == 3
-    assert all(Path(name).name.startswith("hybridlm-") for name in opened)
+    kernels = [path for name, path in opened if name == T._MODULE]
+    assert len(kernels) == len(set(kernels)) == 3
+    assert all(Path(path).name.startswith("hybridlm-") for path in kernels)
+    assert [path for name, path in opened if Path(path).name.startswith("hybridlm-")] == kernels
 
 
 # none of these may change a rounding: fused multiply-adds, reassociation,
@@ -142,7 +186,8 @@ def test_compile_flags_protect_the_bits(built, monkeypatch):
     builds = {name: built(name) for name in SOURCES}
     assert len(list(built.cache_dir.glob("*.so"))) == len(SOURCES)
     for cmd, _, _ in builds.values():
-        assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, "-x", "-", "-o"]
+        assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, f"-I{T._PYTHON_INCLUDE}", "-x",
+                                                                    "-", "-o"]
         assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
@@ -275,7 +320,7 @@ def test_contraction_is_on_only_in_the_fused_gemm_body():
     marked = [line for line in T._MM_SOURCE.splitlines() if "fp-contract" in line]
     assert len(marked) == 2 and all(re.search(r"\bmm_(tile|body)_fused\(", line) for line in marked)
     assert "fp-contract" not in T._SCAN_SOURCE and "fp-contract" not in Q._QUANT_SOURCE
-    shipped = Path(T._MM_LIBRARY._name).read_bytes()
+    shipped = Path(T._MM_LIBRARY.__file__).read_bytes()
     assert b"mm_body_fused.avx512f" in shipped and b"mm_body_separate.avx512f" in shipped
 
 
@@ -285,6 +330,16 @@ def test_missing_compiler_raises_kernel_build_error(tmp_path):
         with pytest.raises(KernelBuildError, match=re.escape(f"compiler '{cc}' in cache directories {tmp_path}:")):
             T._load_library([tmp_path], TINY_SOURCE, cc=cc)
     assert not list(tmp_path.iterdir())
+
+
+def test_missing_python_header_raises_kernel_build_error(tmp_path, monkeypatch):
+    """Without Python.h the build fails as with a broken compiler, and nothing is left to load instead."""
+    (tmp_path / "include").mkdir()
+    monkeypatch.setattr(T, "_PYTHON_INCLUDE", str(tmp_path / "include"))
+    named = re.escape(f"compiler 'cc' in cache directories {tmp_path / 'cache'}: the compiler failed: ")
+    with pytest.raises(KernelBuildError, match=named + r".*Python\.h"):
+        T._load_library([tmp_path / "cache"], TINY_SOURCE)
+    assert not list((tmp_path / "cache").iterdir())
 
 
 def test_unwritable_directory_raises_kernel_build_error(tmp_path):

@@ -8,9 +8,14 @@ Every code's decoded value is checked against the OCP Microscaling Formats
 """
 
 import hashlib
+import json
+import os
 import struct
+import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -542,6 +547,85 @@ def test_serialization_rejects_records_that_decode_past_float32_max():
                        global_scale=np.float32(2.0**120))]
     for q in damaged:
         assert_refused(q)
+
+
+# The numpy bodies that packed and unpacked NVFP4 codes before the C loops nibbles_pack and nibbles_unpack,
+# kept as their oracle. A code grid holds whole blocks, so an even count; the pack pads an odd one with a
+# zero code, as the writer once did.
+def oracle_pack_nibbles(codes):
+    pairs = np.concatenate([codes, np.zeros(codes.size % 2, np.uint8)]).view("<u2")
+    return ((pairs & 0xF) | (pairs >> 4)).astype(np.uint8)
+
+
+def oracle_unpack_nibbles(packed, n_codes):
+    pairs = packed.astype("<u2")
+    return ((pairs & 0xF) | (pairs >> 4 << 8)).view(np.uint8)[:n_codes]
+
+
+def test_nibble_loops_match_the_numpy_oracle():
+    """Every pair of codes 0 to 15 packs as the numpy body packed it, every byte unpacks as it unpacked, and
+    the loops invert each other, at odd and even counts."""
+    pairs = np.array([(lo, hi) for hi in range(16) for lo in range(16)], np.uint8).reshape(-1)
+    random = np.random.default_rng(12).integers(0, 16, 2129).astype(np.uint8)
+    for codes in [pairs[:n] for n in (*range(34), 511, 512)] + [random[:2128], random]:
+        packed = np.full((codes.size + 1) // 2, 0xAA, np.uint8)
+        Q._QUANT_LIBRARY.nibbles_pack(codes, codes.size, packed)
+        assert np.array_equal(packed, oracle_pack_nibbles(codes)), codes.size
+        back = np.full(codes.size, 0xAA, np.uint8)
+        Q._QUANT_LIBRARY.nibbles_unpack(packed, codes.size, back)
+        assert np.array_equal(back, codes), codes.size
+    every_byte = np.arange(256, dtype=np.uint8)
+    for n in (512, 511, 1, 0):
+        codes = np.full(n, 0xAA, np.uint8)
+        Q._QUANT_LIBRARY.nibbles_unpack(every_byte[:(n + 1) // 2], n, codes)
+        assert np.array_equal(codes, oracle_unpack_nibbles(every_byte[:(n + 1) // 2], n)), n
+
+
+EMPTY_RECORDS = """
+import json, time
+import numpy as np
+import hybridlm.quant as Q
+x, times = np.empty((2**40, 0), np.float32), {}
+quantizers = {"nvfp4": Q.quantize_nvfp4, "nvfp4_2d": lambda x: Q.quantize_nvfp4(x, Q.Layout.BLOCK_2D),
+              "mxfp8": Q.quantize_mxfp8}
+for name, quantize in quantizers.items():
+    steps = [("encode", quantize), ("to_bytes", Q.quantized_to_bytes), ("from_bytes", Q.quantized_from_bytes),
+             ("dequantize", lambda q: q.dequantize())]
+    value = x
+    for step, run in steps:
+        start = time.perf_counter()
+        value = run(value)
+        times[f"{name} {step}"] = time.perf_counter() - start
+    assert value.shape == x.shape
+print(json.dumps(times))
+"""
+
+
+def test_records_with_no_codes_take_no_time_however_many_rows():
+    """An array of shape (2^40, 0) holds no code, so encoding it and serializing, restoring and decoding its
+    record each take under a second. The kernels once walked every row of such a record, about 0.7 h for
+    this shape, so the steps run in a child process that is stopped after a minute."""
+    env = dict(os.environ, PYTHONPATH=str(Path(Q.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", EMPTY_RECORDS], env=env, capture_output=True, text=True,
+                            timeout=60, check=True)
+    times = json.loads(result.stdout)
+    assert len(times) == 12 and max(times.values()) < 1.0, times
+
+
+def test_serialization_refuses_grids_past_numpy_size_limit():
+    """A header whose grids hold no code but whose dimensions multiply past what numpy can address raises
+    CheckpointError, where numpy's ValueError escaped."""
+
+    def dims(shape) -> bytes:
+        return struct.pack(f"<B{len(shape)}q", len(shape), *shape)
+
+    big = (2**62, 0)
+    headers = [struct.pack("<BB", 2, 0) + dims(big) + dims(big + (32,)) + dims(big),  # MXFP8, codes past it
+               struct.pack("<BB", 2, 0) + dims(big) + dims((0,)) + dims(big),  # int16 scales past it
+               struct.pack("<BB", 1, 0) + dims(big) + dims(big + (16,)) + struct.pack("<f", 1.0) + dims(big)]
+    for header in headers:
+        with pytest.raises(CheckpointError, match="too big"):
+            Q.quantized_from_bytes(header + struct.pack("<q", 0))
 
 
 def sign_set(scales):

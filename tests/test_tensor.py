@@ -225,15 +225,15 @@ def test_kernel_overwrites_its_output():
 
 # Where every product a[i,k] b[k,j] is exact in float32, the kernel runs a
 # body compiled with fused multiply-adds, which then round as the separate
-# product and sum do. _products_exact is its guard, as the loader typed it
-# in the GEMM's library. Each case below rounds differently under a fused
+# product and sum do. _products_exact calls that guard as the loader
+# wraps it in the GEMM module. Each case below rounds differently under a fused
 # multiply-add, so the guard must refuse it.
 
 
 def _products_exact(a, b):
     """The kernel's guard: whether it runs ``a @ b`` in its fused body."""
     a, b = T._kernel_operand(a), T._kernel_operand(b)
-    return bool(T._MM_LIBRARY.mm_products_exact(*T._ptrs(a, b), a.shape[0], a.shape[1], b.shape[1],
+    return bool(T._MM_LIBRARY.mm_products_exact(a, b, a.shape[0], a.shape[1], b.shape[1],
                                                  *(s // 4 for s in a.strides + b.strides)))
 
 
