@@ -988,24 +988,22 @@ def quantized_from_bytes(raw: bytes) -> QuantizedTensorNVFP4 | QuantizedTensorMX
         off += n
         return view[off - n:off]
 
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    def dims() -> tuple[int, ...]:
-        shape = unpack(f"<{unpack('<B')[0]}q")
+    def dims() -> tuple[int, ...]:  # a byte-sized count, then that many int64s
+        ndim = take(1)[0]
+        shape = struct.unpack(f"<{ndim}q", take(8 * ndim))
         if min(shape, default=0) < 0:
             raise CheckpointError(f"negative dimension in quantized record: {shape}")
         return shape
 
-    tag, layout_code = unpack("<BB")
+    tag, layout_code = take(2)
     if tag not in _FMT_TAGS.values():
         raise ConfigError(f"unknown quantized format tag {tag}")
     nvfp4 = tag == _FMT_TAGS["nvfp4"]
     shape, codes_shape = dims(), dims()
-    g = np.float32(unpack("<f")[0]) if nvfp4 else None
+    g = np.float32(struct.unpack("<f", take(4))[0]) if nvfp4 else None
     scales_shape = dims()
     scales = np.frombuffer(take(math.prod(scales_shape) * (1 if nvfp4 else 2)), np.uint8 if nvfp4 else "<i2")
-    (n_codes,) = unpack("<q")
+    (n_codes,) = struct.unpack("<q", take(8))
     packed = take((n_codes + 1) // 2 if nvfp4 else n_codes)
     if off != len(view):
         raise CheckpointError(f"{len(view) - off} trailing bytes after quantized record")

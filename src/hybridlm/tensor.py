@@ -665,13 +665,12 @@ def _add_part(t: Tensor, key, values: np.ndarray) -> None:
 
     A basic-slice key is assigned into a new gradient and added in place
     into an existing one. An index-array key, rows ``idx`` or elements
-    ``(rows, cols)`` over the first two axes, adds by ``_scatter_add``, which sums
-    repeated indices in index order; into an existing gradient it goes
-    through a zero temporary, so each element still gets one sum of the
-    part's contributions added to it.
+    ``(rows, cols)`` over the first two axes (index arrays of one shape),
+    adds by ``_scatter_add``, which sums repeated indices in index order;
+    into an existing gradient it goes through a zero temporary, so each
+    element still gets one sum of the part's contributions added to it.
     """
-    sliced = isinstance(key, tuple) and all(isinstance(k, slice) for k in key)
-    if sliced:
+    if isinstance(key, tuple) and isinstance(key[0], slice):  # index-array keys hold no slice
         if t.grad is None:
             t.grad = np.zeros_like(t.data)
             t.grad[key] = values
@@ -679,31 +678,31 @@ def _add_part(t: Tensor, key, values: np.ndarray) -> None:
             t.grad[key] += values
         return
     part = np.zeros(t.data.shape, t.data.dtype)  # C order, whatever the layout of t.data
-    if isinstance(key, tuple):  # elements (rows, cols), as rows of the first two axes merged
-        rows, cols = key
-        flat = part.reshape((part.shape[0] * part.shape[1],) + part.shape[2:])
-        _scatter_add(flat, np.asarray(rows, np.intp) * part.shape[1] + cols, values)
-    else:
-        _scatter_add(part, key, values)
+    rows, cols = key if isinstance(key, tuple) else (key, None)
+    _scatter_add(part, rows, values, cols)
     if t.grad is None:
         t.grad = part
     else:
         t.grad += part
 
 
-def _scatter_add(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
+def _scatter_add(out: np.ndarray, idx: np.ndarray, values: np.ndarray, cols: np.ndarray | None = None) -> None:
     """Add the rows of ``values`` into the rows ``idx`` of C-contiguous ``out`` in index order, as
-    ``np.add.at(out, idx, values)`` does; a 1-D ``out`` has rows of one value. The indices are in range.
+    ``np.add.at(out, idx, values)`` does; a 1-D ``out`` has rows of one value. With ``cols``, index
+    arrays of one shape, the rows are those of ``out``'s first two axes merged, and ``values`` are
+    added at the elements ``(idx, cols)`` as ``np.add.at(out, (idx, cols), values)`` adds. The
+    indices are in range.
 
-    ``values`` must have the shape ``idx.shape + out.shape[1:]``: nothing is broadcast.
+    ``values`` must have the shape of the indices followed by that of a row: nothing is broadcast.
     """
-    idx = np.asarray(idx)
+    axes, n = (1, 1) if cols is None else (2, out.shape[1])
     if not out.flags.c_contiguous:
         raise ValueError("scatter-add needs a C-contiguous output")
-    if values.shape != idx.shape + out.shape[1:]:
+    if values.shape != idx.shape + out.shape[axes:] or cols is not None and cols.shape != idx.shape:
         raise ShapeError(f"scatter-add of values {values.shape} at indices {idx.shape} into {out.shape}")
-    idx, vals = np.ascontiguousarray(idx, np.intp), np.ascontiguousarray(values, out.dtype)
-    _scan_kernel("scatter_add", out.dtype)(idx.size, math.prod(out.shape[1:]), idx, vals, out)
+    _scan_kernel("scatter_add", out.dtype)(idx.size, math.prod(out.shape[axes:]), n, np.ascontiguousarray(idx, np.intp),
+                                           None if cols is None else np.ascontiguousarray(cols, np.intp),
+                                           np.ascontiguousarray(values, out.dtype), out)
 
 
 # ---------------------------------------------------------------------------
@@ -802,12 +801,19 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(a.data * cc, (a,), bwd)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return (1.0 / (1.0 + np.exp(-z))).astype(z.dtype, copy=False)
+def _sigmoid(z: np.ndarray, silu: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """numpy's ``1 / (1 + exp(-z))`` in z's dtype and, with ``silu``, ``z`` times it (else None), both
+    C-contiguous. numpy's exp runs on a C-ordered -z, and one C pass (``sigmoid`` in _SCAN_SOURCE) writes
+    the sigmoid and the product, the latter over -z: -(-z) is z bit for bit, so a view of z is read once."""
+    nz = np.negative(z, out=np.empty(z.shape, z.dtype))
+    s = np.exp(nz, out=np.empty_like(nz) if silu else nz)
+    y = nz if silu else None
+    _scan_kernel("sigmoid", z.dtype)(s.size, s, y)
+    return s, y
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = _sigmoid(x.data)
+    s = _sigmoid(x.data)[0]
 
     def bwd(dout):
         return (dout * s * (1.0 - s),)
@@ -816,13 +822,16 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    """x * sigmoid(x)."""
-    s = _sigmoid(x.data)
-    out = x.data * s
+    """x * sigmoid(x). Runs in C around numpy's exp (``_sigmoid``, ``silu_bwd`` in _SCAN_SOURCE) with the bits of
+    the numpy body ``s = 1 / (1 + exp(-x))``, ``x * s`` and of its gradient ``dout * (s + x * s * (1 - s))``,
+    whose ``x * s`` is the output; a ``dout`` wider than x multiplies that factor in its own dtype."""
+    s, out = _sigmoid(x.data, silu=True)
 
     def bwd(dout):
-        # d/dx x*s = s + x*s*(1-s)
-        return (dout * (s + x.data * s * (1.0 - s)),)
+        wide = np.result_type(dout, s) != s.dtype
+        dx = np.empty(s.shape, s.dtype)
+        _scan_kernel("silu_bwd", s.dtype)(s.size, s, out, None if wide else np.ascontiguousarray(dout, s.dtype), dx)
+        return (dout * dx if wide else dx,)
 
     return _make(out, (x,), bwd)
 
@@ -840,7 +849,7 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + e^x), computed without overflow for large x."""
     out = np.where(x.data > 30.0, x.data, np.log1p(np.exp(np.minimum(x.data, 30.0))))
     out = out.astype(x.data.dtype, copy=False)
-    s = _sigmoid(x.data)
+    s = _sigmoid(x.data)[0]
 
     def bwd(dout):
         return (dout * s,)
@@ -1041,6 +1050,8 @@ def take_elems(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
     rows = _checked_index("take_elems rows", rows, x.shape[0])
     cols = _checked_index("take_elems cols", cols, x.shape[1])
     out = x.data[rows, cols]
+    if rows.shape != cols.shape:  # the backward's scatter-add takes one row and one column per element
+        rows, cols = (np.ascontiguousarray(a) for a in np.broadcast_arrays(rows, cols))
 
     def bwd(dout):
         return (((rows, cols), dout),)
@@ -1133,10 +1144,17 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # scratch buffer.
 #
 # The same template holds the kernels of rms_norm, causal_conv1d, the three
-# softmaxes and the index scatter-add (_scatter_add). Each gives the bits of
-# the numpy code it replaced, which tests/test_tensor.py keeps as its oracle:
-# it sums in numpy's orders, pairwise along a row (pairwise_SFX) and in row
-# order down the rows.
+# softmaxes, the sigmoid of sigmoid, silu and softplus, silu's gradient and the
+# index scatter-add (_scatter_add). Each gives the bits of the numpy code it
+# replaced, which tests/test_tensor.py keeps as its oracle: it sums in numpy's
+# orders, pairwise along a row (pairwise_SFX) and in row order down the rows,
+# and computes each element in numpy's order of operations.
+#
+# Every exp stays numpy's, in place between two C passes where one is needed:
+# _softmax_rows (softmax, cross_entropy, causal_softmax), _sigmoid (sigmoid,
+# silu, softplus), exp, softplus's log1p(exp) and mamba_scan's decay. A C exp
+# would not keep the bits: numpy 2.4.6's float32 exp differs from float64 exp
+# rounded to float32 on 819,696 of 8,752,465 sampled inputs, by up to 2 ulp.
 _SCAN_CHUNK = 16
 _SCAN_LANES = 16
 _SCAN_TYPED = r"""
@@ -1411,24 +1429,78 @@ CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
     }
 }
 
+/* numpy's sigmoid 1 / (1 + e) of n values, in place over e = exp(-x); with nx = -x, also silu's x times it, in
+   place over nx. */
+CLONES void sigmoid_SFX(ptrdiff_t n, REAL *restrict e, REAL *restrict nx)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        e[i] = 1 / (1 + e[i]);
+        if (nx) nx[i] = -nx[i] * e[i];
+    }
+}
+
+/* silu's gradient g (s + y (1 - s)) for upstream g, its sigmoid s and its output y = x s, which is numpy's
+   ((x s) (1 - s)); with g NULL, the factor s + y (1 - s) alone. */
+CLONES void silu_bwd_SFX(ptrdiff_t n, const REAL *restrict s, const REAL *restrict y, const REAL *restrict g,
+                         REAL *restrict dx)
+{
+    for (ptrdiff_t i = 0; i < n; i++) {
+        const REAL f = s[i] + y[i] * (1 - s[i]);
+        dx[i] = g ? g[i] * f : f;
+    }
+}
+
 /* The softmax of each row i of z [rows, cols] over its span, the whole row or (causal) columns 0..i, around
-   numpy's exp. The span's max m[i] is NaN if any entry of it is. softmax_shift writes e = z - m in the span and
-   m - m past it; after e = exp(e), softmax_norm multiplies the entries past the span by 0 (those in it by 1,
-   which changes no bit), writes the row sum s[i], +0 plus its pairwise sum, and divides the row by it. */
+   numpy's exp. The span's max m[i] is NaN if any entry of it is, and a zero max takes the sign of the span's
+   first zero, as a scan in column order gives. A span of LP or more runs its whole vectors on LP lanes, each
+   with its own NaN flag, and halves the lanes four times to one; its last columns, or a shorter span, then go
+   through one scalar max in column order. softmax_shift writes e = z - m in the span and m - m past it; after
+   e = exp(e), softmax_norm multiplies the entries past the span by 0 (those in it by 1, which changes no bit),
+   writes the row sum s[i], +0 plus its pairwise sum, and divides the row by it. */
+static inline __attribute__((always_inline)) void max_into_SFX(vec_SFX *acc, const vec_SFX *v)
+{
+    const idx_SFX gt = (idx_SFX)(*v > *acc);  /* false where *v is NaN */
+    *acc = (vec_SFX)(((idx_SFX)*v & gt) | ((idx_SFX)*acc & ~gt));
+}
+
 CLONES void softmax_shift_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, const REAL *restrict z, REAL *restrict e,
                               REAL *restrict m)
 {
+    const idx_SFX half[4] = {{8, 9, 10, 11, 12, 13, 14, 15, 8, 9, 10, 11, 12, 13, 14, 15},
+                             {4, 5, 6, 7, 4, 5, 6, 7, 4, 5, 6, 7, 4, 5, 6, 7},
+                             {2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3},
+                             {1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0}};
     for (ptrdiff_t i = 0; i < rows; i++) {
         const ptrdiff_t span = causal && i + 1 < cols ? i + 1 : cols;
         const REAL *zi = z + i * cols;
         REAL *ei = e + i * cols, mi = -(REAL)__builtin_inf();
+        ptrdiff_t j = 0;
         int nan = 0;
-        for (ptrdiff_t j = 0; j < span; j++) {
+        if (span >= LP) {
+            vec_SFX mv = (vec_SFX){0} + mi;
+            idx_SFX nv = {0};
+            for (; j + LP <= span; j += LP) {
+                const vec_SFX v = *(const vec_SFX *)(zi + j);
+                max_into_SFX(&mv, &v);
+                nv |= (idx_SFX)(v != v);
+            }
+            for (int k = 0; k < 4; k++) {
+                const vec_SFX w = __builtin_shuffle(mv, half[k]);
+                max_into_SFX(&mv, &w);
+                nv |= __builtin_shuffle(nv, half[k]);
+            }
+            mi = mv[0], nan = nv[0] != 0;
+        }
+        for (; j < span; j++) {
             mi = zi[j] > mi ? zi[j] : mi;
             nan |= zi[j] != zi[j];
         }
-        if (nan)
+        if (__builtin_expect(nan, 0))  /* both rare: laid out off the path of a short row, such as the router's */
             mi = (REAL)__builtin_nan("");
+        else if (__builtin_expect(mi == 0, 0)) {
+            for (j = 0; zi[j] != 0;) j++;
+            mi = zi[j];
+        }
         for (ptrdiff_t j = 0; j < span; j++) ei[j] = zi[j] - mi;
         for (ptrdiff_t j = span; j < cols; j++) ei[j] = mi - mi;
         m[i] = mi;
@@ -1460,12 +1532,13 @@ CLONES void softmax_bwd_SFX(ptrdiff_t rows, ptrdiff_t cols, const REAL *restrict
     }
 }
 
-/* out[idx[i] d + j] += vals[i d + j] for i in increasing order, as np.add.at adds. */
-CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, const ptrdiff_t *restrict idx, const REAL *restrict vals,
-                            REAL *restrict out)
+/* out[r d + j] += vals[i d + j] for i in increasing order, as np.add.at adds, at row r = idx[i] n + cols[i],
+   or idx[i] n when cols is NULL. */
+CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, ptrdiff_t n, const ptrdiff_t *restrict idx,
+                            const ptrdiff_t *restrict cols, const REAL *restrict vals, REAL *restrict out)
 {
     for (ptrdiff_t i = 0; i < count; i++) {
-        REAL *o = out + idx[i] * d;
+        REAL *o = out + (idx[i] * n + (cols ? cols[i] : 0)) * d;
         const REAL *v = vals + i * d;
         for (ptrdiff_t j = 0; j < d; j++) o[j] += v[j];
     }

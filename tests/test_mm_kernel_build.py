@@ -250,8 +250,8 @@ def _quant_outputs():
 
 def _scan_outputs():
     """The outputs and gradients of every kernel in the scan source, in float32 and float64: mamba_scan with
-    and without h0, rms_norm, causal_conv1d, causal_softmax, softmax and cross_entropy on each oracle case, and the
-    index scatter-adds."""
+    and without h0, rms_norm, causal_conv1d, causal_softmax, softmax, cross_entropy, sigmoid, silu and softplus on
+    each oracle case, the gradients of the last three for a dout of the other dtype, and the index scatter-adds."""
     out = []
     for shape, dtype, with_h0 in (((37, 3, 4, 5), np.float32, True), ((37, 3, 4, 5), np.float64, False),
                                   ((256, 4, 16, 32), np.float32, False), ((64, 8, 64, 16), np.float64, True)):
@@ -267,6 +267,13 @@ def _scan_outputs():
         out += test_tensor._op_fwd_bwd(T.softmax, *test_tensor._row_softmax_inputs(*case))
     for case in test_tensor.CROSS_ENTROPY_CASES:
         out += test_tensor._cross_entropy_fwd_bwd(*test_tensor._cross_entropy_inputs(*case))
+    with np.errstate(over="ignore", invalid="ignore"):  # exp(-x) past the range, and -inf * 0
+        for case in test_tensor.SIGMOID_CASES:
+            x, dout = test_tensor._sigmoid_inputs(*case)
+            other = np.float64 if x.dtype == np.float32 else np.float32
+            for op, _ in test_tensor.SIGMOID_BODIES.values():
+                out += test_tensor._op_fwd_bwd(op, x, dout)
+                out.append(test_tensor._closure_grad(op, x, dout.astype(other)))
     for dtype in (np.float32, np.float64):
         out += test_tensor._scatter_outputs(dtype)
     return out
@@ -300,6 +307,24 @@ def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
         test_tensor.test_kernel_matches_oracle_on_12_bit_operands_near_the_exponent_bounds()
     else:
         assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
+
+
+def test_scan_outputs_call_every_scan_kernel(monkeypatch):
+    """Every CLONES function of the scan source runs while _scan_outputs runs, so the baseline build's bits are
+    checked for each one. The calls are counted by wrapping the module's functions."""
+    names = [name for _, name, _ in T._DECLARATION.findall(T._SCAN_SOURCE)]
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, kernel):
+        def call(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(T, "_SCAN_LIBRARY",
+                        types.SimpleNamespace(**{n: counted(n, getattr(T._SCAN_LIBRARY, n)) for n in names}))
+    _scan_outputs()
+    assert names and [name for name, count in calls.items() if not count] == []
 
 
 ALWAYS_INLINE = "static inline __attribute__((always_inline))"

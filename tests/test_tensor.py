@@ -862,7 +862,8 @@ def test_causal_conv1d_matches_manual():
     _assert_same_bits(out, want)
 
 
-# rms_norm, causal_conv1d, the softmaxes and cross_entropy (around numpy's exp)
+# rms_norm, causal_conv1d, the softmaxes and cross_entropy and the sigmoid of
+# sigmoid, silu and softplus (these two around numpy's exp), silu's gradient
 # and the index scatter-add run in C and keep the bits of the numpy code they
 # replaced, which stays here as their oracle. That code follows these rules of
 # numpy 2.4.6:
@@ -920,6 +921,39 @@ def _cross_entropy_numpy(z, targets, dout):
     return np.asarray(-logp[rows, targets].mean(), dtype=z.dtype), p * (dout / t)
 
 
+def _sigmoid_numpy(z):
+    """The sigmoid of sigmoid, silu and softplus: their numpy body 1 / (1 + exp(-z)) in z's dtype."""
+    return np.asarray(1.0 / (1.0 + np.exp(-z))).astype(z.dtype, copy=False)
+
+
+def _silu_numpy(x, dout):
+    """silu's numpy body: the output and the gradient of x."""
+    s = _sigmoid_numpy(x)
+    return x * s, dout * (s + x * s * (1.0 - s))
+
+
+def _sigmoid_body_numpy(x, dout):
+    """sigmoid's numpy body: the output and the gradient of x."""
+    s = _sigmoid_numpy(x)
+    return s, dout * s * (1.0 - s)
+
+
+def _softplus_numpy(x, dout):
+    """softplus's numpy body: the output and the gradient of x."""
+    out = np.where(x > 30.0, x, np.log1p(np.exp(np.minimum(x, 30.0)))).astype(x.dtype, copy=False)
+    return out, dout * _sigmoid_numpy(x)
+
+
+def _span_max_numpy(z, causal):
+    """softmax_shift's row max m over each row's span, the whole row or (causal) columns 0..i: numpy's max, NaN
+    if the span holds a NaN, and a zero max with the sign of the span's first zero, as a scan in column order
+    gives (numpy's own max takes either zero)."""
+    span = np.tril(np.ones(z.shape, bool)) if causal else np.ones(z.shape, bool)
+    m = np.where(span, z, -np.inf).max(axis=-1)
+    first_zero = np.take_along_axis(z, np.argmax(span & (z == 0), axis=-1)[..., None], -1)[..., 0]
+    return np.where(m == 0, first_zero, m)
+
+
 def _causal_conv1d_numpy(x, w, bias, dout):
     """causal_conv1d's numpy body: the output, dx, dw and db."""
     t, c = x.shape
@@ -957,6 +991,17 @@ ROW_SOFTMAX_CASES = [(shape, dtype, special) for shape in ((2048, 4), (256, 8), 
                                                            (3, 300), (37,))
                      for dtype in DTYPES for special in (False, True)]
 CROSS_ENTROPY_CASES = [case for case in ROW_SOFTMAX_CASES if len(case[0]) == 2]
+# (shape, layout, dtype, with +-0, +-inf, NaN, subnormal, huge and overflowing inputs and -0 and inf upstream): the
+# long stack's 2048 x 64 gates C-ordered, as a column slice of a wider matrix and transposed, then odd shapes
+SIGMOID_CASES = ([((2048, 64), layout, dtype, special) for layout in ("C", "cols", "T") for dtype in DTYPES
+                  for special in (False, True)]
+                 + [(shape, "C", dtype, special) for shape in ((3, 300), (37,), (2, 3, 5), (1, 1), ())
+                    for dtype in DTYPES for special in (False, True)])
+SIGMOID_BODIES = {"sigmoid": (T.sigmoid, _sigmoid_body_numpy), "silu": (T.silu, _silu_numpy),
+                  "softplus": (T.softplus, _softplus_numpy)}
+# row spans on either side of the row max's vectors of LP = 16 lanes, and causal T whose last rows cross them
+SHIFT_SPANS = (1, 15, 16, 17, 31, 32, 33, 128, 129)
+CAUSAL_SHIFT_TS = (15, 16, 17, 33)
 
 
 def _special(a, rng, values):
@@ -1016,6 +1061,72 @@ def _row_softmax_inputs(shape, dtype, special, finite=True):
         if not finite and len(rows) > 2:
             rows[1] = -np.inf  # max -inf: every entry NaN
     return z, dout
+
+
+def _sigmoid_inputs(shape, layout, dtype, special):
+    """x, laid out as ``layout`` says, and the upstream gradient for a SIGMOID_CASES entry."""
+    rng = np.random.default_rng(sum(shape) + len(shape))
+    x, dout = (np.asarray(rng.standard_normal(shape) * 8).astype(dtype) for _ in range(2))
+    if special:
+        info = np.finfo(dtype)
+        edge = np.log(info.max)  # exp(-x) overflows below -edge
+        _special(x, rng, (0.0, -0.0, np.inf, -np.inf, np.nan, info.max, -info.max, edge, -edge,
+                          np.nextafter(-edge, -np.inf), info.smallest_subnormal, -info.smallest_subnormal, 30.0))
+        _special(dout, rng, (-0.0, np.inf))
+    if layout == "cols":
+        wide = np.zeros((shape[0], 3 * shape[1]), dtype)
+        wide[:, shape[1]:2 * shape[1]] = x
+        x = wide[:, shape[1]:2 * shape[1]]
+    elif layout == "T":
+        x = np.ascontiguousarray(x.T).T
+    return x, dout
+
+
+def _shift_edge_rows(cols, dtype):
+    """Rows of ``cols`` logits for the row max. For each ordered pair of a few positions, in the first vector of
+    16, past it and in the last columns: a row of -1 with -0 at the first and +0 at the second. For each
+    position: a row of -1 with -0 or +0 there, random rows with NaN, -inf, +inf, huge or -huge there, and a row
+    of -huge with huge there. Then rows of -inf, -0 and +0, and random rows."""
+    rng = np.random.default_rng(cols)
+    huge = np.finfo(dtype).max / 4
+    spots = sorted({p for p in (0, 1, 3, 16, cols // 2, cols - 2, cols - 1) if 0 <= p < cols})
+    rows = []
+    for a, b in itertools.permutations(spots, 2):
+        rows.append(np.full(cols, -1.0))
+        rows[-1][[a, b]] = -0.0, 0.0
+    for p in spots:
+        for base, v in [(np.full(cols, -1.0), -0.0), (np.full(cols, -1.0), 0.0), (np.full(cols, -huge), huge)] + [
+                (rng.standard_normal(cols) * 3, v) for v in (np.nan, -np.inf, np.inf, huge, -huge)]:
+            base[p] = v
+            rows.append(base)
+    rows += [np.full(cols, v) for v in (-np.inf, -0.0, 0.0)] + list(rng.standard_normal((4, cols)) * 3)
+    return np.array(rows).astype(dtype)
+
+
+def _causal_shift_edge_scores(t, dtype):
+    """t x t scores whose row i holds, by i modulo 8, random scores, -0 and +0 among -1 in either order (at i //
+    2 and i, or at i and 0), a NaN, a span of -inf, huge and -huge, or +inf; above the diagonal, random scores
+    with +inf, NaN, huge and both zeros, which no row may see."""
+    rng = np.random.default_rng(t)
+    huge = np.finfo(dtype).max / 4
+    z = rng.standard_normal((t, t)) * 3
+    for i in range(t):
+        row, kind = z[i, :i + 1], i % 8
+        if kind in (1, 2, 3):
+            row[:] = -1.0
+            row[[[i // 2, i], [i // 2, i], [i, 0]][kind - 1]] = (0.0, -0.0) if kind == 2 else (-0.0, 0.0)
+        elif kind == 4:
+            row[i // 2] = np.nan
+        elif kind == 5:
+            row[:] = -np.inf
+        elif kind == 6:
+            row[[0, i]] = huge, -huge
+        elif kind == 7:
+            row[i // 2] = np.inf
+    above = np.triu_indices(t, 1)
+    pick = rng.integers(0, above[0].size, 5)
+    z[above[0][pick], above[1][pick]] = np.inf, np.nan, huge, 0.0, -0.0
+    return z.astype(dtype)
 
 
 def _cross_entropy_inputs(shape, dtype, special):
@@ -1097,9 +1208,67 @@ def test_cross_entropy_backward_twice_adds_the_same_gradient():
     _assert_same_bits(x.grad, once + once)
 
 
+@pytest.mark.parametrize("case", SIGMOID_CASES, ids=str)
+def test_sigmoid_family_matches_its_numpy_body(case):
+    x, dout = _sigmoid_inputs(*case)
+    for op, body in SIGMOID_BODIES.values():
+        with np.errstate(over="ignore", invalid="ignore"):  # exp(-x) past the range, and -inf * 0
+            for g, v in zip(_op_fwd_bwd(op, x, dout), body(x, dout)):
+                _assert_same_bits(g, v, x.dtype)
+
+
+def _closure_grad(op, x, dout):
+    """The gradient that ``op``'s backward closure returns for x when called with ``dout`` itself. The tape casts
+    a gradient to its tensor's dtype, so only a direct call hands a closure a dout of another dtype."""
+    with T.Tape() as tape:
+        op(T.Tensor(x, requires_grad=True))
+    [(_, _, bwd)] = tape._nodes
+    return bwd(dout)[0]
+
+
+@pytest.mark.parametrize("name", SIGMOID_BODIES)
+def test_sigmoid_family_gradient_of_a_dout_of_another_dtype_matches_its_numpy_body(name):
+    """A float64 dout for a float32 x, or a float32 dout for a float64 x: numpy forms silu's factor in x's dtype
+    and multiplies it by dout in their wider dtype, float64."""
+    op, body = SIGMOID_BODIES[name]
+    for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
+        x, dout = _sigmoid_inputs((3, 300), "C", dtype, True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_same_bits(_closure_grad(op, x, dout.astype(other)), body(x, dout.astype(other))[1], np.float64)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("cols", SHIFT_SPANS)
+def test_softmax_shift_edge_rows_match_numpy(cols, dtype):
+    """The row max, the softmax and the cross-entropy of _shift_edge_rows match their numpy bodies; a zero max
+    has the sign of the row's first zero."""
+    z = _shift_edge_rows(cols, dtype)
+    rng = np.random.default_rng(cols)
+    dout, targets = rng.standard_normal(z.shape).astype(dtype), rng.integers(0, cols, len(z))
+    y, m, _ = T._softmax_rows(z, causal=False)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and huge - (-huge)
+        _assert_same_bits(m, _span_max_numpy(z, False), dtype)
+        _assert_same_bits(y, _softmax_numpy(z, dout)[0], dtype)
+        want = _cross_entropy_numpy(z, targets, np.asarray(2.5, dtype))
+        for g, v in zip(_cross_entropy_fwd_bwd(z, targets, np.asarray(2.5, dtype)), want):
+            _assert_same_bits(g, v, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("t", CAUSAL_SHIFT_TS)
+def test_causal_softmax_shift_edge_rows_match_numpy(t, dtype):
+    z = _causal_shift_edge_scores(t, dtype)
+    dout = np.random.default_rng(t).standard_normal((t, t)).astype(dtype)
+    with np.errstate(invalid="ignore", over="ignore"):
+        _assert_same_bits(T._softmax_rows(z, causal=True)[1], _span_max_numpy(z, True), dtype)
+        for g, v in zip(_op_fwd_bwd(T.causal_softmax, z, dout), _causal_softmax_numpy(z, dout)):
+            _assert_same_bits(g, v, dtype)
+
+
 def _scatter_cases(dtype):
     """(out, idx, values) with many repeated indices: rows of a matrix, rows of a 3-D array under a 2-D
-    index, and single elements of a vector that starts with -0 and nonzero entries."""
+    index, single elements of a vector that starts with -0 and nonzero entries, and elements (rows, cols)
+    of a matrix and of a 3-D array."""
     rng = np.random.default_rng(50)
 
     def rand(*shape):
@@ -1109,14 +1278,17 @@ def _scatter_cases(dtype):
     vec[::5] = -0.0
     return [(np.zeros((6, 5), dtype), rng.integers(0, 6, 40), rand(40, 5)),
             (np.zeros((4, 2, 3), dtype), rng.integers(0, 4, (5, 2)), rand(5, 2, 2, 3)),
-            (vec, rng.integers(0, 24, 60), rand(60))]
+            (vec, rng.integers(0, 24, 60), rand(60)),
+            (np.zeros((6, 5), dtype), (rng.integers(0, 6, (8, 5)), rng.integers(0, 5, (8, 5))), rand(8, 5)),
+            (np.zeros((4, 3, 2), dtype), (rng.integers(0, 4, 30), rng.integers(0, 3, 30)), rand(30, 2))]
 
 
 def _scatter_outputs(dtype):
     """T._scatter_add's result on each of _scatter_cases."""
     out = []
     for dst, idx, values in _scatter_cases(dtype):
-        T._scatter_add(dst, idx, values)
+        rows, cols = idx if isinstance(idx, tuple) else (idx, None)
+        T._scatter_add(dst, rows, values, cols)
         out.append(dst)
     return out
 
@@ -1133,6 +1305,10 @@ def test_scatter_add_rejects_a_shape_it_would_misread():
     for values in (np.ones((1, 5), np.float32), np.ones((4, 5), np.float32), np.ones(3, np.float32)):
         with pytest.raises(ShapeError):  # np.add.at would broadcast one row; the kernel would read past it
             T._scatter_add(out, idx, values)
+    for cols, values in ((np.array([1, 1]), np.ones(3, np.float32)), (np.array([1, 1, 4]), np.ones(2, np.float32)),
+                         (np.array([1, 1, 4]), np.ones((3, 5), np.float32))):
+        with pytest.raises(ShapeError):  # elements need a column per row index and one value per element
+            T._scatter_add(out, idx, values, cols)
     with pytest.raises(ValueError):
         T._scatter_add(np.zeros((5, 6), np.float32).T, idx, np.ones((3, 5), np.float32))
     assert not out.any()
