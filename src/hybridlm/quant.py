@@ -222,12 +222,12 @@ def _grids(fmt: Format, shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # Maxima are integer maxima of |x|'s bits, which order like the values and
 # flag inf and NaN. quant_decode's row loop is one per format and decodes 16
 # codes to a vector. Every vector helper takes and gives its vectors through
-# pointers: a 64-byte vector passed by value would change the baseline clone's
-# ABI, which GCC warns of (-Wpsabi). The source is built with tensor.py's
-# flags, which keep every float operation an IEEE one rounded as written.
+# pointers: passed by value, a 64-byte vector changes the baseline build's ABI,
+# which GCC 12.2 warns of (-Wpsabi) even for a helper it must inline. The
+# source is built with tensor.py's flags, which keep every float operation an
+# IEEE one rounded as written.
 _QUANT_SOURCE = r"""
 #include <float.h>
-#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -248,10 +248,10 @@ typedef int32_t vi __attribute__((vector_size(64)));
 typedef uint32_t vu __attribute__((vector_size(64)));
 enum { VW = 16, RUN = 64 };  /* the lanes of a vector; the most blocks a run encodes */
 
-static inline __attribute__((always_inline)) uint32_t f2u(float f) { uint32_t u; memcpy(&u, &f, 4); return u; }
-static inline __attribute__((always_inline)) float u2f(uint32_t u) { float f; memcpy(&f, &u, 4); return f; }
+static inline uint32_t f2u(float f) { uint32_t u; memcpy(&u, &f, 4); return u; }
+static inline float u2f(uint32_t u) { float f; memcpy(&f, &u, 4); return f; }
 
-static inline __attribute__((always_inline)) float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 2^127 */
+static inline float pow2f(int32_t e)  /* 2^e exactly, 0 below 2^-149, inf above 2^127 */
 {
     if (e > 127) return u2f(INF);
     if (e >= -126) return u2f((uint32_t)(e + 127) << 23);
@@ -260,7 +260,7 @@ static inline __attribute__((always_inline)) float pow2f(int32_t e)  /* 2^e exac
 
 /* The smallest integer e with amax <= limit 2^e, for amax > 0: with amax = m 2^k and
    limit = l 2^j, m and l in [1, 2), it is k - j, plus one when m > l. */
-static inline __attribute__((always_inline)) int pow2_exponent(float amax, float limit)
+static inline int pow2_exponent(float amax, float limit)
 {
     int k = 0;
     if (amax < 0x1p-126f) { amax *= 0x1p64f; k = -64; }  /* a subnormal, made normal */
@@ -268,18 +268,18 @@ static inline __attribute__((always_inline)) int pow2_exponent(float amax, float
     return k + (int)(a >> 23) - (int)(l >> 23) + ((a & 0x7fffffu) > (l & 0x7fffffu));
 }
 
-static inline __attribute__((always_inline)) float tiny_of(int emin)
+static inline float tiny_of(int emin)
 { return emin < 0 ? 1.0f / (float)(1 << -emin) : (float)(1 << emin); }
 
 /* *a becomes the lanewise maximum of *a and *b */
-static inline __attribute__((always_inline)) void max_into(vi *a, const vi *b)
+static inline void max_into(vi *a, const vi *b)
 {
     const vi more = *b > *a;
     *a = (more & *b) | (~more & *a);
 }
 
 /* The lesser and the greater of each lane of *mag and lim, bits of floats >= +0, which order like their values */
-static inline __attribute__((always_inline)) void clamp_bits(const vi *mag, int32_t lim, vi *lo, vi *hi)
+static inline void clamp_bits(const vi *mag, int32_t lim, vi *lo, vi *hi)
 {
     const vi m = *mag, below = m < lim;
     *lo = (below & m) | (~below & lim);
@@ -288,7 +288,7 @@ static inline __attribute__((always_inline)) void clamp_bits(const vi *mag, int3
 
 /* The grid index of each lane's magnitude, float bits *mag, rounded FLOOR, CEIL or NEAREST (ties to the
    even code), at most top */
-static inline __attribute__((always_inline)) void round_index(const vi *mag, int how, vi *idx, GRID)
+static inline void round_index(const vi *mag, int how, vi *idx, GRID)
 {
     const int shift = 23 - mb;
     const float tiny = tiny_of(emin);
@@ -311,7 +311,7 @@ static inline __attribute__((always_inline)) void round_index(const vi *mag, int
 /* The floor index, plus one in each lane where u < (mag - floor value) / step, for magnitudes at most max.
    That fraction is exact in float32: the dropped mantissa bits above 2^emin, the fractional part of
    mag / step below it. */
-static inline __attribute__((always_inline)) void round_stochastic(const vi *mag, const double *u, vi *idx, GRID)
+static inline void round_stochastic(const vi *mag, const double *u, vi *idx, GRID)
 {
     const int shift = 23 - mb;
     const float tiny = tiny_of(emin);
@@ -328,7 +328,7 @@ static inline __attribute__((always_inline)) void round_stochastic(const vi *mag
    Philox4x64-10 (Salmon et al., SC'11) on counter (c, 0, 0, 0) under the 128-bit key {k0, k1},
    each word w as (w >> 11) 2^-53. A draw depends only on its index, so no block waits for another.
    One counter per call: interleaving 2 to 8 counters measured no faster. */
-static inline __attribute__((always_inline)) void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double *u)
+static inline void philox_uniforms(uint64_t c, uint64_t k0, uint64_t k1, double *u)
 {
     uint64_t w[4] = {c, 0, 0, 0};
     for (int r = 0; r < 10; r++, k0 += 0x9E3779B97F4A7C15u, k1 += 0xBB67AE8584CAA73Bu) {
@@ -343,8 +343,7 @@ static inline __attribute__((always_inline)) void philox_uniforms(uint64_t c, ui
 }
 
 /* The sign-magnitude codes c[0..16) of x[0..16) / s, rounded to nearest even or, with uniforms u, stochastically */
-static inline __attribute__((always_inline)) void encode_lanes(const float *x, float s, const double *u, uint8_t *c,
-                                                               GRID)
+static inline void encode_lanes(const float *x, float s, const double *u, uint8_t *c, GRID)
 {
     vf v;
     memcpy(&v, x, sizeof v);
@@ -361,7 +360,7 @@ static inline __attribute__((always_inline)) void encode_lanes(const float *x, f
 }
 
 /* The values of the codes *c, none of them NaN, in each lane */
-static inline __attribute__((always_inline)) void values_of(const vi *c, vf *v, GRID)
+static inline void values_of(const vi *c, vf *v, GRID)
 {
     const vi idx = *c & ((1 << sb) - 1), sub = idx < (1 << mb);
     const vi subnormal = (vi)(__builtin_convertvector(idx, vf) * (tiny_of(emin) / (float)(1 << mb)));
@@ -370,7 +369,7 @@ static inline __attribute__((always_inline)) void values_of(const vi *c, vf *v, 
 }
 
 /* One lane of values_of, for a block scale or a check: a scalar formula measured faster than a vector lane */
-static inline __attribute__((always_inline)) float value_of(uint32_t c, GRID)
+static inline float value_of(uint32_t c, GRID)
 {
     const uint32_t idx = c & ((1u << sb) - 1);
     const uint32_t mag = idx < (1u << mb) ? f2u((float)idx * (tiny_of(emin) / (float)(1 << mb)))
@@ -378,7 +377,8 @@ static inline __attribute__((always_inline)) float value_of(uint32_t c, GRID)
     return u2f(mag | (c >> sb & 1) << 31);
 }
 
-/* Does one of the n codes c decode past FLT_MAX under block scale s? */
+/* Does one of the n codes c decode past FLT_MAX under block scale s? Inlined late, as GCC 12.2 does
+   unforced, it left the stochastic NVFP4 encodes 6-8% slower on an AVX-512 Xeon. */
 static inline __attribute__((always_inline)) int past_max(const uint8_t *c, int n, float s, GRID)
 {
     if ((double)max * (double)s <= (double)FLT_MAX) return 0;
@@ -390,7 +390,7 @@ static inline __attribute__((always_inline)) int past_max(const uint8_t *c, int 
 
 /* lane j of out is the greatest lane of m[j], for 16 vectors m: each level packs the halved lanes of two
    vectors into one, as add_sums_SFX in tensor.py */
-static inline __attribute__((always_inline)) void lane_maxima(vi *m, int32_t *out)
+static inline void lane_maxima(vi *m, int32_t *out)
 {
     const vi lo8 = {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23};
     const vi lo4 = {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27};
@@ -413,10 +413,9 @@ static inline __attribute__((always_inline)) void lane_maxima(vi *m, int32_t *ou
    pass 2 their scales, to scales[k..k + n); pass 3 their codes, row by row, to codes (row stride pc),
    code i of a row taking uniform o + pc r + i into u under stochastic rounding. Returns 2 if a code would
    decode past FLT_MAX. */
-static inline __attribute__((always_inline)) int encode_run(const int fmt, GRID, const float *src, ptrdiff_t ld,
-                                                            ptrdiff_t h, ptrdiff_t n, float g, const uint64_t *key,
-                                                            uint64_t o, double *u, ptrdiff_t pc, uint8_t *codes,
-                                                            void *scales, ptrdiff_t k)
+static inline int encode_run(const int fmt, GRID, const float *src, ptrdiff_t ld, ptrdiff_t h, ptrdiff_t n, float g,
+                             const uint64_t *key, uint64_t o, double *u, ptrdiff_t pc, uint8_t *codes, void *scales,
+                             ptrdiff_t k)
 {
     const int bh = BH(fmt), bw = BW(fmt);
     int32_t amax[RUN];
@@ -485,9 +484,8 @@ static inline __attribute__((always_inline)) int encode_run(const int fmt, GRID,
    RUN blocks in C order, read in place through row stride cols, and a last
    partial block of each row of blocks from a zero-padded copy. Returns 2 if a
    code would decode past FLT_MAX. */
-static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GRID, const float *x, ptrdiff_t rows,
-                                                               ptrdiff_t cols, float g, const uint64_t *key,
-                                                               uint8_t *codes, void *scales)
+static inline int encode_blocks(const int fmt, GRID, const float *x, ptrdiff_t rows, ptrdiff_t cols, float g,
+                                const uint64_t *key, uint8_t *codes, void *scales)
 {
     const int bh = BH(fmt), bw = BW(fmt);
     const ptrdiff_t nb = (cols + bw - 1) / bw, whole = cols / bw, pc = bw * nb;
@@ -517,7 +515,7 @@ static inline __attribute__((always_inline)) int encode_blocks(const int fmt, GR
    stochastic rounding under the Philox key {seed mod 2^64, seed >> 64} (NULL: nearest);
    the NVFP4 global scale goes to *g. Returns 1 if x is not finite, 2 if a
    code would decode past FLT_MAX (x within a block scale of it). */
-CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const uint64_t *key,
+EXPORT int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols, const uint64_t *key,
                         uint8_t *codes, void *scales, float *g)
 {
     uint32_t amax = 0;
@@ -534,15 +532,15 @@ CLONES int quant_encode(int fmt, const float *x, ptrdiff_t rows, ptrdiff_t cols,
 }
 
 /* Is code c off element grid GRID: a bit set above its sign, or a magnitude past the top code (E4M3's NaN)? */
-static inline __attribute__((always_inline)) uint8_t off_grid(uint8_t c, GRID)
+static inline uint8_t off_grid(uint8_t c, GRID)
 { return (uint8_t)(c >> (sb + 1)) | (uint8_t)(((c & ((1u << sb) - 1)) + ((1u << sb) - 1 - top)) & (1u << sb)); }
 
 /* The scale of block k of a record in format fmt */
-static inline __attribute__((always_inline)) float block_scale(const int fmt, const void *scales, float g, ptrdiff_t k)
+static inline float block_scale(const int fmt, const void *scales, float g, ptrdiff_t k)
 { return fmt == MXFP8 ? pow2f(((const int16_t *)scales)[k]) : value_of(((const uint8_t *)scales)[k], E4M3) * g; }
 
 /* v[0..16) = the values of the codes c[0..16) times s */
-static inline __attribute__((always_inline)) void decode_lanes(const uint8_t *c, float s, float *v, GRID)
+static inline void decode_lanes(const uint8_t *c, float s, float *v, GRID)
 {
     vi w;
     vf f;
@@ -554,9 +552,8 @@ static inline __attribute__((always_inline)) void decode_lanes(const uint8_t *c,
 
 /* quant_decode's row loop in format fmt, a constant once inlined: each row of codes is tested, then decoded
    into out 16 codes to a vector, each value times its block's scale. */
-static inline __attribute__((always_inline)) int decode_rows(const int fmt, GRID, const uint8_t *codes,
-                                                             const void *scales, float g, double peak,
-                                                             ptrdiff_t rows, ptrdiff_t cols, float *out)
+static inline int decode_rows(const int fmt, GRID, const uint8_t *codes, const void *scales, float g, double peak,
+                              ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
     const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, whole = cols / bw, pc = bw * nb;
     const ptrdiff_t nr = (rows + bh - 1) / bh;
@@ -590,7 +587,7 @@ static inline __attribute__((always_inline)) int decode_rows(const int fmt, GRID
    is past E4M3's top finite code, 126, or an exponent outside E8M0, 5 a code on the grid, padding included,
    is off its element grid, 6 a block scale, or a code times it, passes FLT_MAX in double. Each row of codes
    is tested just before it is decoded into out[rows, cols] (a test inside the decode loop measured slower). */
-CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
+EXPORT int quant_decode(int fmt, const uint8_t *codes, const void *scales, float g,
                         ptrdiff_t rows, ptrdiff_t cols, float *out)
 {
     const ptrdiff_t bh = BH(fmt), bw = BW(fmt), nb = (cols + bw - 1) / bw, nr = (rows + bh - 1) / bh;
@@ -616,14 +613,14 @@ CLONES int quant_decode(int fmt, const uint8_t *codes, const void *scales, float
 
 /* The n codes, each below 16, two to a byte of packed: code 2i in the low nibble of byte i, code 2i + 1 in
    its high nibble, an odd last code alone in the low nibble. */
-CLONES void nibbles_pack(const uint8_t *codes, ptrdiff_t n, uint8_t *packed)
+EXPORT void nibbles_pack(const uint8_t *codes, ptrdiff_t n, uint8_t *packed)
 {
     for (ptrdiff_t i = 0; i < n / 2; i++) packed[i] = (uint8_t)(codes[2 * i] | codes[2 * i + 1] << 4);
     if (n % 2) packed[n / 2] = codes[n - 1];
 }
 
 /* The n codes that nibbles_pack packed, each nibble of packed one code. */
-CLONES void nibbles_unpack(const uint8_t *packed, ptrdiff_t n, uint8_t *codes)
+EXPORT void nibbles_unpack(const uint8_t *packed, ptrdiff_t n, uint8_t *codes)
 {
     for (ptrdiff_t i = 0; i < n / 2; i++) codes[2 * i] = packed[i] & 0xF, codes[2 * i + 1] = packed[i] >> 4;
     if (n % 2) codes[n - 1] = packed[n / 2] & 0xF;

@@ -107,7 +107,7 @@ else:
 # element only the minimum of u - 1 over the magnitude bits u (a zero wraps
 # to the maximum), their maximum and their OR, and it stops after the first
 # row that fails, so a failing GEMM pays for one row. The baseline x86-64
-# clone has no FMA instruction and keeps a multiply and an add, which give
+# build has no FMA instruction and keeps a multiply and an add, which give
 # the same bits.
 # -fno-trapping-math lets the compiler assume that floating-point
 # operations do not trap, which it needs to vectorize conditional selects
@@ -123,25 +123,20 @@ else:
 # One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
 # (mamba_scan's recurrence and the rms_norm, causal_conv1d, softmax and
 # scatter-add kernels, below) and quant.py's _QUANT_SOURCE (the
-# quantizers' encode/decode). _load_library compiles a source with _C_FLAGS
-# after a line that defines the macro CLONES, which marks each exported
-# function. On x86-64 that is the attribute CLONES below: GCC builds an
-# avx512f body and a baseline x86-64 one, and the dynamic loader picks one
-# when the library loads. Elsewhere the macro is empty. Every helper that a
-# CLONES function calls is always_inline: GCC clones only the marked
-# functions, so an out-of-line helper runs its one baseline body in every
-# clone. rms_norm's forward at 2048x32 took 460-630 us with its pairwise sum
-# out of line, against 45-100 us inlined (numpy: 200-230 us), and a GEMM body
-# that was a static helper ran at 3.6 GFLOP/s. There is no AVX2
-# clone: GCC gives the kernels' 64-byte vectors no register mode under AVX2
-# and moves them through the stack. On a 2-vCPU AVX-512 Xeon an AVX2 build
-# ran the GEMM at 256x1064x256 in 40-42 ms, no faster than the baseline
-# build's 37-42 ms (avx512f: 2 ms), and the scan forward at the long layer
-# in 3.8-4.0 ms against the baseline's 1.6-2.1 ms.
+# quantizers' encode/decode). _load_library compiles each once, with
+# _C_FLAGS and _ISA_FLAGS, after a line that defines EXPORT, the marker of
+# exported functions, as nothing. _ISA_FLAGS is -mavx512f where the probe
+# (_PROBE_SOURCE, built with no level flag) finds AVX-512F usable, the OS's
+# support for its state included, and empty otherwise, which builds
+# baseline code. There is no AVX2 level: GCC gives the kernels' 64-byte
+# vectors no register mode under AVX2. On a 2-vCPU AVX-512 Xeon an AVX2
+# build ran the GEMM at 256x1064x256 in 40-42 ms, no faster than the
+# baseline build's 37-42 ms (avx512f: 2 ms), and the scan forward at the
+# long layer in 3.8-4.0 ms against the baseline's 1.6-2.1 ms.
 #
 # Each source becomes a CPython extension module. _load_library includes the
 # interpreter's Python.h ahead of it and generates a METH_FASTCALL wrapper
-# (PEP 590) for every CLONES function from its declaration (_wrapper), so
+# (PEP 590) for every EXPORT function from its declaration (_wrapper), so
 # argument types are written once, in C. Arrays pass through the buffer
 # protocol (PEP 3118), and the kernel runs with the GIL released. On a 2-vCPU
 # AVX-512 Xeon an empty C function of three arrays took 0.32 us to call, where
@@ -149,21 +144,20 @@ else:
 #
 # A module is cached in $XDG_CACHE_HOME/hybridlm (default
 # ~/.cache/hybridlm), or in <tempdir>/hybridlm-<uid> when that directory is
-# not writable. Its file name hashes the generated text, with the CLONES
-# definition ahead of the source, the flags, the include directory and `cc
-# --version`, so a changed kernel, clone list, interpreter or compiler builds
-# afresh. Each build goes to a temporary file that os.replace moves into
-# place, so processes importing concurrently are safe. A directory that
-# another user owns or can write to is skipped, since a module planted there
-# would be loaded. A process runs `cc --version` once per compiler, and each
-# module loads each of its sources once. With no working compiler, no
-# Python.h or no usable cache directory the import raises KernelBuildError:
-# there is no slower path to fall back to.
+# not writable. Its file name hashes the generated text, the flags, the
+# include directory and `cc --version`, so a changed kernel, level,
+# interpreter or compiler builds afresh. Each build goes to a temporary file
+# that os.replace moves into place, so processes importing concurrently are
+# safe. A directory that another user owns or can write to is skipped, since
+# a module planted there would be loaded. A process runs `cc --version` once
+# per compiler, and each module loads each of its sources once. With no
+# working compiler, no Python.h or no usable cache directory the import
+# raises KernelBuildError: there is no slower path to fall back to.
 
 _MM_TYPED = r"""
 /* out[0:rows, 0:w] (row stride n) = s + a[0:rows, 0:kc] @ bp, in k order, for an MR x NV*VW tile,
    where s is +0 on the first k block and out otherwise; bp is the packed panel, NV*VW floats per k. */
-static inline __attribute__((always_inline)) CONTRACT void mm_tile_SFX(
+static inline CONTRACT void mm_tile_SFX(
     const float *restrict a, ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t rows, const float *restrict bp, float *restrict out,
     ptrdiff_t n, ptrdiff_t w, ptrdiff_t kc, int first, const int MR, const int NV)
 {
@@ -209,7 +203,7 @@ static inline __attribute__((always_inline)) CONTRACT void mm_tile_SFX(
 }
 
 /* out = a @ b for kk > 0, tile by tile. */
-CLONES CONTRACT void mm_body_SFX(const float *restrict a, const float *restrict b, float *restrict out,
+EXPORT CONTRACT void mm_body_SFX(const float *restrict a, const float *restrict b, float *restrict out,
                                  ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
                                  ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
@@ -240,7 +234,6 @@ CLONES CONTRACT void mm_body_SFX(const float *restrict a, const float *restrict 
 }
 """
 _MM_SOURCE = r"""
-#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -253,8 +246,7 @@ enum { VW = 16, KC = 128, NP = 64 };
               for sfx, contract in (("separate", ""), ("fused", '__attribute__((optimize("fp-contract=fast")))'))) + r"""
 /* Folds the magnitude bits u of x[0:cols] (stride s) into lo, the least u - 1 (a zero wraps to the
    greatest), hi, the greatest u, and bits, their OR. */
-static inline __attribute__((always_inline)) void
-mm_scan_row(const u32 *x, ptrdiff_t cols, ptrdiff_t s, uint32_t *lo, uint32_t *hi, uint32_t *bits)
+static inline void mm_scan_row(const u32 *x, ptrdiff_t cols, ptrdiff_t s, uint32_t *lo, uint32_t *hi, uint32_t *bits)
 {
     uint32_t mn = *lo, mx = *hi, ors = *bits;
     for (ptrdiff_t j = 0; j < cols; j++) {
@@ -269,8 +261,8 @@ mm_scan_row(const u32 *x, ptrdiff_t cols, ptrdiff_t s, uint32_t *lo, uint32_t *h
 /* mm_scan_row over the rows of x[0:rows, 0:cols] (strides s0, s1), or over its columns when those are
    contiguous. Returns 0 after the first row that holds a nonzero element with any of its 12 low
    mantissa bits set, a subnormal, an infinity or a NaN. */
-static inline __attribute__((always_inline)) int
-mm_scan(const float *x, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t s0, ptrdiff_t s1, uint32_t *lo, uint32_t *hi)
+static inline int mm_scan(const float *x, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t s0, ptrdiff_t s1, uint32_t *lo,
+                          uint32_t *hi)
 {
     uint32_t bits = 0;
     *lo = UINT32_MAX, *hi = 0;
@@ -292,7 +284,7 @@ mm_scan(const float *x, ptrdiff_t rows, ptrdiff_t cols, ptrdiff_t s0, ptrdiff_t 
 /* 1 when every product a[i,k] b[k,j] is exact in float32: an operand is all zero, or the nonzero
    elements of both are normal with 12 low mantissa bits of zero and their biased exponents keep
    every product in [2^-126, 2^128). */
-CLONES int mm_products_exact(const float *a, const float *b, ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
+EXPORT int mm_products_exact(const float *a, const float *b, ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
                              ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
     uint32_t alo, ahi, blo, bhi;
@@ -305,7 +297,7 @@ CLONES int mm_products_exact(const float *a, const float *b, ptrdiff_t m, ptrdif
 }
 
 /* out = a @ b in the oracle's order, by the fused body when every product is exact. */
-CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
+EXPORT void mm_exact_f32(const float *restrict a, const float *restrict b, float *restrict out,
                          ptrdiff_t m, ptrdiff_t kk, ptrdiff_t n,
                          ptrdiff_t sa0, ptrdiff_t sa1, ptrdiff_t sb0, ptrdiff_t sb1)
 {
@@ -317,10 +309,20 @@ CLONES void mm_exact_f32(const float *restrict a, const float *restrict b, float
         mm_body_separate(a, b, out, m, kk, n, sa0, sa1, sb0, sb1);
 }
 """
-CLONES = '__attribute__((target_clones("avx512f", "default")))'
 _C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fno-math-errno", "-Wall", "-fPIC", "-shared")
+_ISA_FLAGS: tuple[str, ...] = ()  # the level's flags, set from the probe below, which builds without any
+_PROBE_SOURCE = r"""
+EXPORT int avx512f_usable(int unused)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+#endif
+    return 0;
+}
+"""
 _PYTHON_INCLUDE = sysconfig.get_paths()["include"]  # the interpreter's Python.h
-_DECLARATION = re.compile(r"^CLONES\b.*?\b(\w+) (\w+)\(([^)]*)\)", re.M | re.S)
+_DECLARATION = re.compile(r"^EXPORT\b.*?\b(\w+) (\w+)\(([^)]*)\)", re.M | re.S)
 _MODULE = "hybridlm_kernels"  # every kernel module's name; none is put in sys.modules
 # The argument converters of the generated wrappers, one per parameter type: arg_<type> for each of
 # _C_SCALARS, and arg_buffer for a pointer. Each returns nonzero, with a Python error set, for an argument it
@@ -423,7 +425,7 @@ def _cc_version(cc: str) -> str:
 
 
 def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> types.ModuleType:
-    """The extension module built from the C ``source``, with a function for each of its CLONES functions
+    """The extension module built from the C ``source``, with a function for each of its EXPORT functions
     generated from the declaration.
 
     Reuses a build cached in the first usable directory of ``cache_dirs``,
@@ -442,13 +444,13 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ty
         version = _cc_version(cc)
     except (OSError, subprocess.CalledProcessError) as e:
         raise error(f"the compiler does not run ({e})") from e
-    declarations = _DECLARATION.findall(source)  # the source always holds the literal CLONES
+    declarations = _DECLARATION.findall(source)  # the source always holds the literal EXPORT
     wrappers = "".join(_wrapper(*declaration) for declaration in declarations)
     methods = "".join(f'    {{"{name}", (PyCFunction)(void (*)(void)){name}_py, METH_FASTCALL, NULL}},\n'
                       for _, name, _ in declarations)
-    text = (f"#include <Python.h>\n#if defined(__x86_64__)\n#define CLONES {CLONES}\n#else\n#define CLONES\n#endif\n"
-            f"{source}{_GLUE}{wrappers}{_MODULE_INIT.format(methods=methods, module=_MODULE)}")
-    flags = (*_C_FLAGS, f"-I{_PYTHON_INCLUDE}")
+    text = (f"#include <Python.h>\n#include <stddef.h>\n#define EXPORT\n{source}{_GLUE}{wrappers}"
+            f"{_MODULE_INIT.format(methods=methods, module=_MODULE)}")
+    flags = (*_C_FLAGS, *_ISA_FLAGS, f"-I{_PYTHON_INCLUDE}")
     key = hashlib.sha256("\0".join((text, *flags, version)).encode()).hexdigest()[:16]
     skipped = []
     for d in dirs:
@@ -472,6 +474,7 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ty
     raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
+_ISA_FLAGS = ("-mavx512f",) if _load_library(_cache_dirs(), _PROBE_SOURCE).avx512f_usable(0) else ()
 _MM_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE)
 
 
@@ -1139,7 +1142,7 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 # sum_n dh_t b_t is the gradient of dt x; numpy turns dq into the gradients of
 # dt and a. A sum over the lanes (db, dc) adds each block's LP lanes by a
 # fixed tree and then the blocks in increasing order; sums over N run in
-# increasing n. The order is thus the same in every clone, and the loops
+# increasing n. The order is thus the same at every level, and the loops
 # vectorize without reassociating. Python passes every
 # scratch buffer.
 #
@@ -1163,7 +1166,7 @@ typedef IDX idx_SFX __attribute__((vector_size(LP * sizeof(REAL))));
 
 /* acc[r] += the sum of the LP lanes of rows[r], for LP rows, each summed by one tree: lane l plus
    lane l + 8, then l + 4, l + 2 and l + 1. Each level packs the halved lanes of two vectors into one. */
-static inline __attribute__((always_inline)) void add_sums_SFX(const vec_SFX *rows, REAL *acc)
+static inline void add_sums_SFX(const vec_SFX *rows, REAL *acc)
 {
     const idx_SFX lo8 = {0, 1, 2, 3, 4, 5, 6, 7, 16, 17, 18, 19, 20, 21, 22, 23};
     const idx_SFX lo4 = {0, 1, 2, 3, 8, 9, 10, 11, 16, 17, 18, 19, 24, 25, 26, 27};
@@ -1180,10 +1183,8 @@ static inline __attribute__((always_inline)) void add_sums_SFX(const vec_SFX *ro
 }
 
 /* One step's lanes j = i p + k (head i): decay dl and input ul = dt x, then zeros up to mp. */
-static inline __attribute__((always_inline)) void lanes_SFX(ptrdiff_t h, ptrdiff_t p, ptrdiff_t mp,
-                                                             const REAL *restrict x, const REAL *restrict dt,
-                                                             const REAL *restrict decay, REAL *restrict dl,
-                                                             REAL *restrict ul)
+static inline void lanes_SFX(ptrdiff_t h, ptrdiff_t p, ptrdiff_t mp, const REAL *restrict x, const REAL *restrict dt,
+                             const REAL *restrict decay, REAL *restrict dl, REAL *restrict ul)
 {
     for (ptrdiff_t i = 0; i < h; i++)
         for (ptrdiff_t k = 0; k < p; k++) {
@@ -1195,7 +1196,7 @@ static inline __attribute__((always_inline)) void lanes_SFX(ptrdiff_t h, ptrdiff
 
 /* y [t_len, h, p] of the scan from `state` [n, mp], which ends as the final state; the state
    entering step s seg goes to ckpt[s]. Scratch: lanes 3 mp. */
-CLONES void scan_fwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
+EXPORT void scan_fwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
                          const REAL *restrict x, const REAL *restrict dt, const REAL *restrict decay,
                          const REAL *restrict d, const REAL *restrict b, const REAL *restrict c,
                          REAL *restrict lanes, REAL *restrict state, REAL *restrict ckpt, REAL *restrict y)
@@ -1225,7 +1226,7 @@ CLONES void scan_fwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n,
 /* The gradients of scan_fwd for upstream g [t_len, h, p], from its checkpoints: dx [t_len, h, p],
    ex and dq [t_len, h], dd [h], db and dc [t_len, n]. Scratch: lanes 5 seg mp, rows 2 np LP and
    sums 2 seg np (np: n rounded up to a multiple of LP), dh n mp, st (seg + 1) n LP. */
-CLONES void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
+EXPORT void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n, ptrdiff_t mp, ptrdiff_t seg,
                          const REAL *restrict x, const REAL *restrict dt, const REAL *restrict decay,
                          const REAL *restrict d, const REAL *restrict b, const REAL *restrict c,
                          const REAL *restrict g, const REAL *restrict ckpt, REAL *restrict lanes,
@@ -1307,7 +1308,7 @@ CLONES void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n,
    span splits at n / 2 rounded down to a multiple of 8 and adds its halves' sums. The recursion runs
    on an explicit stack of split spans: the start and end of the right half, which is -1 once the left
    half's sum is in `left`. */
-static inline __attribute__((always_inline)) REAL pairwise_block_SFX(const REAL *a, ptrdiff_t n)
+static inline REAL pairwise_block_SFX(const REAL *a, ptrdiff_t n)
 {
     REAL res = -0.0;
     ptrdiff_t i = 0;
@@ -1322,7 +1323,7 @@ static inline __attribute__((always_inline)) REAL pairwise_block_SFX(const REAL 
     return res;
 }
 
-static inline __attribute__((always_inline)) REAL pairwise_SFX(const REAL *a, ptrdiff_t n)
+static inline REAL pairwise_SFX(const REAL *a, ptrdiff_t n)
 {
     ptrdiff_t mid[64], hi[64], lo = 0, end = n;
     REAL left[64];
@@ -1342,7 +1343,7 @@ static inline __attribute__((always_inline)) REAL pairwise_SFX(const REAL *a, pt
 
 /* rms_norm over rows of d: r[i] = 1 / sqrt(mean(x_i^2) + eps) and out_i = x_i r[i] w. The mean is
    numpy's: +0 plus the pairwise sum of the squares, divided by d in double and rounded. */
-CLONES void rms_fwd_SFX(ptrdiff_t rows, ptrdiff_t d, double eps, const REAL *restrict x, const REAL *restrict w,
+EXPORT void rms_fwd_SFX(ptrdiff_t rows, ptrdiff_t d, double eps, const REAL *restrict x, const REAL *restrict w,
                         REAL *restrict r, REAL *restrict out)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
@@ -1359,7 +1360,7 @@ CLONES void rms_fwd_SFX(ptrdiff_t rows, ptrdiff_t d, double eps, const REAL *res
 /* The gradients of rms_fwd for upstream g, given r and r3 = r^3 per row: dx = g w r - x r3 inner / d
    with inner = +0 plus the pairwise sum of g w x over the row, and dw = the sum of g x r down the rows,
    in row order from +0 or, when d is 1 and so the column is contiguous, pairwise. */
-CLONES void rms_bwd_SFX(ptrdiff_t rows, ptrdiff_t d, const REAL *restrict x, const REAL *restrict w,
+EXPORT void rms_bwd_SFX(ptrdiff_t rows, ptrdiff_t d, const REAL *restrict x, const REAL *restrict w,
                         const REAL *restrict r, const REAL *restrict r3, const REAL *restrict g,
                         REAL *restrict dx, REAL *restrict dw)
 {
@@ -1384,7 +1385,7 @@ CLONES void rms_bwd_SFX(ptrdiff_t rows, ptrdiff_t d, const REAL *restrict x, con
 /* Depthwise causal conv of x [t, c] by w [k, c]: out[u] = b + w[0] xp[u] + ... + w[k - 1] xp[u + k - 1]
    in that order, where xp is x after k - 1 zero rows. The zero rows' products are added too, so a
    -0 bias or an infinite weight gives numpy's bits. */
-CLONES void conv_fwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
+EXPORT void conv_fwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
                          const REAL *restrict b, REAL *restrict out)
 {
     const REAL zero = 0;
@@ -1399,7 +1400,7 @@ CLONES void conv_fwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
 /* The gradients of conv_fwd for upstream g [t, c]. dw[tau] sums g[v] xp[tau + v] and db sums g[v] over v
    in order from +0, or pairwise when c is 1 and so the column is contiguous; the zero rows of xp add
    their products. dx[u] adds g[v] w[tau] for v = u + k - 1 - tau in [0, t), in increasing tau from +0. */
-CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
+EXPORT void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
                          const REAL *restrict g, REAL *restrict dx, REAL *restrict dw, REAL *restrict db)
 {
     const REAL zero = 0;
@@ -1431,7 +1432,7 @@ CLONES void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
 
 /* numpy's sigmoid 1 / (1 + e) of n values, in place over e = exp(-x); with nx = -x, also silu's x times it, in
    place over nx. */
-CLONES void sigmoid_SFX(ptrdiff_t n, REAL *restrict e, REAL *restrict nx)
+EXPORT void sigmoid_SFX(ptrdiff_t n, REAL *restrict e, REAL *restrict nx)
 {
     for (ptrdiff_t i = 0; i < n; i++) {
         e[i] = 1 / (1 + e[i]);
@@ -1441,7 +1442,7 @@ CLONES void sigmoid_SFX(ptrdiff_t n, REAL *restrict e, REAL *restrict nx)
 
 /* silu's gradient g (s + y (1 - s)) for upstream g, its sigmoid s and its output y = x s, which is numpy's
    ((x s) (1 - s)); with g NULL, the factor s + y (1 - s) alone. */
-CLONES void silu_bwd_SFX(ptrdiff_t n, const REAL *restrict s, const REAL *restrict y, const REAL *restrict g,
+EXPORT void silu_bwd_SFX(ptrdiff_t n, const REAL *restrict s, const REAL *restrict y, const REAL *restrict g,
                          REAL *restrict dx)
 {
     for (ptrdiff_t i = 0; i < n; i++) {
@@ -1457,13 +1458,13 @@ CLONES void silu_bwd_SFX(ptrdiff_t n, const REAL *restrict s, const REAL *restri
    through one scalar max in column order. softmax_shift writes e = z - m in the span and m - m past it; after
    e = exp(e), softmax_norm multiplies the entries past the span by 0 (those in it by 1, which changes no bit),
    writes the row sum s[i], +0 plus its pairwise sum, and divides the row by it. */
-static inline __attribute__((always_inline)) void max_into_SFX(vec_SFX *acc, const vec_SFX *v)
+static inline void max_into_SFX(vec_SFX *acc, const vec_SFX *v)
 {
     const idx_SFX gt = (idx_SFX)(*v > *acc);  /* false where *v is NaN */
     *acc = (vec_SFX)(((idx_SFX)*v & gt) | ((idx_SFX)*acc & ~gt));
 }
 
-CLONES void softmax_shift_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, const REAL *restrict z, REAL *restrict e,
+EXPORT void softmax_shift_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, const REAL *restrict z, REAL *restrict e,
                               REAL *restrict m)
 {
     const idx_SFX half[4] = {{8, 9, 10, 11, 12, 13, 14, 15, 8, 9, 10, 11, 12, 13, 14, 15},
@@ -1507,7 +1508,7 @@ CLONES void softmax_shift_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, const 
     }
 }
 
-CLONES void softmax_norm_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, REAL *restrict e, REAL *restrict s)
+EXPORT void softmax_norm_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, REAL *restrict e, REAL *restrict s)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
         REAL *ei = e + i * cols;
@@ -1520,7 +1521,7 @@ CLONES void softmax_norm_SFX(ptrdiff_t rows, ptrdiff_t cols, int causal, REAL *r
 
 /* The gradient of a softmax's output y [rows, cols] for upstream g: y (g - inner) with inner = +0 plus the
    pairwise sum of g y over the whole row, past any span too. */
-CLONES void softmax_bwd_SFX(ptrdiff_t rows, ptrdiff_t cols, const REAL *restrict y, const REAL *restrict g,
+EXPORT void softmax_bwd_SFX(ptrdiff_t rows, ptrdiff_t cols, const REAL *restrict y, const REAL *restrict g,
                             REAL *restrict dx)
 {
     for (ptrdiff_t i = 0; i < rows; i++) {
@@ -1534,7 +1535,7 @@ CLONES void softmax_bwd_SFX(ptrdiff_t rows, ptrdiff_t cols, const REAL *restrict
 
 /* out[r d + j] += vals[i d + j] for i in increasing order, as np.add.at adds, at row r = idx[i] n + cols[i],
    or idx[i] n when cols is NULL. */
-CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, ptrdiff_t n, const ptrdiff_t *restrict idx,
+EXPORT void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, ptrdiff_t n, const ptrdiff_t *restrict idx,
                             const ptrdiff_t *restrict cols, const REAL *restrict vals, REAL *restrict out)
 {
     for (ptrdiff_t i = 0; i < count; i++) {
@@ -1545,7 +1546,6 @@ CLONES void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, ptrdiff_t n, const ptr
 }
 """
 _SCAN_SOURCE = r"""
-#include <stddef.h>
 #include <string.h>
 
 enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES */

@@ -2,19 +2,18 @@
 Mamba scan and the quantizers' encode/decode, each built by one loader from
 its C source into one library.
 
-Each build test calls the loader directly with its own ``tmp_path`` cache,
-so none depends on what the user's cache holds. Each source is built once
-with its shipped clones, which checks the flags and the warnings, and once
-with the clone list empty, which gives baseline x86-64 code and must give
-the shipped build's bits. The tests of the loader's typing, caching,
-directories and concurrency build a few-line source, which compiles in a
-fraction of the time the kernels take.
+Each build test calls the loader directly with its own cache, so none
+depends on what the user's cache holds. Each source is built once at the
+probe's level, as the import builds it, and once with no -m flag, which
+gives baseline code that must give the shipped build's bits. The tests of
+the loader's typing, caching, directories and concurrency build a few-line
+source, which compiles in a fraction of the time the kernels take.
 """
 
 import json
 import os
-import platform
 import re
+import shutil
 import subprocess
 import sys
 import types
@@ -35,7 +34,7 @@ SOURCES = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}
 # the module attribute that holds each source's library; every call of an entry point reads it
 LIBRARIES = {"mm": (T, "_MM_LIBRARY"), "quant": (Q, "_QUANT_LIBRARY"), "scan": (T, "_SCAN_LIBRARY")}
 
-TINY_SOURCE = "#include <stddef.h>\nCLONES int twice(ptrdiff_t v) { return (int)(2 * v); }\n"
+TINY_SOURCE = "#include <stddef.h>\nEXPORT int twice(ptrdiff_t v) { return (int)(2 * v); }\n"
 
 
 def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
@@ -50,14 +49,14 @@ def test_second_load_reuses_cached_library(tmp_path, monkeypatch):
 
 
 TYPED_SOURCE = """#include <stddef.h>
-CLONES int echo(ptrdiff_t n, int i, float f, double d, double *out)
+EXPORT int echo(ptrdiff_t n, int i, float f, double d, double *out)
 {
     out[0] = (double)n, out[1] = i, out[2] = f, out[3] = d;
     return i + 1;
 }
-CLONES void negate(double *out, ptrdiff_t n) { for (ptrdiff_t i = 0; i < n; i++) out[i] = -out[i]; }
-CLONES int is_null(const double *p) { return p == NULL; }
-CLONES int holds_gil(int unused) { return PyGILState_Check(); }
+EXPORT void negate(double *out, ptrdiff_t n) { for (ptrdiff_t i = 0; i < n; i++) out[i] = -out[i]; }
+EXPORT int is_null(const double *p) { return p == NULL; }
+EXPORT int holds_gil(int unused) { return PyGILState_Check(); }
 """
 
 
@@ -113,21 +112,22 @@ def test_wrappers_pass_none_as_null_and_release_the_gil(tmp_path):
                                                  ("long widen(int v) { return v; }", "long")])
 def test_loader_refuses_a_type_it_does_not_map(tmp_path, declaration, c_type):
     with pytest.raises(KernelBuildError, match=f"C function widen uses type '{c_type}'"):
-        T._load_library([tmp_path], f"#include <stddef.h>\nCLONES {declaration}\n")
+        T._load_library([tmp_path], f"#include <stddef.h>\nEXPORT {declaration}\n")
 
 
 def test_every_shipped_entry_point_comes_back_typed():
-    """Each kernel module holds one function for each CLONES function of its source, and nothing else."""
+    """Each kernel module holds one function for each EXPORT function of its source, and nothing else."""
     for name, (module, attr) in LIBRARIES.items():
         lib = getattr(module, attr)
         functions = [f for f in vars(lib) if isinstance(getattr(lib, f), types.BuiltinFunctionType)]
-        assert len(functions) == len(re.findall(r"^CLONES\b", SOURCES[name], re.M)), name
-        assert all(re.search(rf"^CLONES\b[^{{]*\b{f}\(", SOURCES[name], re.M) for f in functions), name
+        assert len(functions) == len(re.findall(r"^EXPORT\b", SOURCES[name], re.M)), name
+        assert all(re.search(rf"^EXPORT\b[^{{]*\b{f}\(", SOURCES[name], re.M) for f in functions), name
 
 
-def test_import_runs_the_compiler_once_and_opens_each_library_once():
-    """Every extension module the import loads is counted: the three kernel modules load once each, from
-    their own files, and no other module loads under their name or from their files."""
+def test_import_runs_the_compiler_once_and_opens_each_library_once(built):
+    """Every extension module the import loads is counted: the probe, built with no -m flag, and the three kernel
+    modules, built here with the probe's flags, load once each, and no other module loads under their name."""
+    builds = [built(name) for name in SOURCES]
     script = ("import importlib.machinery, json, subprocess\n"
               "runs, opened = [], []\n"
               "run, create = subprocess.run, importlib.machinery.ExtensionFileLoader.create_module\n"
@@ -135,15 +135,18 @@ def test_import_runs_the_compiler_once_and_opens_each_library_once():
               "importlib.machinery.ExtensionFileLoader.create_module = "
               "lambda self, spec: opened.append((spec.name, spec.origin)) or create(self, spec)\n"
               "import hybridlm.quant\n"
-              "print(json.dumps([runs, opened]))\n")
-    env = dict(os.environ, PYTHONPATH=SRC)
+              "print(json.dumps([runs, opened, hybridlm.tensor._ISA_FLAGS]))\n")
+    env = dict(os.environ, PYTHONPATH=SRC, XDG_CACHE_HOME=str(built.cache_dir.parent))
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
                             check=True)
-    runs, opened = json.loads(result.stdout)
+    runs, opened, isa = json.loads(result.stdout)
     assert [cmd for cmd in runs if "-shared" not in cmd] == [["cc", "--version"]]
+    [probe] = [cmd for cmd in runs if "-shared" in cmd]
+    assert [arg for arg in probe if arg.startswith("-m")] == [] and tuple(isa) == T._ISA_FLAGS
     kernels = [path for name, path in opened if name == T._MODULE]
-    assert len(kernels) == len(set(kernels)) == 3
-    assert all(Path(path).name.startswith("hybridlm-") for path in kernels)
+    assert len(kernels) == len(set(kernels)) == 4
+    assert set(kernels[1:]) == {lib.__file__ for _, _, lib in builds}
+    assert all([arg for arg in cmd if arg.startswith("-m")] == isa for cmd, _, _ in builds)
     assert [path for name, path in opened if Path(path).name.startswith("hybridlm-")] == kernels
 
 
@@ -155,12 +158,12 @@ UNSAFE_FLAGS = {"-ffast-math", "-Ofast", "-ffp-contract=fast", "-freciprocal-mat
 
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
-    """Builds source ``name`` once through the loader, the first time a test asks for it, and returns the
-    compile command, its result and the library, so the flag and warning tests share one build per source."""
-    cache, cache_dir = {}, tmp_path_factory.mktemp("kernels")
+    """Builds source ``name`` at level ``isa`` once through the loader, the first time a test asks for it, and
+    returns the compile command, its result and the library, so that tests share one build per source and level."""
+    cache, cache_dir = {}, tmp_path_factory.mktemp("kernels") / "hybridlm"
 
-    def build(name):
-        if name not in cache:
+    def build(name, isa=T._ISA_FLAGS):
+        if (name, isa) not in cache:
             runs = []
             real_run = subprocess.run
 
@@ -171,23 +174,24 @@ def built(tmp_path_factory):
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(subprocess, "run", spy)
+                mp.setattr(T, "_ISA_FLAGS", isa)
                 lib = T._load_library([cache_dir], SOURCES[name])
             [(cmd, result)] = [(cmd, result) for cmd, result in runs if "-shared" in cmd]
-            cache[name] = cmd, result, lib
-        return cache[name]
+            cache[name, isa] = cmd, result, lib
+        return cache[name, isa]
 
     build.cache_dir = cache_dir
     return build
 
 
 def test_compile_flags_protect_the_bits(built, monkeypatch):
-    """Each source builds once, into its own library, with exactly the shared flags: contraction off and
-    no flag that may change a rounding. The GEMM so built matches the oracle bit for bit."""
+    """Each source builds once, into its own library, with exactly the shared flags and the level's: contraction
+    off and no flag that may change a rounding. The GEMM so built matches the oracle bit for bit."""
     builds = {name: built(name) for name in SOURCES}
-    assert len(list(built.cache_dir.glob("*.so"))) == len(SOURCES)
+    assert len({lib.__file__ for _, _, lib in builds.values()}) == len(SOURCES)
     for cmd, _, _ in builds.values():
-        assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, f"-I{T._PYTHON_INCLUDE}", "-x",
-                                                                    "-", "-o"]
+        assert [arg for arg in cmd[1:] if arg.startswith("-")] == [*T._C_FLAGS, *T._ISA_FLAGS,
+                                                                    f"-I{T._PYTHON_INCLUDE}", "-x", "-", "-o"]
         assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
@@ -197,10 +201,9 @@ def test_compile_flags_protect_the_bits(built, monkeypatch):
 
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
 def test_c_sources_compile_without_warnings(built, name):
-    """The compiler, run by the loader with -Wall, prints nothing. The loader has found and typed every
-    CLONES function in the library, or it would have raised."""
-    _, result, _ = built(name)
-    assert result.stderr == ""
+    """The compiler, run by the loader with -Wall, prints nothing at either level; the baseline's would warn of a
+    64-byte vector passed by value (-Wpsabi). The loader has typed every EXPORT function, or it would have raised."""
+    assert built(name)[1].stderr == built(name, ())[1].stderr == ""
 
 
 def _bits(values):
@@ -284,16 +287,12 @@ SHIPPED_OUTPUTS = {"quant": _quant_outputs, "scan": _scan_outputs}
 
 
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
-def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
-    """With no clone list the loader builds the baseline x86-64 code that a host without AVX-512 runs.
-    Its GEMM matches the oracle bit for bit, the guarded fused body included, and its quantizers and scan
-    give the shipped build's bits."""
+def test_baseline_build_gives_the_same_bits(built, monkeypatch, name):
+    """With no level flag the loader builds the baseline code that a host without AVX-512 runs. Its GEMM
+    matches the oracle bit for bit, the guarded fused body included, and its quantizers and scan give the
+    shipped build's bits."""
     want = SHIPPED_OUTPUTS[name]() if name in SHIPPED_OUTPUTS else None
-    monkeypatch.setattr(T, "CLONES", "")
-    lib = T._load_library([tmp_path], SOURCES[name])
-    [path] = tmp_path.glob("*.so")
-    assert b".avx512f" not in path.read_bytes()  # no clone: the code that runs is the baseline
-    monkeypatch.setattr(*LIBRARIES[name], lib)
+    monkeypatch.setattr(*LIBRARIES[name], built(name, ())[2])
     if want is None:
         test_tensor.test_kernel_matches_oracle_on_edge_shapes()
         test_tensor.test_kernel_matches_oracle_on_views()
@@ -310,7 +309,7 @@ def test_baseline_build_gives_the_same_bits(tmp_path, monkeypatch, name):
 
 
 def test_scan_outputs_call_every_scan_kernel(monkeypatch):
-    """Every CLONES function of the scan source runs while _scan_outputs runs, so the baseline build's bits are
+    """Every EXPORT function of the scan source runs while _scan_outputs runs, so the baseline build's bits are
     checked for each one. The calls are counted by wrapping the module's functions."""
     names = [name for _, name, _ in T._DECLARATION.findall(T._SCAN_SOURCE)]
     calls = dict.fromkeys(names, 0)
@@ -327,26 +326,42 @@ def test_scan_outputs_call_every_scan_kernel(monkeypatch):
     assert names and [name for name, count in calls.items() if not count] == []
 
 
-ALWAYS_INLINE = "static inline __attribute__((always_inline))"
+def _disassembly(path):
+    """Each function's machine code in the library at ``path`` by symbol name, from ``objdump -d``. Skips the
+    test where objdump is not installed."""
+    if shutil.which("objdump") is None:
+        pytest.skip("objdump is not installed")
+    text = subprocess.run(["objdump", "-d", "--no-show-raw-insn", path], capture_output=True, text=True,
+                          check=True).stdout
+    return dict(re.findall(r"^[0-9a-f]+ <([^>]+)>:\n(.*?)(?:\n\n|\Z)", text, re.M | re.S))
 
 
 @pytest.mark.parametrize("name", ["mm", "quant", "scan"])
-def test_every_c_helper_is_always_inline(name):
-    """GCC clones only the CLONES functions, so a helper that one calls and that is not always_inline would
-    run its one baseline body in every clone: each static function is static inline always_inline."""
-    helpers = re.findall(r"\bstatic\b.*", SOURCES[name])
-    assert helpers and [h for h in helpers if not h.startswith(ALWAYS_INLINE)] == []
+def test_baseline_build_names_no_avx_register(built, name):
+    """No instruction of the baseline build names a 256- or 512-bit register or an AVX-512 mask register, so
+    the code whose bits test_baseline_build_gives_the_same_bits checks is the code a host without AVX runs."""
+    code = _disassembly(built(name, ())[2].__file__)
+    assert {"mm_exact_f32", "quant_encode", "scan_fwd_f32"} & set(code)
+    assert [f for f, body in code.items() if re.search(r"%(ymm|zmm|k[0-7]\b)", body)] == []
 
 
-@pytest.mark.skipif(platform.machine() != "x86_64", reason="the clones are built on x86-64 only")
 def test_contraction_is_on_only_in_the_fused_gemm_body():
-    """fp-contract=fast marks the fused tile and panel loop and nothing else, and the shipped GEMM library
-    holds an avx512f clone of both bodies, the one that has fused multiply-adds."""
+    """fp-contract=fast marks the fused tile and panel loop and nothing else. In the shipped GEMM library only
+    the fused body holds fused multiply-adds, and at the AVX-512 level it holds them."""
     marked = [line for line in T._MM_SOURCE.splitlines() if "fp-contract" in line]
     assert len(marked) == 2 and all(re.search(r"\bmm_(tile|body)_fused\(", line) for line in marked)
     assert "fp-contract" not in T._SCAN_SOURCE and "fp-contract" not in Q._QUANT_SOURCE
-    shipped = Path(T._MM_LIBRARY.__file__).read_bytes()
-    assert b"mm_body_fused.avx512f" in shipped and b"mm_body_separate.avx512f" in shipped
+    code = _disassembly(T._MM_LIBRARY.__file__)
+    fused = [f for f, body in code.items() if re.search(r"\bvfn?m(add|sub)", body)]
+    assert "mm_body_separate" in code and all("_fused" in f for f in fused)
+    assert ("mm_body_fused" in fused) == bool(T._ISA_FLAGS)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/cpuinfo"), reason="no /proc/cpuinfo lists the CPU's flags")
+def test_the_probe_agrees_with_the_host():
+    """The kernels build for AVX-512 exactly when the kernel lists avx512f among the CPU's flags."""
+    flags = re.findall(r"^flags\s*:(.*)$", Path("/proc/cpuinfo").read_text(), re.M)
+    assert T._ISA_FLAGS == (("-mavx512f",) if flags and "avx512f" in flags[0].split() else ())
 
 
 def test_missing_compiler_raises_kernel_build_error(tmp_path):
