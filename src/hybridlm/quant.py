@@ -717,16 +717,6 @@ def quantize_mxfp8(data: np.ndarray, mode: RoundingMode = NEAREST_EVEN) -> Quant
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _sylvester(n: int) -> np.ndarray:
-    """Read-only float64 +-1 Sylvester matrix H_n, H_2n = [[H_n, H_n], [H_n, -H_n]], for n a power of two."""
-    h = np.ones((1, 1), np.float64)
-    while h.shape[0] < n:
-        h = np.block([[h, h], [h, -h]])
-    h.flags.writeable = False
-    return h
-
-
 def random_hadamard(n: int, seed: int) -> np.ndarray:
     """Orthogonal float32 [n, n] matrix (1/sqrt(n)) H_n D with a seeded random +-1 diagonal D."""
     if not _is_int(n) or n <= 0 or (n & (n - 1)) != 0:
@@ -734,9 +724,11 @@ def random_hadamard(n: int, seed: int) -> np.ndarray:
     _check_seed(seed, "Hadamard")
     if n == 1:
         return np.ones((1, 1), np.float32)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    d = rng.integers(0, 2, n) * 2 - 1
-    return (_sylvester(n) * d[None, :] / np.sqrt(n)).astype(np.float32)
+    h = np.ones((1, 1), np.float64)
+    while h.shape[0] < n:  # Sylvester's H_2n = [[H_n, H_n], [H_n, -H_n]]
+        h = np.block([[h, h], [h, -h]])
+    d = np.random.Generator(np.random.Philox(key=seed)).integers(0, 2, n) * 2 - 1
+    return (h * d[None, :] / np.sqrt(n)).astype(np.float32)
 
 
 def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
@@ -744,6 +736,9 @@ def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
 
     For A's rows (axis=1) that is A M, for B's columns (axis=0) M^T B, so
     transforming both contraction axes leaves A @ B unchanged: M M^T = I.
+    The blocks go through ``matmul_exact`` as one [-1, n] matrix: float32
+    operands sum in k order, as ``matmul_oracle`` does, whatever the host's
+    BLAS; a float64 operand takes its float64 branch and returns float64.
     """
     if np.ndim(matrix) != 2 or not 0 < matrix.shape[0] == matrix.shape[1] or not -x.ndim <= axis < x.ndim:
         raise ShapeError(f"apply_rht needs a square matrix and an axis of x, got {np.shape(matrix)} and {axis}")
@@ -751,8 +746,7 @@ def apply_rht(x: np.ndarray, matrix: np.ndarray, axis: int) -> np.ndarray:
     if x.shape[axis] % n != 0:
         raise ShapeError(f"axis length {x.shape[axis]} not divisible by transform size {n}")
     moved = np.moveaxis(x, axis, -1)
-    blocked = moved.reshape(*moved.shape[:-1], moved.shape[-1] // n, n)
-    out = blocked @ matrix
+    out = matmul_exact(moved.reshape(-1, n), matrix)
     return np.moveaxis(out.reshape(moved.shape), -1, axis)
 
 

@@ -116,9 +116,9 @@ else:
 # a square root the one instruction, without a call into libm to set errno
 # on a negative argument, so no library needs libm; it changes no result.
 # -Wall changes no code either; the build tests require it to print nothing.
-# The kernel is single-threaded: splitting rows over two threads gave no
-# reliable end-to-end gain on a 2-vCPU host whose cores also serve numpy's
-# BLAS calls.
+# The kernel is single-threaded: on a 2-vCPU host two threads give one
+# core's throughput; rows split over two pthreads, or two GEMMs at once,
+# ran no faster than one thread.
 #
 # One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
 # (mamba_scan's recurrence and the rms_norm, causal_conv1d, softmax and

@@ -8,12 +8,13 @@ Every code's decoded value is checked against the OCP Microscaling Formats
 """
 
 import hashlib
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -740,7 +741,7 @@ def test_rht_pair_in_the_quantized_gemm_leaves_the_product_unchanged(seed):
     m = Q.random_hadamard(16, seed).astype(np.float64)
     assert np.abs(m @ m.T - np.eye(16)).max() < 1e-12
     ta, tb = Q._rht_pair(a, b, seed)
-    assert ta.shape == (24, 64) and tb.shape == (64, 40)
+    assert ta.shape == (24, 64) and tb.shape == (64, 40) and ta.dtype == tb.dtype == np.float64  # float64 in, out
     out = T.matmul_exact(ta, tb)
     assert out.dtype == np.float64 and np.abs(out - a @ b).max() < 1e-12
 
@@ -755,6 +756,64 @@ def test_random_hadamard_matches_the_doubling_construction(n, seed):
     expected = np.ones((1, 1), np.float32) if n == 1 else (h * d[None, :] / np.sqrt(n)).astype(np.float32)
     assert Q.random_hadamard(n, seed).tobytes() == expected.tobytes()
     assert Q.random_hadamard(n, seed).flags.writeable  # callers get their own array
+
+
+def rht_oracle(x: np.ndarray, m: np.ndarray, axis: int) -> np.ndarray:
+    """apply_rht through the scalar GEMM oracle: every [-1, n] block row times m, summed in k order."""
+    moved = np.moveaxis(x, axis, -1)
+    return np.moveaxis(T.matmul_oracle(moved.reshape(-1, m.shape[0]), m).reshape(moved.shape), -1, axis)
+
+
+# (shape, axis, transposed): a transposed x is the .T view of a C-ordered array, as the weight gradient
+# passes x^T
+RHT_ORDER_CASES = [((64, 17), 0, False), ((8, 32), 1, False), ((8, 32), -1, False), ((3, 16, 5), 1, False),
+                   ((8, 32), 1, True), ((4, 0), 1, False), ((0, 16), 1, False), ((16, 0), 0, False)]
+
+
+@pytest.mark.parametrize("shape,axis,transposed", RHT_ORDER_CASES)
+def test_rht_sums_each_block_in_k_order(shape, axis, transposed):
+    """Float32 blocks are multiplied in the exact GEMM's order, so the result is ``matmul_oracle``'s whatever
+    the host's BLAS."""
+    rng = np.random.default_rng(len(shape) * 100 + axis)
+    m = Q.random_hadamard(16, 4)
+    x = rng.standard_normal(shape[::-1] if transposed else shape).astype(np.float32)
+    x = x.T if transposed else x
+    out = Q.apply_rht(x, m, axis)
+    assert out.dtype == np.float32 and out.shape == x.shape
+    assert out.tobytes() == rht_oracle(x, m, axis).tobytes()
+
+
+def test_rht_pair_pads_and_transforms_in_k_order():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((24, 56)).astype(np.float32), rng.standard_normal((56, 40)).astype(np.float32)
+    ta, tb = Q._rht_pair(a, b, 3)
+    m = Q._rht_matrix(3)
+    pa, pb = np.pad(a, ((0, 0), (0, 8))), np.pad(b, ((0, 8), (0, 0)))
+    assert ta.tobytes() == rht_oracle(pa, m, 1).tobytes() and tb.tobytes() == rht_oracle(pb, m, 0).tobytes()
+
+
+RHT_HASH = """
+import hashlib
+import numpy as np
+import hybridlm.quant as Q
+rng = np.random.default_rng(27)
+x, dout = rng.standard_normal((256, 256), np.float32), rng.standard_normal((256, 1064), np.float32)
+a, b = Q._rht_pair(x.T, dout, 3)
+print(hashlib.sha256(a.tobytes() + b.tobytes()).hexdigest())
+"""
+
+
+def test_rht_bits_do_not_depend_on_the_blas_kernels():
+    """A stack-shaped weight-gradient transform gives the same bits under OpenBLAS's Haswell kernels, which
+    an AVX2 host runs, as in this process. Through numpy's ``@`` about 40% of its outputs moved in the last
+    bit there."""
+    env = dict(os.environ, PYTHONPATH=str(Path(Q.__file__).resolve().parents[1]), OPENBLAS_CORETYPE="Haswell")
+    haswell = subprocess.run([sys.executable, "-c", RHT_HASH], env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+    here = io.StringIO()
+    with redirect_stdout(here):
+        exec(RHT_HASH, {})
+    assert haswell.stdout == here.getvalue()
 
 
 def test_nvfp4_weight_gradient_points_along_the_reference():

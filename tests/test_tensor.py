@@ -358,7 +358,8 @@ QUANTIZED_RECIPES = {
 
 @pytest.mark.parametrize("recipe", QUANTIZED_RECIPES)
 def test_quantized_linear_gemms_take_the_fused_body(recipe):
-    # forward, dgrad and wgrad: every quantized operand pair passes the guard, and no reference pair does
+    # forward, dgrad and wgrad: every quantized operand pair passes the guard, and no reference pair does;
+    # before wgrad, an NVFP4 gradient's two 16-point transforms multiply unquantized operands, which fail it
     seen = []
 
     def spy(a, b):
@@ -369,7 +370,8 @@ def test_quantized_linear_gemms_take_the_fused_body(recipe):
     with mock.patch.object(Q, "matmul_exact", spy), T.Tape() as tape:
         y = Q.quantized_linear(x, w, QUANTIZED_RECIPES[recipe])
         T.backward(tape, sum_all(T.mul(y, T.Tensor(_rand((64, 96), 70)))))
-    assert seen == [recipe != "reference"] * 3
+    rht = [False, False] if recipe.startswith("nvfp4") else []
+    assert seen == [recipe != "reference"] * 2 + rht + [recipe != "reference"]
 
 
 # ---------------------------------------------------------------------------
