@@ -631,6 +631,8 @@ _QUANT_LIBRARY = _load_library(_cache_dirs(), _QUANT_SOURCE)
 
 
 def _encode_kernel_c(fmt: Format, data: np.ndarray, mode: RoundingMode):
+    if not isinstance(mode, RoundingMode):
+        raise ConfigError(f"rounding mode must be a RoundingMode, got {mode!r}")
     grid, scales_grid = _grids(fmt, data.shape)
     x = np.ascontiguousarray(data)
     seed = int(mode.seed)
@@ -893,9 +895,11 @@ class PrecisionPolicy:
     quantize_sensitive: bool = False
 
     def __post_init__(self):
-        tail = self.fraction_high_precision_tail
-        if self.base not in ("reference", "nvfp4") or not isinstance(tail, numbers.Real) or not 0 <= tail <= 1:
-            raise ConfigError(f"precision base {self.base!r}, tail {tail!r}: want 'reference' or 'nvfp4' and [0, 1]")
+        tail, sensitive = self.fraction_high_precision_tail, self.quantize_sensitive
+        if (self.base not in ("reference", "nvfp4") or not isinstance(tail, numbers.Real) or isinstance(tail, bool)
+                or not 0 <= tail <= 1 or not isinstance(sensitive, (bool, np.bool_))):
+            raise ConfigError(f"precision base {self.base!r}, tail {tail!r}, quantize_sensitive {sensitive!r}: "
+                              f"want 'reference' or 'nvfp4', a number in [0, 1] and a bool")
 
     def tail_start(self, total_layers: int) -> int:
         keep = int(np.ceil(self.fraction_high_precision_tail * total_layers))

@@ -20,7 +20,6 @@ Independent tapes may run concurrently; there is no shared mutable state.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import hashlib
 import importlib.machinery
@@ -40,28 +39,6 @@ import numpy as np
 
 from .errors import ContractError, KernelBuildError, NumericInputError, ShapeError, TokenIndexError
 
-# A training step allocates and frees the same arrays, up to a few MB each,
-# every step. With glibc's defaults an allocation above the mmap threshold
-# (128 KiB, raised only to the largest mapping freed so far) gets its own
-# mapping, unmapped when freed, and free memory above the trim threshold at
-# the top of the heap goes back to the kernel, so the next step faults every
-# page in again: in a loop of long-stack steps (T 2048) each step took about
-# 12,700 minor faults and spent a quarter of its time in the kernel. Arrays
-# up to 32 MiB (glibc's largest mmap threshold on 64-bit) therefore come from
-# the heap, which keeps up to 256 MiB free for reuse. Setting either value
-# stops glibc adjusting both, so both are set. ctypes.pythonapi resolves
-# mallopt among the symbols the process already has, so no library is
-# opened; a C library without mallopt is left as is.
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-try:
-    _mallopt = ctypes.pythonapi["mallopt"]
-except AttributeError:
-    pass
-else:
-    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    _mallopt(_M_TRIM_THRESHOLD, 256 << 20)
-
 # ---------------------------------------------------------------------------
 # Exact matmul kernel
 # ---------------------------------------------------------------------------
@@ -71,20 +48,20 @@ else:
 # rounding sequence: start from +0, then for k = 0, 1, ... add a[i,k]*b[k,j],
 # rounding the product and then the sum to float32.
 #
-# The kernel is the C source in _MM_SOURCE. On first import the local
-# `cc` compiles it into an extension module, which Python imports. It reads A and
-# B through element strides, so transposed and sliced views need no copy.
-# For each panel of 64 columns of B (32 or 16 when the panel is that narrow)
-# and each block of up to 128 values of k (KC), it packs the panel into a
-# contiguous stack buffer, then sweeps the rows of A in tiles of 6 rows (12
-# for the narrow panels). A tile's sums stay in 24 (or 12) 16-float vectors,
-# registers under AVX-512, while k runs through the block and go back to
-# `out` after it. They start from +0 on the first block and the next block
-# resumes from `out`, so each sum still sees k in increasing order with one
-# product and one sum rounding per step, and `out` needs no zero fill; with
-# k = 0 the kernel writes the zeros itself. A tile that overhangs the last
-# rows or columns repeats the last row and pads the panel with zeros, and
-# only its real rows and columns are stored.
+# The kernel is the C source in _MM_SOURCE. On first import the local `cc`
+# compiles it, with _SCAN_SOURCE below, into an extension module, which
+# Python imports. It reads A and B through element strides, so transposed
+# and sliced views need no copy. For each panel of 64 columns of B (32 or 16
+# when the panel is that narrow) and each block of up to 128 values of k
+# (KC), it packs the panel into a contiguous stack buffer, then sweeps the
+# rows of A in tiles of 6 rows (12 for the narrow panels). A tile's sums
+# stay in 24 (or 12) 16-float vectors, registers under AVX-512, while k runs
+# through the block and go back to `out` after it. They start from +0 on the
+# first block and the next block resumes from `out`, so each sum still sees
+# k in increasing order with one product and one sum rounding per step, and
+# `out` needs no zero fill; with k = 0 the kernel writes the zeros itself. A
+# tile that overhangs the last rows or columns repeats the last row and pads
+# the panel with zeros, and only its real rows and columns are stored.
 #
 # Two flag rules protect the bits: -ffp-contract=off stops the compiler
 # fusing a multiply and an add into one FMA (one rounding instead of two),
@@ -120,13 +97,16 @@ else:
 # core's throughput; rows split over two pthreads, or two GEMMs at once,
 # ran no faster than one thread.
 #
-# One recipe builds every C source: _MM_SOURCE here, _SCAN_SOURCE
+# The import builds three modules by one recipe: the probe (_PROBE_SOURCE,
+# built first with no level flag), which also tunes glibc's allocator; one
+# module of tensor.py's kernels from _MM_SOURCE here and _SCAN_SOURCE
 # (mamba_scan's recurrence and the rms_norm, causal_conv1d, softmax and
-# scatter-add kernels, below) and quant.py's _QUANT_SOURCE (the
-# quantizers' encode/decode). _load_library compiles each once, with
-# _C_FLAGS and _ISA_FLAGS, after a line that defines EXPORT, the marker of
-# exported functions, as nothing. _ISA_FLAGS is -mavx512f where the probe
-# (_PROBE_SOURCE, built with no level flag) finds AVX-512F usable, the OS's
+# scatter-add kernels, below) together; and one of quant.py's _QUANT_SOURCE
+# (the quantizers' encode/decode), whose C mirrors quant.py's _BLOCK,
+# _C_FORMATS and _STATUS and so stays beside them.
+# _load_library compiles each once, with _C_FLAGS and _ISA_FLAGS, after a
+# line that defines EXPORT, the marker of exported functions, as nothing.
+# _ISA_FLAGS is -mavx512f where the probe finds AVX-512F usable, the OS's
 # support for its state included, and empty otherwise, which builds
 # baseline code. There is no AVX2 level: GCC gives the kernels' 64-byte
 # vectors no register mode under AVX2. On a 2-vCPU AVX-512 Xeon an AVX2
@@ -140,7 +120,7 @@ else:
 # argument types are written once, in C. Arrays pass through the buffer
 # protocol (PEP 3118), and the kernel runs with the GIL released. On a 2-vCPU
 # AVX-512 Xeon an empty C function of three arrays took 0.32 us to call, where
-# ctypes took about 5.5 us, 3.7 of them reading the addresses.
+# a call through libffi took about 5.5 us, 3.7 of them reading the addresses.
 #
 # A module is cached in $XDG_CACHE_HOME/hybridlm (default
 # ~/.cache/hybridlm), or in <tempdir>/hybridlm-<uid> when that directory is
@@ -150,9 +130,9 @@ else:
 # that os.replace moves into place, so processes importing concurrently are
 # safe. A directory that another user owns or can write to is skipped, since
 # a module planted there would be loaded. A process runs `cc --version` once
-# per compiler, and each module loads each of its sources once. With no
-# working compiler, no Python.h or no usable cache directory the import
-# raises KernelBuildError: there is no slower path to fall back to.
+# per compiler and loads each module once. With no working compiler, no
+# Python.h or no usable cache directory the import raises KernelBuildError:
+# there is no slower path to fall back to.
 
 _MM_TYPED = r"""
 /* out[0:rows, 0:w] (row stride n) = s + a[0:rows, 0:kc] @ bp, in k order, for an MR x NV*VW tile,
@@ -311,9 +291,26 @@ EXPORT void mm_exact_f32(const float *restrict a, const float *restrict b, float
 """
 _C_FLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fno-math-errno", "-Wall", "-fPIC", "-shared")
 _ISA_FLAGS: tuple[str, ...] = ()  # the level's flags, set from the probe below, which builds without any
+# The probe also tunes glibc's allocator. A training step allocates and frees the same arrays, up to a few MB
+# each, every step. With glibc's defaults an allocation above the mmap threshold (128 KiB, raised only to the
+# largest mapping freed so far) gets its own mapping, unmapped when freed, and free memory above the trim
+# threshold at the top of the heap goes back to the kernel, so the next step faults every page in again: in a
+# loop of long-stack steps (T 2048) each step took about 12,700 minor faults and spent a quarter of its time in
+# the kernel. Arrays up to 32 MiB (glibc's largest mmap threshold on 64-bit) therefore come from the heap, which
+# keeps up to 256 MiB free for reuse. Setting either value stops glibc adjusting both, so both are set. A C
+# library without mallopt is left as is.
 _PROBE_SOURCE = r"""
-EXPORT int avx512f_usable(int unused)
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+/* Tunes the allocator and returns 1 where AVX-512F is usable, the OS's support for its state included. */
+EXPORT int setup_host(int unused)
 {
+#if defined(__GLIBC__)
+    mallopt(M_MMAP_THRESHOLD, 32 << 20);
+    mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
 #if defined(__x86_64__)
     __builtin_cpu_init();
     return __builtin_cpu_supports("avx512f") != 0;
@@ -474,8 +471,7 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ty
     raise error("no directory is usable (" + "; ".join(skipped) + ")")
 
 
-_ISA_FLAGS = ("-mavx512f",) if _load_library(_cache_dirs(), _PROBE_SOURCE).avx512f_usable(0) else ()
-_MM_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE)
+_ISA_FLAGS = ("-mavx512f",) if _load_library(_cache_dirs(), _PROBE_SOURCE).setup_host(0) else ()
 
 
 # Kernel contract: ``a`` (m, k) and ``b`` (k, n) are float32 arrays whose
@@ -488,7 +484,7 @@ _MM_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE)
 
 def _mm_kernel(a, b, out):
     (m, kk), (sa0, sa1), (sb0, sb1) = a.shape, a.strides, b.strides
-    _MM_LIBRARY.mm_exact_f32(a, b, out, m, kk, b.shape[1], sa0 // 4, sa1 // 4, sb0 // 4, sb1 // 4)
+    _TENSOR_LIBRARY.mm_exact_f32(a, b, out, m, kk, b.shape[1], sa0 // 4, sa1 // 4, sb0 // 4, sb1 // 4)
     return out
 
 
@@ -595,8 +591,9 @@ class Tape:
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _STATE.stack.pop()
-        assert popped is self
+        if active_tape() is not self:
+            raise ContractError("a tape exits only as the innermost active tape")
+        _STATE.stack.pop()
 
 
 class _TapeState(threading.local):
@@ -629,13 +626,13 @@ def backward(tape: Tape, loss: Tensor) -> None:
     between steps. Every other tensor's ``grad`` is released as soon as its
     op's closure has consumed it, so after the sweep only leaves keep one.
 
-    Closure contract: a closure receives its output's gradient ``dout`` and
-    returns, per input, None, a new array, a view of ``dout``, or a
-    ``(key, values)`` part meaning an array of zeros with ``values`` at
-    ``[key]``; it never writes into ``dout``. Every live gradient array
-    belongs to one tensor: the sweep takes a returned array without a copy
-    (casting it if its dtype differs) and copies only a second view of
-    ``dout`` handed out by the same closure.
+    Closure contract: a closure receives its output's gradient ``dout``, in
+    its output's dtype, and returns, per input, None, a new array, a view of
+    ``dout``, or a ``(key, values)`` part meaning an array of zeros with
+    ``values`` at ``[key]``; it never writes into ``dout``. Every live
+    gradient array belongs to one tensor: the sweep takes a returned array
+    without a copy (casting it if its dtype differs) and copies only a
+    second view of ``dout`` handed out by the same closure.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -827,14 +824,13 @@ def sigmoid(x: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     """x * sigmoid(x). Runs in C around numpy's exp (``_sigmoid``, ``silu_bwd`` in _SCAN_SOURCE) with the bits of
     the numpy body ``s = 1 / (1 + exp(-x))``, ``x * s`` and of its gradient ``dout * (s + x * s * (1 - s))``,
-    whose ``x * s`` is the output; a ``dout`` wider than x multiplies that factor in its own dtype."""
+    whose ``x * s`` is the output."""
     s, out = _sigmoid(x.data, silu=True)
 
     def bwd(dout):
-        wide = np.result_type(dout, s) != s.dtype
         dx = np.empty(s.shape, s.dtype)
-        _scan_kernel("silu_bwd", s.dtype)(s.size, s, out, None if wide else np.ascontiguousarray(dout, s.dtype), dx)
-        return (dout * dx if wide else dx,)
+        _scan_kernel("silu_bwd", s.dtype)(s.size, s, out, np.ascontiguousarray(dout, s.dtype), dx)
+        return (dx,)
 
     return _make(out, (x,), bwd)
 
@@ -871,11 +867,9 @@ def _softmax_rows(z: np.ndarray, causal: bool) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _softmax_grad(y: np.ndarray, dout: np.ndarray) -> np.ndarray:
-    """The gradient of _softmax_rows' y for upstream ``dout``, in their wider dtype."""
-    dtype = np.result_type(y, dout)
-    ys, g = np.ascontiguousarray(y, dtype), np.ascontiguousarray(dout, dtype)
-    dx = np.empty(ys.shape, dtype)
-    _scan_kernel("softmax_bwd", dtype)(math.prod(ys.shape[:-1]), ys.shape[-1], ys, g, dx)
+    """The gradient of _softmax_rows' y for upstream ``dout``, in y's dtype."""
+    dx, g = np.empty(y.shape, y.dtype), np.ascontiguousarray(dout, y.dtype)
+    _scan_kernel("softmax_bwd", y.dtype)(math.prod(y.shape[:-1]), y.shape[-1], y, g, dx)
     return dx
 
 
@@ -883,6 +877,8 @@ def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis, with max subtraction; total on any finite input. Runs causal_softmax's C
     passes over whole rows, with the bits of the numpy body ``e = exp(x - x.max(-1))``, ``y = e / e.sum(-1)``
     and of its gradient ``y * (dout - (dout * y).sum(-1))`` on C-contiguous arrays."""
+    if not x.shape:
+        raise ShapeError("softmax runs over the last axis, which a 0-d tensor does not have")
     if not np.isfinite(x.data).all():
         raise NumericInputError("softmax requires finite inputs")
     y = _softmax_rows(x.data, causal=False)[0]
@@ -1076,8 +1072,7 @@ def causal_softmax(scores: Tensor) -> Tensor:
     ``softmax_bwd``, in _SCAN_SOURCE) with the bits of the numpy body
     ``m = where(mask, z, -inf).max(axis=1)``, ``e = exp(where(mask, z, m) - m)
     * mask``, ``y = e / e.sum(axis=1)`` in the scores' dtype, and of its
-    gradient ``y * (dout - (dout * y).sum(axis=1))`` in the wider dtype of
-    ``dout`` and ``y``.
+    gradient ``y * (dout - (dout * y).sum(axis=1))``.
     """
     t = scores.shape[0]
     if scores.shape != (t, t):
@@ -1117,17 +1112,18 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 
 
 # mamba_scan runs the recurrence step by step in the C source _SCAN_SOURCE,
-# built by _load_library like the GEMM. On one core the plain recurrence
-# does less work than the chunked SSD form of Dao & Gu (arXiv 2405.21060),
-# whose point is to turn it into matmuls for tensor cores. Backward keeps no
-# state per step: as in Mamba's scan (Gu & Dao, arXiv 2312.00752, section
-# 3.3), the forward saves the state entering every _SCAN_CHUNK-th step and
-# the backward walks those segments in reverse, recomputing each segment's
-# states. The lanes of the state are independent except in the sums for
-# db and dc, so the backward runs a segment one block of LP lanes at a
-# time, and the block's (_SCAN_CHUNK + 1) x N recomputed state vectors, 35 KB
-# at N = 32, stay in the L1 cache. On an AVX-512 Xeon with a 48 KB L1 data
-# cache, a checkpoint every 16 steps measured faster than every 8 or 32.
+# built by _load_library into one module with the GEMM. On one core the
+# plain recurrence does less work than the chunked SSD form of Dao & Gu
+# (arXiv 2405.21060), whose point is to turn it into matmuls for tensor
+# cores. Backward keeps no state per step: as in Mamba's scan (Gu & Dao,
+# arXiv 2312.00752, section 3.3), the forward saves the state entering every
+# _SCAN_CHUNK-th step and the backward walks those segments in reverse,
+# recomputing each segment's states. The lanes of the state are independent
+# except in the sums for db and dc, so the backward runs a segment one block
+# of LP lanes at a time, and the block's (_SCAN_CHUNK + 1) x N recomputed
+# state vectors, 35 KB at N = 32, stay in the L1 cache. On an AVX-512 Xeon
+# with a 48 KB L1 data cache, a checkpoint every 16 steps measured faster
+# than every 8 or 32.
 #
 # Kernel contract. The state is held as [N, MP]: row n, lane j = h * P + p
 # for the M = H * P lanes, then zero lanes up to MP, the next multiple of
@@ -1441,14 +1437,11 @@ EXPORT void sigmoid_SFX(ptrdiff_t n, REAL *restrict e, REAL *restrict nx)
 }
 
 /* silu's gradient g (s + y (1 - s)) for upstream g, its sigmoid s and its output y = x s, which is numpy's
-   ((x s) (1 - s)); with g NULL, the factor s + y (1 - s) alone. */
+   ((x s) (1 - s)). */
 EXPORT void silu_bwd_SFX(ptrdiff_t n, const REAL *restrict s, const REAL *restrict y, const REAL *restrict g,
                          REAL *restrict dx)
 {
-    for (ptrdiff_t i = 0; i < n; i++) {
-        const REAL f = s[i] + y[i] * (1 - s[i]);
-        dx[i] = g ? g[i] * f : f;
-    }
+    for (ptrdiff_t i = 0; i < n; i++) dx[i] = g[i] * (s[i] + y[i] * (1 - s[i]));
 }
 
 /* The softmax of each row i of z [rows, cols] over its span, the whole row or (causal) columns 0..i, around
@@ -1546,18 +1539,16 @@ EXPORT void scatter_add_SFX(ptrdiff_t count, ptrdiff_t d, ptrdiff_t n, const ptr
 }
 """
 _SCAN_SOURCE = r"""
-#include <string.h>
-
 enum { LP = 16 };  /* lanes per vector and lane partials per sum, as _SCAN_LANES */
 """ + "".join(_SCAN_TYPED.replace("REAL", real).replace("IDX", idx).replace("SFX", sfx).replace("SQRT", sqrt)
               for real, idx, sfx, sqrt in (("float", "int", "f32", "__builtin_sqrtf"),
                                            ("double", "long long", "f64", "__builtin_sqrt")))
-_SCAN_LIBRARY = _load_library(_cache_dirs(), _SCAN_SOURCE)
+_TENSOR_LIBRARY = _load_library(_cache_dirs(), _MM_SOURCE + _SCAN_SOURCE)  # _mm_kernel's and _scan_kernel's
 _SCAN_SUFFIX = {np.dtype(np.float32): "_f32", np.dtype(np.float64): "_f64"}  # SFX of each instance
 
 
 def _scan_kernel(name: str, dtype: np.dtype):
-    return getattr(_SCAN_LIBRARY, name + _SCAN_SUFFIX[dtype])
+    return getattr(_TENSOR_LIBRARY, name + _SCAN_SUFFIX[dtype])
 
 
 def _aligned(shape, dtype) -> np.ndarray:

@@ -1,6 +1,6 @@
-"""Build and load checks for the compiled kernels: the exact GEMM, the
-Mamba scan and the quantizers' encode/decode, each built by one loader from
-its C source into one library.
+"""Build and load checks for the compiled kernels: tensor.py's exact GEMM
+and Mamba scan in one library, and the quantizers' encode/decode in another,
+each built by one loader from its C source.
 
 Each build test calls the loader directly with its own cache, so none
 depends on what the user's cache holds. Each source is built once at the
@@ -30,9 +30,9 @@ import test_tensor
 from hybridlm.errors import KernelBuildError
 
 SRC = str(Path(T.__file__).resolve().parents[1])
-SOURCES = {"mm": T._MM_SOURCE, "quant": Q._QUANT_SOURCE, "scan": T._SCAN_SOURCE}
+SOURCES = {"tensor": T._MM_SOURCE + T._SCAN_SOURCE, "quant": Q._QUANT_SOURCE}
 # the module attribute that holds each source's library; every call of an entry point reads it
-LIBRARIES = {"mm": (T, "_MM_LIBRARY"), "quant": (Q, "_QUANT_LIBRARY"), "scan": (T, "_SCAN_LIBRARY")}
+LIBRARIES = {"tensor": (T, "_TENSOR_LIBRARY"), "quant": (Q, "_QUANT_LIBRARY")}
 
 TINY_SOURCE = "#include <stddef.h>\nEXPORT int twice(ptrdiff_t v) { return (int)(2 * v); }\n"
 
@@ -125,7 +125,7 @@ def test_every_shipped_entry_point_comes_back_typed():
 
 
 def test_import_runs_the_compiler_once_and_opens_each_library_once(built):
-    """Every extension module the import loads is counted: the probe, built with no -m flag, and the three kernel
+    """Every extension module the import loads is counted: the probe, built with no -m flag, and the two kernel
     modules, built here with the probe's flags, load once each, and no other module loads under their name."""
     builds = [built(name) for name in SOURCES]
     script = ("import importlib.machinery, json, subprocess\n"
@@ -144,7 +144,7 @@ def test_import_runs_the_compiler_once_and_opens_each_library_once(built):
     [probe] = [cmd for cmd in runs if "-shared" in cmd]
     assert [arg for arg in probe if arg.startswith("-m")] == [] and tuple(isa) == T._ISA_FLAGS
     kernels = [path for name, path in opened if name == T._MODULE]
-    assert len(kernels) == len(set(kernels)) == 4
+    assert len(kernels) == len(set(kernels)) == 3
     assert set(kernels[1:]) == {lib.__file__ for _, _, lib in builds}
     assert all([arg for arg in cmd if arg.startswith("-m")] == isa for cmd, _, _ in builds)
     assert [path for name, path in opened if Path(path).name.startswith("hybridlm-")] == kernels
@@ -195,11 +195,11 @@ def test_compile_flags_protect_the_bits(built, monkeypatch):
         assert "-ffp-contract=off" in cmd and "-Wall" in cmd and not UNSAFE_FLAGS & set(cmd)
     rng = np.random.default_rng(7)
     a, b = rng.standard_normal((37, 50)).astype(np.float32), rng.standard_normal((50, 45)).astype(np.float32)
-    monkeypatch.setattr(T, "_MM_LIBRARY", builds["mm"][2])
+    monkeypatch.setattr(T, "_TENSOR_LIBRARY", builds["tensor"][2])
     test_tensor._assert_same_bits(T.matmul_exact(a, b), T.matmul_oracle(a, b))
 
 
-@pytest.mark.parametrize("name", ["mm", "quant", "scan"])
+@pytest.mark.parametrize("name", SOURCES)
 def test_c_sources_compile_without_warnings(built, name):
     """The compiler, run by the loader with -Wall, prints nothing at either level; the baseline's would warn of a
     64-byte vector passed by value (-Wpsabi). The loader has typed every EXPORT function, or it would have raised."""
@@ -283,17 +283,18 @@ def _scan_outputs():
 
 
 # what the baseline build must reproduce bit for bit; its GEMM is checked against the oracle instead
-SHIPPED_OUTPUTS = {"quant": _quant_outputs, "scan": _scan_outputs}
+SHIPPED_OUTPUTS = {"quant": _quant_outputs, "tensor": _scan_outputs}
 
 
-@pytest.mark.parametrize("name", ["mm", "quant", "scan"])
+@pytest.mark.parametrize("name", SOURCES)
 def test_baseline_build_gives_the_same_bits(built, monkeypatch, name):
     """With no level flag the loader builds the baseline code that a host without AVX-512 runs. Its GEMM
     matches the oracle bit for bit, the guarded fused body included, and its quantizers and scan give the
     shipped build's bits."""
-    want = SHIPPED_OUTPUTS[name]() if name in SHIPPED_OUTPUTS else None
+    want = SHIPPED_OUTPUTS[name]()
     monkeypatch.setattr(*LIBRARIES[name], built(name, ())[2])
-    if want is None:
+    assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
+    if name == "tensor":
         test_tensor.test_kernel_matches_oracle_on_edge_shapes()
         test_tensor.test_kernel_matches_oracle_on_views()
         test_tensor.test_kernel_overwrites_its_output()
@@ -304,14 +305,12 @@ def test_baseline_build_gives_the_same_bits(built, monkeypatch, name):
             for rht in (False, True):
                 test_tensor.test_kernel_matches_oracle_on_quantized_operands(fmt, rht)
         test_tensor.test_kernel_matches_oracle_on_12_bit_operands_near_the_exponent_bounds()
-    else:
-        assert _bits(SHIPPED_OUTPUTS[name]()) == _bits(want)
 
 
 def test_scan_outputs_call_every_scan_kernel(monkeypatch):
     """Every EXPORT function of the scan source runs while _scan_outputs runs, so the baseline build's bits are
     checked for each one. The calls are counted by wrapping the module's functions."""
-    names = [name for _, name, _ in T._DECLARATION.findall(T._SCAN_SOURCE)]
+    names = [name for _, name, _ in T._DECLARATION.findall(SOURCES["tensor"])]
     calls = dict.fromkeys(names, 0)
 
     def counted(name, kernel):
@@ -320,10 +319,11 @@ def test_scan_outputs_call_every_scan_kernel(monkeypatch):
             return kernel(*args)
         return call
 
-    monkeypatch.setattr(T, "_SCAN_LIBRARY",
-                        types.SimpleNamespace(**{n: counted(n, getattr(T._SCAN_LIBRARY, n)) for n in names}))
+    monkeypatch.setattr(T, "_TENSOR_LIBRARY",
+                        types.SimpleNamespace(**{n: counted(n, getattr(T._TENSOR_LIBRARY, n)) for n in names}))
     _scan_outputs()
-    assert names and [name for name, count in calls.items() if not count] == []
+    scan = [name for _, name, _ in T._DECLARATION.findall(T._SCAN_SOURCE)]
+    assert scan and [name for name in scan if not calls[name]] == []
 
 
 def _disassembly(path):
@@ -336,7 +336,7 @@ def _disassembly(path):
     return dict(re.findall(r"^[0-9a-f]+ <([^>]+)>:\n(.*?)(?:\n\n|\Z)", text, re.M | re.S))
 
 
-@pytest.mark.parametrize("name", ["mm", "quant", "scan"])
+@pytest.mark.parametrize("name", SOURCES)
 def test_baseline_build_names_no_avx_register(built, name):
     """No instruction of the baseline build names a 256- or 512-bit register or an AVX-512 mask register, so
     the code whose bits test_baseline_build_gives_the_same_bits checks is the code a host without AVX runs."""
@@ -346,12 +346,12 @@ def test_baseline_build_names_no_avx_register(built, name):
 
 
 def test_contraction_is_on_only_in_the_fused_gemm_body():
-    """fp-contract=fast marks the fused tile and panel loop and nothing else. In the shipped GEMM library only
+    """fp-contract=fast marks the fused tile and panel loop and nothing else. In the shipped tensor library only
     the fused body holds fused multiply-adds, and at the AVX-512 level it holds them."""
     marked = [line for line in T._MM_SOURCE.splitlines() if "fp-contract" in line]
     assert len(marked) == 2 and all(re.search(r"\bmm_(tile|body)_fused\(", line) for line in marked)
     assert "fp-contract" not in T._SCAN_SOURCE and "fp-contract" not in Q._QUANT_SOURCE
-    code = _disassembly(T._MM_LIBRARY.__file__)
+    code = _disassembly(T._TENSOR_LIBRARY.__file__)
     fused = [f for f, body in code.items() if re.search(r"\bvfn?m(add|sub)", body)]
     assert "mm_body_separate" in code and all("_fused" in f for f in fused)
     assert ("mm_body_fused" in fused) == bool(T._ISA_FLAGS)

@@ -929,10 +929,17 @@ def test_linear_precision_keys_every_pass_from_its_largest_seeds(seed):
 @pytest.mark.parametrize("kwargs", [dict(base="fp8"), dict(base="NVFP4"), dict(fraction_high_precision_tail=2.0),
                                     dict(fraction_high_precision_tail=-0.1),
                                     dict(fraction_high_precision_tail=float("nan")),
-                                    dict(fraction_high_precision_tail="0.5")], ids=str)
+                                    dict(fraction_high_precision_tail="0.5"),
+                                    dict(fraction_high_precision_tail=True), dict(quantize_sensitive="no")], ids=str)
 def test_precision_policy_rejects_a_base_or_tail_it_cannot_apply(kwargs):
     with pytest.raises(ConfigError):
         Q.PrecisionPolicy(**kwargs)
+
+
+def test_precision_policy_takes_a_numpy_bool():
+    """quantize_sensitive=np.True_ moves QKV to NVFP4, as True does."""
+    desc = Q.LayerDescriptor(K.QKV_PROJ, 0, 4)
+    assert Q.resolve_precision(desc, Q.PrecisionPolicy(quantize_sensitive=np.True_)) == Q.Format.NVFP4
 
 
 @pytest.mark.parametrize("exp", [65528, 200, -128, 128])

@@ -233,8 +233,8 @@ def test_kernel_overwrites_its_output():
 def _products_exact(a, b):
     """The kernel's guard: whether it runs ``a @ b`` in its fused body."""
     a, b = T._kernel_operand(a), T._kernel_operand(b)
-    return bool(T._MM_LIBRARY.mm_products_exact(a, b, a.shape[0], a.shape[1], b.shape[1],
-                                                 *(s // 4 for s in a.strides + b.strides)))
+    return bool(T._TENSOR_LIBRARY.mm_products_exact(a, b, a.shape[0], a.shape[1], b.shape[1],
+                                                    *(s // 4 for s in a.strides + b.strides)))
 
 
 def _fused_sum(a, b):
@@ -539,6 +539,35 @@ def test_backward_twice_over_one_tape_adds_the_gradient_twice():
     assert y.grad is None and loss.grad is None  # only leaves keep a gradient
     T.backward(tape, loss)
     assert x.grad.tolist() == [36.0, 72.0]
+
+
+def test_backward_never_calls_a_closure_whose_output_does_not_reach_the_loss():
+    x, y = T.Tensor([1.0, 2.0], requires_grad=True), T.Tensor([3.0], requires_grad=True)
+    calls = []
+    with T.Tape() as tape:
+        T._make(y.data * 2, (y,), lambda dout: calls.append(dout) or (dout * 2,))  # recorded, then dropped
+        loss = sum_all(x)
+    T.backward(tape, loss)
+    assert len(tape) == 2 and calls == [] and y.grad is None and x.grad.tolist() == [1.0, 1.0]
+
+
+def test_tensor_casts_integer_and_bool_data_to_float32():
+    for data in ([1, 2], np.arange(3, dtype=np.int64), np.array([True, False]), np.uint8(7)):
+        t = T.Tensor(data)
+        assert t.data.dtype == np.float32 and t.data.tolist() == np.asarray(data).tolist()
+
+
+def _exit_the_outer_of_two_tapes():
+    with T.Tape() as outer, T.Tape():
+        outer.__exit__(None, None, None)
+
+
+def test_a_tape_that_is_not_innermost_refuses_to_exit_and_leaves_the_stack():
+    with T.Tape() as outer, T.Tape() as inner:
+        with pytest.raises(ContractError, match="innermost"):
+            outer.__exit__(None, None, None)
+        assert T.active_tape() is inner and T._STATE.stack[-2:] == [outer, inner]
+    assert T.active_tape() is None
 
 
 def test_backward_gives_each_leaf_its_own_gradient_array():
@@ -1228,10 +1257,10 @@ def _closure_grad(op, x, dout):
     return bwd(dout)[0]
 
 
-@pytest.mark.parametrize("name", SIGMOID_BODIES)
+@pytest.mark.parametrize("name", ["sigmoid", "softplus"])
 def test_sigmoid_family_gradient_of_a_dout_of_another_dtype_matches_its_numpy_body(name):
-    """A float64 dout for a float32 x, or a float32 dout for a float64 x: numpy forms silu's factor in x's dtype
-    and multiplies it by dout in their wider dtype, float64."""
+    """A float64 dout for a float32 x, or a float32 dout for a float64 x: numpy multiplies dout by the factor in
+    their wider dtype, float64. silu's closure, like the other C-backed ones, casts dout to its output's dtype."""
     op, body = SIGMOID_BODIES[name]
     for dtype, other in ((np.float32, np.float64), (np.float64, np.float32)):
         x, dout = _sigmoid_inputs((3, 300), "C", dtype, True)
@@ -1667,6 +1696,8 @@ TYPED_ERRORS = {
     "causal_conv1d_bias": (ShapeError, lambda: T.causal_conv1d(_t(6, 3), _t(4, 3), _t(2))),
     "grad_check_non_scalar": (ContractError, lambda: grad_check(lambda t: T.scale(t, 2.0), _t(3))),
     "item_non_scalar": (ContractError, lambda: _t(2).item()),
+    "tape_exit_not_innermost": (ContractError, _exit_the_outer_of_two_tapes),
+    "softmax_0d": (ShapeError, lambda: T.softmax(T.Tensor(np.float32(2), requires_grad=True))),
     "mamba_scan_x_2d": (ShapeError, lambda: _scan(x=(4, 6))),
     "mamba_scan_b_in_1d": (ShapeError, lambda: _scan(b_in=(5,))),
     "mamba_scan_b_in_extra_row": (ShapeError, lambda: _scan(b_in=(5, 5))),
@@ -1692,6 +1723,8 @@ TYPED_ERRORS = {
     "dequantize_2d_of_a_vector": (ShapeError, lambda: Q.QuantizedTensorNVFP4(
         (16,), Q.Layout.BLOCK_2D, np.zeros(16, np.uint8), np.zeros(1, np.uint8), 1.0).dequantize()),
     "quantize_nvfp4_unknown_layout": (ConfigError, lambda: Q.quantize_nvfp4(np.ones(16, np.float32), "bad")),
+    "quantize_nvfp4_mode_str": (ConfigError, lambda: Q.quantize_nvfp4(np.ones(16, np.float32), mode="nearest")),
+    "quantize_mxfp8_mode_none": (ConfigError, lambda: Q.quantize_mxfp8(np.ones(32, np.float32), mode=None)),
     "dequantize_unknown_layout": (ConfigError, lambda: replace(
         Q.quantize_nvfp4(np.ones(16, np.float32)), layout="bad").dequantize()),
     "quantized_to_bytes_unknown_layout": (ConfigError, lambda: Q.quantized_to_bytes(replace(
@@ -1715,6 +1748,8 @@ TYPED_ERRORS = {
     "apply_rht_non_square": (ShapeError, lambda: Q.apply_rht(
         np.ones((4, 16), np.float32), np.ones((16, 8), np.float32), 1)),
     "apply_rht_empty_matrix": (ShapeError, lambda: Q.apply_rht(np.ones((4, 16), np.float32), np.ones((0, 0)), 1)),
+    "apply_rht_axis_not_divisible": (ShapeError, lambda: Q.apply_rht(
+        np.ones((4, 24), np.float32), Q.random_hadamard(16, 0), 1)),
 }
 
 

@@ -1,7 +1,8 @@
 """Whole-stack checks of the benchmark's hybrid stack (``perfbench/stack.py``), built from the library.
 
-A float64 directional gradient check pins the tape's gradient of every op the stack composes, and a floor
-on each quantized kind's gradient cosine pins the NVFP4 recipe's pairing of its transforms.
+A float64 directional gradient check pins the tape's gradient of every op the stack composes, a floor
+on each quantized kind's gradient cosine pins the NVFP4 recipe's pairing of its transforms, and a spy tape
+pins the dtypes that the backward sweep hands each closure and that each closure returns.
 """
 
 import sys
@@ -78,3 +79,40 @@ def test_every_quantized_linear_keeps_the_reference_gradient_direction(seed):
     cosines = {name: cosine(stack.params[name].grad, reference[name])
                for name, (_, prec) in stack.linears.items() if prec.active}
     assert cosines and min(cosines.values()) >= 0.8, cosines
+
+
+class _DtypeTape(T.Tape):
+    """A tape that checks each closure's call: ``dout`` in its output's dtype, and every returned array or part
+    in its input's dtype. ``ran`` names the closures called, ``wrong`` each that broke the rule."""
+
+    def __init__(self):
+        super().__init__()
+        self.ran, self.wrong = set(), []
+
+    def record(self, out, inputs, backward):
+        name = backward.__qualname__.split(".", 1)[0]
+
+        def checked(dout):
+            grads = backward(dout)
+            self.ran.add(name)
+            got = [None if g is None else (g[1] if isinstance(g, tuple) else np.asarray(g)).dtype for g in grads]
+            want = [t.data.dtype for t in inputs]
+            if dout.dtype != out.data.dtype or any(g is not None and g != w for g, w in zip(got, want)):
+                self.wrong.append((name, out.data.dtype, dout.dtype, want, got))
+            return grads
+
+        super().record(out, inputs, checked)
+
+
+@pytest.mark.parametrize("policy, dtype", [("nvfp4", np.float32), ("reference", np.float32),
+                                           ("reference", np.float64)])
+def test_every_closure_gets_and_returns_the_dtypes_of_its_tensors(policy, dtype):
+    """Over one training step of the stack, every closure gets ``dout`` in its output's dtype and returns each
+    gradient in its input's dtype, so no closure needs a path for another dtype."""
+    stack = S.HybridStack(S.StackConfig(**dict(TINY, policy=policy)), seed=0)
+    for t in stack.params.values():
+        t.data = t.data.astype(dtype)
+    tape = _DtypeTape()
+    S.train_step(stack, IDS, tape_factory=lambda: tape)
+    assert {"silu", "mamba_scan", "rms_norm", "causal_conv1d", "causal_softmax", "softmax"} <= tape.ran
+    assert tape.wrong == []
