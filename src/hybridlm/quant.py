@@ -767,8 +767,8 @@ def _rht_pair(a: np.ndarray, b: np.ndarray, seed: int) -> tuple[np.ndarray, np.n
 
 @functools.lru_cache(maxsize=256, typed=True)
 def _rht_matrix(seed: int) -> np.ndarray:
-    """Read-only ``random_hadamard(RHT_BLOCK, seed)``, built once per seed: a wide training step
-    transforms 19 weight gradients with a few seeds, and each build took about 0.15 ms."""
+    """Read-only ``random_hadamard(RHT_BLOCK, seed)``, built once per seed: each linear keys its own
+    transform, so every wide training step uses the same 19 seeds, and each build took about 0.15 ms."""
     m = random_hadamard(RHT_BLOCK, seed)
     m.flags.writeable = False
     return m

@@ -130,9 +130,9 @@ from .errors import ContractError, KernelBuildError, NumericInputError, ShapeErr
 # that os.replace moves into place, so processes importing concurrently are
 # safe. A directory that another user owns or can write to is skipped, since
 # a module planted there would be loaded. A process runs `cc --version` once
-# per compiler and loads each module once. With no working compiler, no
-# Python.h or no usable cache directory the import raises KernelBuildError:
-# there is no slower path to fall back to.
+# and loads each module once. With no working compiler, no Python.h or no
+# usable cache directory the import raises KernelBuildError: there is no
+# slower path to fall back to.
 
 _MM_TYPED = r"""
 /* out[0:rows, 0:w] (row stride n) = s + a[0:rows, 0:kc] @ bp, in k order, for an MR x NV*VW tile,
@@ -403,11 +403,11 @@ def _wrapper(result: str, name: str, params: str) -> str:
                            release=" ".join(release))
 
 
-def _compile(cc: str, lib: Path, text: str, flags: Sequence[str]) -> None:
+def _compile(lib: Path, text: str, flags: Sequence[str]) -> None:
     fd, tmp = tempfile.mkstemp(dir=lib.parent, suffix=".so.tmp")
     os.close(fd)
     try:
-        subprocess.run([cc, *flags, "-x", "c", "-", "-o", tmp], input=text, text=True, capture_output=True,
+        subprocess.run(["cc", *flags, "-x", "c", "-", "-o", tmp], input=text, text=True, capture_output=True,
                        check=True)
         os.replace(tmp, lib)
     finally:
@@ -416,12 +416,12 @@ def _compile(cc: str, lib: Path, text: str, flags: Sequence[str]) -> None:
 
 
 @functools.cache
-def _cc_version(cc: str) -> str:
-    """``cc --version``, run once per compiler; a failure raises and is not cached."""
-    return subprocess.run([cc, "--version"], capture_output=True, text=True, check=True).stdout
+def _cc_version() -> str:
+    """``cc --version``, run once; a failure raises and is not cached."""
+    return subprocess.run(["cc", "--version"], capture_output=True, text=True, check=True).stdout
 
 
-def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> types.ModuleType:
+def _load_library(cache_dirs: Sequence[Path], source: str) -> types.ModuleType:
     """The extension module built from the C ``source``, with a function for each of its EXPORT functions
     generated from the declaration.
 
@@ -434,11 +434,11 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ty
     dirs = [Path(d) for d in cache_dirs]
 
     def error(why: str) -> KernelBuildError:
-        return KernelBuildError(f"cannot build the C kernels with compiler {cc!r} in cache directories "
+        return KernelBuildError(f"cannot build the C kernels with compiler 'cc' in cache directories "
                                 f"{', '.join(map(str, dirs))}: {why}")
 
     try:
-        version = _cc_version(cc)
+        version = _cc_version()
     except (OSError, subprocess.CalledProcessError) as e:
         raise error(f"the compiler does not run ({e})") from e
     declarations = _DECLARATION.findall(source)  # the source always holds the literal EXPORT
@@ -459,7 +459,7 @@ def _load_library(cache_dirs: Sequence[Path], source: str, cc: str = "cc") -> ty
                 skipped.append(f"{d} is another user's or writable by others")
                 continue
             if not lib.exists():
-                _compile(cc, lib, text, flags)
+                _compile(lib, text, flags)
             loader = importlib.machinery.ExtensionFileLoader(_MODULE, str(lib))
             module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_MODULE, loader))
             loader.exec_module(module)
@@ -763,7 +763,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
+    try:
+        out = a.data + b.data
+    except ValueError as e:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def bwd(dout):
         return (_unbroadcast(dout, a.shape) if a.requires_grad else None,
@@ -773,7 +776,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
+    try:
+        out = a.data - b.data
+    except ValueError as e:
+        raise ShapeError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def bwd(dout):
         return (_unbroadcast(dout, a.shape) if a.requires_grad else None,
@@ -783,7 +789,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    try:
+        out = a.data * b.data
+    except ValueError as e:
+        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from e
 
     def bwd(dout):
         return (_unbroadcast(dout * b.data, a.shape) if a.requires_grad else None,
@@ -895,13 +904,12 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     Runs in C (``rms_fwd``/``rms_bwd`` in _SCAN_SOURCE) in the wider dtype
     of ``x`` and ``weight``, with the bits of the numpy expression
     ``r = 1 / sqrt(mean(x**2) + eps); x * r * weight`` and of its gradients
-    ``dx = dout w r - x r**3 sum(dout w x) / d`` and ``dw = sum(dout x r)``
-    down the rows, all evaluated in that dtype. ``r ** 3`` is numpy's, on the
-    column of ``r``: its power function rounds neither as ``powf`` nor as
-    ``r * r * r``. So a float32 ``x`` with a float64 ``weight`` is normalised
-    as ``x`` cast to float64, mean and ``r`` included, not with a float32 ``r``
-    as numpy's own type promotion of that expression would give; the
-    gradient for ``x`` is then rounded to float32.
+    ``dx = dout w r - x (r * r * r) sum(dout w x) / d`` and of ``dw``, the
+    sum of ``dout x r`` down the rows in row order, all evaluated in that
+    dtype. So a float32 ``x`` with a float64 ``weight`` is normalised as ``x``
+    cast to float64, mean and ``r`` included, not with a float32 ``r`` as
+    numpy's own type promotion of that expression would give; the gradient
+    for ``x`` is then rounded to float32.
     """
     if not x.shape or weight.shape != x.shape[-1:]:
         raise ShapeError(f"rms_norm needs a weight of the trailing dim of x, got x {x.shape} and weight {weight.shape}")
@@ -913,9 +921,9 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float = 1e-6) -> Tensor:
     _scan_kernel("rms_fwd", dtype)(rows, d, eps, xs, w, r, out)
 
     def bwd(dout):
-        g, r3 = np.ascontiguousarray(dout, dtype), r ** 3
+        g = np.ascontiguousarray(dout, dtype)
         dx, dw = np.empty_like(out), np.empty(d, dtype)
-        _scan_kernel("rms_bwd", dtype)(rows, d, xs, w, r, r3, g, dx, dw)
+        _scan_kernel("rms_bwd", dtype)(rows, d, xs, w, r, g, dx, dw)
         return dx if x.requires_grad else None, dw if weight.requires_grad else None
 
     return _make(out, (x, weight), bwd)
@@ -954,10 +962,15 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
+    try:
+        out = x.data.reshape(shape)
+    except ValueError as e:
+        raise ShapeError(f"reshape: cannot reshape {x.shape} to {shape}") from e
+
     def bwd(dout):
         return (dout.reshape(x.shape),)
 
-    return _make(x.data.reshape(shape), (x,), bwd)
+    return _make(out, (x,), bwd)
 
 
 def transpose2d(x: Tensor) -> Tensor:
@@ -1048,7 +1061,10 @@ def take_elems(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
         raise ShapeError(f"take_elems indexes two axes, got shape {x.shape}")
     rows = _checked_index("take_elems rows", rows, x.shape[0])
     cols = _checked_index("take_elems cols", cols, x.shape[1])
-    out = x.data[rows, cols]
+    try:
+        out = x.data[rows, cols]
+    except IndexError as e:  # _checked_index has checked the range, so the two shapes do not broadcast
+        raise ShapeError(f"take_elems: index shapes {rows.shape} and {cols.shape} do not broadcast") from e
     if rows.shape != cols.shape:  # the backward's scatter-add takes one row and one column per element
         rows, cols = (np.ascontiguousarray(a) for a in np.broadcast_arrays(rows, cols))
 
@@ -1144,10 +1160,11 @@ def causal_conv1d(x: Tensor, w: Tensor, bias: Tensor) -> Tensor:
 #
 # The same template holds the kernels of rms_norm, causal_conv1d, the three
 # softmaxes, the sigmoid of sigmoid, silu and softplus, silu's gradient and the
-# index scatter-add (_scatter_add). Each gives the bits of the numpy code it
-# replaced, which tests/test_tensor.py keeps as its oracle: it sums in numpy's
-# orders, pairwise along a row (pairwise_SFX) and in row order down the rows,
-# and computes each element in numpy's order of operations.
+# index scatter-add (_scatter_add). Each gives the bits of a numpy oracle in
+# tests/test_tensor.py. Every sum follows one of two orders, each written once:
+# pairwise along a row (pairwise_SFX, numpy's order for a contiguous row), and
+# in row order from +0 down the rows, at every width. Each element is computed
+# in the oracle's order of operations.
 #
 # Every exp stays numpy's, in place between two C passes where one is needed:
 # _softmax_rows (softmax, cross_entropy, causal_softmax), _sigmoid (sigmoid,
@@ -1298,14 +1315,15 @@ EXPORT void scan_bwd_SFX(ptrdiff_t t_len, ptrdiff_t h, ptrdiff_t p, ptrdiff_t n,
     }
 }
 
-/* numpy's pairwise sum of a[0:n] (np.add.reduce over a contiguous axis): a block of up to 128 values
-   goes to 8 partial sums, added as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the values
-   past the last multiple of 8 one by one; fewer than 8 values are added one by one from -0. A longer
-   span splits at n / 2 rounded down to a multiple of 8 and adds its halves' sums. The recursion runs
-   on an explicit stack of split spans: the start and end of the right half, which is -1 once the left
-   half's sum is in `left`. */
-static inline REAL pairwise_block_SFX(const REAL *a, ptrdiff_t n)
+/* numpy's pairwise sum of a[0:n] (np.add.reduce over a contiguous axis), a recursion as numpy writes it: more than
+   128 values split at n / 2 rounded down to a multiple of 8; up to 128 go to 8 partial sums, added as ((r0 + r1) +
+   (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest one by one; fewer than 8 are added one by one from -0. */
+static inline REAL pairwise_SFX(const REAL *a, ptrdiff_t n)
 {
+    if (n > 128) {
+        const ptrdiff_t half = n / 2 - n / 2 % 8;
+        return pairwise_SFX(a, half) + pairwise_SFX(a + half, n - half);
+    }
     REAL res = -0.0;
     ptrdiff_t i = 0;
     if (n >= 8) {
@@ -1317,24 +1335,6 @@ static inline REAL pairwise_block_SFX(const REAL *a, ptrdiff_t n)
     }
     for (; i < n; i++) res += a[i];
     return res;
-}
-
-static inline REAL pairwise_SFX(const REAL *a, ptrdiff_t n)
-{
-    ptrdiff_t mid[64], hi[64], lo = 0, end = n;
-    REAL left[64];
-    int sp = 0;
-    for (;;) {
-        while (end - lo > 128) {
-            const ptrdiff_t half = (end - lo) / 2 - (end - lo) / 2 % 8;
-            mid[sp] = lo + half, hi[sp++] = end;
-            end = lo + half;
-        }
-        REAL s = pairwise_block_SFX(a + lo, end - lo);
-        while (sp > 0 && mid[sp - 1] < 0) s = left[--sp] + s;
-        if (sp == 0) return s;
-        left[sp - 1] = s, lo = mid[sp - 1], end = hi[sp - 1], mid[sp - 1] = -1;
-    }
 }
 
 /* rms_norm over rows of d: r[i] = 1 / sqrt(mean(x_i^2) + eps) and out_i = x_i r[i] w. The mean is
@@ -1353,27 +1353,18 @@ EXPORT void rms_fwd_SFX(ptrdiff_t rows, ptrdiff_t d, double eps, const REAL *res
     }
 }
 
-/* The gradients of rms_fwd for upstream g, given r and r3 = r^3 per row: dx = g w r - x r3 inner / d
-   with inner = +0 plus the pairwise sum of g w x over the row, and dw = the sum of g x r down the rows,
-   in row order from +0 or, when d is 1 and so the column is contiguous, pairwise. */
+/* The gradients of rms_fwd for upstream g, given r per row: dx = g w r - x (r r r) inner / d with inner = +0
+   plus the pairwise sum of g w x over the row, and dw = the sum of g x r down the rows, in row order from +0. */
 EXPORT void rms_bwd_SFX(ptrdiff_t rows, ptrdiff_t d, const REAL *restrict x, const REAL *restrict w,
-                        const REAL *restrict r, const REAL *restrict r3, const REAL *restrict g,
-                        REAL *restrict dx, REAL *restrict dw)
+                        const REAL *restrict r, const REAL *restrict g, REAL *restrict dx, REAL *restrict dw)
 {
     const REAL dd = (REAL)d;
-    if (d == 1) {
-        for (ptrdiff_t i = 0; i < rows; i++) dx[i] = g[i] * (x[i] * r[i]);  /* dx is scratch here */
-        dw[0] = (REAL)0 + pairwise_SFX(dx, rows);
-    } else {
-        for (ptrdiff_t j = 0; j < d; j++) dw[j] = 0;
-        for (ptrdiff_t i = 0; i < rows; i++)
-            for (ptrdiff_t j = 0; j < d; j++) dw[j] += g[i * d + j] * (x[i * d + j] * r[i]);
-    }
+    for (ptrdiff_t j = 0; j < d; j++) dw[j] = 0;
     for (ptrdiff_t i = 0; i < rows; i++) {
         const REAL *xi = x + i * d, *gi = g + i * d;
         REAL *di = dx + i * d;
-        for (ptrdiff_t j = 0; j < d; j++) di[j] = gi[j] * w[j] * xi[j];
-        const REAL inner = (REAL)0 + pairwise_SFX(di, d), ri = r[i], r3i = r3[i];
+        for (ptrdiff_t j = 0; j < d; j++) dw[j] += gi[j] * (xi[j] * r[i]), di[j] = gi[j] * w[j] * xi[j];
+        const REAL inner = (REAL)0 + pairwise_SFX(di, d), ri = r[i], r3i = ri * ri * ri;
         for (ptrdiff_t j = 0; j < d; j++) di[j] = gi[j] * w[j] * ri - xi[j] * r3i * inner / dd;
     }
 }
@@ -1393,28 +1384,20 @@ EXPORT void conv_fwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *rest
     }
 }
 
-/* The gradients of conv_fwd for upstream g [t, c]. dw[tau] sums g[v] xp[tau + v] and db sums g[v] over v
-   in order from +0, or pairwise when c is 1 and so the column is contiguous; the zero rows of xp add
-   their products. dx[u] adds g[v] w[tau] for v = u + k - 1 - tau in [0, t), in increasing tau from +0. */
+/* The gradients of conv_fwd for upstream g [t, c]. dw[tau] sums g[v] xp[tau + v] and db sums g[v] over v,
+   in row order from +0; the zero rows of xp add their products. dx[u] adds g[v] w[tau] for v = u + k - 1 - tau
+   in [0, t), in increasing tau from +0. */
 EXPORT void conv_bwd_SFX(ptrdiff_t t, ptrdiff_t c, ptrdiff_t k, const REAL *restrict x, const REAL *restrict w,
                          const REAL *restrict g, REAL *restrict dx, REAL *restrict dw, REAL *restrict db)
 {
     const REAL zero = 0;
-    if (c == 1) {
-        for (ptrdiff_t tau = 0; tau < k; tau++) {
-            for (ptrdiff_t v = 0, s = tau - k + 1; v < t; v++, s++) dx[v] = g[v] * (s < 0 ? zero : x[s]);  /* scratch */
-            dw[tau] = (REAL)0 + pairwise_SFX(dx, t);
-        }
-        db[0] = (REAL)0 + pairwise_SFX(g, t);
-    } else {
-        for (ptrdiff_t j = 0; j < k * c; j++) dw[j] = 0;
-        for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] = 0;
-        for (ptrdiff_t v = 0; v < t; v++) {
-            const REAL *gv = g + v * c;
-            for (ptrdiff_t tau = 0, s = v - k + 1; tau < k; tau++, s++)
-                for (ptrdiff_t ch = 0; ch < c; ch++) dw[tau * c + ch] += gv[ch] * (s < 0 ? zero : x[s * c + ch]);
-            for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] += gv[ch];
-        }
+    for (ptrdiff_t j = 0; j < k * c; j++) dw[j] = 0;
+    for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] = 0;
+    for (ptrdiff_t v = 0; v < t; v++) {
+        const REAL *gv = g + v * c;
+        for (ptrdiff_t tau = 0, s = v - k + 1; tau < k; tau++, s++)
+            for (ptrdiff_t ch = 0; ch < c; ch++) dw[tau * c + ch] += gv[ch] * (s < 0 ? zero : x[s * c + ch]);
+        for (ptrdiff_t ch = 0; ch < c; ch++) db[ch] += gv[ch];
     }
     for (ptrdiff_t u = 0; u < t; u++) {
         REAL *du = dx + u * c;

@@ -364,12 +364,15 @@ def test_the_probe_agrees_with_the_host():
     assert T._ISA_FLAGS == (("-mavx512f",) if flags and "avx512f" in flags[0].split() else ())
 
 
-def test_missing_compiler_raises_kernel_build_error(tmp_path):
-    cc = str(tmp_path / "no-such-cc")
+def test_missing_compiler_raises_kernel_build_error(tmp_path, monkeypatch):
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))  # a PATH without cc
+    T._cc_version.cache_clear()
+    cache = tmp_path / "cache"
     for _ in range(2):  # the failure is not cached
-        with pytest.raises(KernelBuildError, match=re.escape(f"compiler '{cc}' in cache directories {tmp_path}:")):
-            T._load_library([tmp_path], TINY_SOURCE, cc=cc)
-    assert not list(tmp_path.iterdir())
+        with pytest.raises(KernelBuildError, match=re.escape(f"compiler 'cc' in cache directories {cache}:")):
+            T._load_library([cache], TINY_SOURCE)
+    assert not cache.exists() and not list((tmp_path / "bin").iterdir())
 
 
 def test_missing_python_header_raises_kernel_build_error(tmp_path, monkeypatch):
